@@ -7,14 +7,15 @@
 //	trips-bench              # all experiments
 //	trips-bench -exp e4      # one experiment (e1|e2|e3|e4|e5|e6)
 //	trips-bench -devices 40 -floors 7 -shops 8 -seed 3
-//	trips-bench -online -out BENCH_online.json   # online-engine perf JSON
+//
+// Throughput, CPU and freshness numbers come from the repository benchmark
+// instead (bench/README.md).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 	"time"
 
@@ -25,48 +26,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("trips-bench: ")
 	var (
-		exp      = flag.String("exp", "all", "experiment id: e1..e6 or all")
-		devices  = flag.Int("devices", 20, "simulated devices")
-		floors   = flag.Int("floors", 3, "mall floors")
-		shops    = flag.Int("shops", 6, "shops per floor")
-		seed     = flag.Int64("seed", 1, "random seed")
-		onlineB  = flag.Bool("online", false, "run the online-engine benchmarks and emit machine-readable JSON")
-		tracedB  = flag.Bool("traced", false, "with -online: add traced-vs-untraced overhead workloads (informational, never ratcheted)")
-		outPath  = flag.String("out", "BENCH_online.json", "output path for -online results")
-		check    = flag.Bool("check", false, "with -online: ratchet the fresh numbers against -baseline and exit non-zero on regression")
-		baseline = flag.String("baseline", "BENCH_online.json", "committed baseline for -check")
-		tol      = flag.Float64("tolerance", 0.15, "allowed fractional growth in ns/record, bytes/op, and allocs/op for -check")
+		exp     = flag.String("exp", "all", "experiment id: e1..e6 or all")
+		devices = flag.Int("devices", 20, "simulated devices")
+		floors  = flag.Int("floors", 3, "mall floors")
+		shops   = flag.Int("shops", 6, "shops per floor")
+		seed    = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
-
-	if *onlineB {
-		// The baseline loads before the benchmarks run, so a bad -baseline
-		// path fails fast instead of after the measurement.
-		var base *onlineBenchFile
-		if *check {
-			var err error
-			if base, err = readOnlineBench(*baseline); err != nil {
-				log.Fatalf("baseline: %v", err)
-			}
-		}
-		if err := runOnlineBench(*outPath, *tracedB); err != nil {
-			log.Fatal(err)
-		}
-		if *check {
-			fresh, err := readOnlineBench(*outPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if fails := compareOnline(base, fresh, *tol); len(fails) != 0 {
-				for _, f := range fails {
-					log.Printf("PERF FAIL: %s", f)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("perf ratchet passed against %s (tolerance %.0f%%)\n", *baseline, *tol*100)
-		}
-		return
-	}
 
 	spec := experiments.DefaultEnvSpec()
 	spec.Devices = *devices

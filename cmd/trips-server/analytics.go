@@ -6,22 +6,17 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"trips/internal/analytics"
 	"trips/internal/dsm"
-	"trips/internal/obs/trace"
-	"trips/internal/online"
-	"trips/internal/position"
-	"trips/internal/semantics"
 )
 
 // The analytics endpoints serve the incremental materialized views — every
 // answer reads folded state, never a rescan of stored trips:
 //
 //	GET  /analytics                     engine counters (incl. snapshot age)
-//	POST /analytics/rebuild             swap in a freshly bootstrapped engine
+//	POST /analytics/rebuild             re-derive the views from the warehouse
 //	GET  /analytics/occupancy           per-region live occupancy (?activeWithin=5m)
 //	GET  /analytics/flows               region→region transitions (?region=, ?limit=)
 //	GET  /analytics/dwell/{region}      dwell histogram + quantiles
@@ -31,147 +26,20 @@ import (
 // Region path/query parameters resolve like /regions/{id}/visits: region ID
 // first, semantic tag second.
 
-// analyticsTee routes the online engine's sealed emissions (and its idle
-// "device left" finalizations) into the *current* analytics engine. During
-// a rebuild it buffers instead: the fresh engine bootstraps from the
-// warehouse while emissions queue here, then the queue drains into it
-// before the swap becomes visible — no emission is lost across the swap,
-// and one delivered both ways (stored before the bootstrap read its
-// device, then drained) is deduped by the fold's per-device frontier.
-type analyticsTee struct {
-	s *server
-
-	// mu is an RWMutex so concurrent shard emissions fold in parallel (the
-	// engine is concurrency-safe); only the rebuild swap and the buffered
-	// appends take it exclusively. Folding under the read lock still gives
-	// the atomicity the rebuild needs: the swap's write lock waits out
-	// in-flight folds, so a delivery is either folded into the pre-rebuild
-	// engine (and was warehoused before the rebuild's bootstrap began) or
-	// buffered.
-	mu        sync.RWMutex
-	buffering bool
-	buf       []teedEvent
-}
-
-// teedEvent is one buffered delivery: an emission, or a departure signal
-// when leave is set. arrivedAt carries the emission's ingest-arrival stamp
-// so the freshness metric observes at fold time — the instant the triplet
-// became analytics-visible — even for deliveries that buffered across a
-// rebuild. tc is the emission's trace context (the seal span) so the fold
-// span parents correctly even for a live delivery.
-type teedEvent struct {
-	dev       position.DeviceID
-	tr        semantics.Triplet
-	at        time.Time
-	arrivedAt time.Time
-	tc        trace.Ctx
-	leave     bool
-}
-
-// deliver folds the event into the current engine under the read lock, or
-// — during a rebuild — appends it to the buffer under the write lock.
-func (t *analyticsTee) deliver(ev teedEvent) {
-	t.mu.RLock()
-	if !t.buffering {
-		t.apply(t.s.analytics(), ev)
-		t.mu.RUnlock()
-		return
-	}
-	t.mu.RUnlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.buffering { // may have drained between the two locks
-		t.buf = append(t.buf, ev)
-		return
-	}
-	t.apply(t.s.analytics(), ev)
-}
-
-func (t *analyticsTee) apply(a *analytics.Engine, ev teedEvent) {
-	if ev.leave {
-		a.DeviceLeft(ev.dev, ev.at)
-		return
-	}
-	a.IngestTraced(ev.dev, ev.tr, ev.tc)
-	t.observeFreshness(ev)
-}
-
-// observeFreshness closes the ingest→analytics-visible loop for one folded
-// emission. Emissions without an arrival stamp (close or idle finalization
-// flushes) are skipped.
-func (t *analyticsTee) observeFreshness(ev teedEvent) {
-	if m := t.s.obs.analytics; m != nil && !ev.arrivedAt.IsZero() {
-		m.Freshness.ObserveSince(ev.arrivedAt)
-	}
-}
-
-// Emit implements online.Emitter.
-func (t *analyticsTee) Emit(em online.Emission) {
-	t.deliver(teedEvent{dev: em.Device, tr: em.Triplet, arrivedAt: em.ArrivedAt, tc: em.Trace})
-}
-
-// FinalizeSession implements online.SessionFinalizer: idle-evicted devices
-// decay occupancy by evidence.
-func (t *analyticsTee) FinalizeSession(dev position.DeviceID, at time.Time) {
-	t.deliver(teedEvent{dev: dev, at: at, leave: true})
-}
-
-// rebuildAnalytics swaps in a fresh engine re-bootstrapped from the
-// warehouse — the recovery for RebuildRecommended (backfill the
-// incremental fold dropped). Live subscribers move over with the hub
-// (Engine.Rebuild), and live emissions buffer in the tee across the
-// bootstrap so none fold into the discarded engine after the new one
-// stopped reading the warehouse.
-func (s *server) rebuildAnalytics() (*analytics.Engine, error) {
-	s.rebuildMu.Lock()
-	defer s.rebuildMu.Unlock()
-	old := s.analytics()
-
-	s.tee.mu.Lock()
-	s.tee.buffering = true
-	s.tee.mu.Unlock()
-
-	fresh, err := old.Rebuild(s.wh)
-
-	s.tee.mu.Lock()
-	defer s.tee.mu.Unlock()
-	target := old
-	if err == nil {
-		target = fresh
-		s.an.Store(fresh)
-	}
-	for _, ev := range s.tee.buf {
-		if ev.leave {
-			target.DeviceLeft(ev.dev, ev.at)
-		} else {
-			// IngestReplay: a buffered emission the bootstrap already
-			// replayed from the warehouse is overlap, not backfill. The
-			// drain is when it became visible, so freshness observes here
-			// (rebuild stall included, by design).
-			target.IngestReplay(ev.dev, ev.tr)
-			s.tee.observeFreshness(ev)
-		}
-	}
-	s.tee.buf, s.tee.buffering = nil, false
-	if err != nil {
-		return nil, err
-	}
-	return fresh, nil
-}
-
-// handleRebuild serves POST /analytics/rebuild: responds with the fresh
-// engine's counters.
+// handleRebuild serves POST /analytics/rebuild — the recovery for
+// RebuildRecommended (a backfill the incremental fold dropped): the views
+// re-derive from the warehouse under live ingest, and the response carries
+// the rebuilt counters.
 func (s *server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	fresh, err := s.rebuildAnalytics()
-	if err != nil {
+	if err := s.p.Rebuild(); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, fresh.Stats())
+	writeJSON(w, s.p.Analytics.Stats())
 }
 
 // resolveRegion maps a path or query segment onto a model region ID.
@@ -191,7 +59,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 func (s *server) handleAnalyticsStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.analytics().Stats())
+	writeJSON(w, s.p.Analytics.Stats())
 }
 
 // occupancyView is the /analytics/occupancy response.
@@ -210,11 +78,11 @@ func (s *server) handleOccupancy(w http.ResponseWriter, r *http.Request) {
 		}
 		activeWithin = d
 	}
-	regions := s.analytics().Occupancy(activeWithin)
+	regions := s.p.Analytics.Occupancy(activeWithin)
 	if regions == nil {
 		regions = []analytics.RegionOccupancy{}
 	}
-	writeJSON(w, occupancyView{Watermark: s.analytics().Watermark(), Regions: regions})
+	writeJSON(w, occupancyView{Watermark: s.p.Analytics.Watermark(), Regions: regions})
 }
 
 func (s *server) handleFlows(w http.ResponseWriter, r *http.Request) {
@@ -237,7 +105,7 @@ func (s *server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = min(n, 1000)
 	}
-	flows := s.analytics().Flows(region, limit)
+	flows := s.p.Analytics.Flows(region, limit)
 	if flows == nil {
 		flows = []analytics.Flow{}
 	}
@@ -255,7 +123,7 @@ func (s *server) handleDwell(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	st, ok := s.analytics().Dwell(id)
+	st, ok := s.p.Analytics.Dwell(id)
 	if !ok {
 		// A known region with no folded trips yet: an empty summary, not
 		// an error — the hot polling case for fresh deployments.
@@ -284,7 +152,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 		window = d
 	}
-	top := s.analytics().TopK(k, window)
+	top := s.p.Analytics.TopK(k, window)
 	if top == nil {
 		top = []analytics.RegionCount{}
 	}
@@ -319,7 +187,7 @@ func (s *server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	sub := s.analytics().Subscribe(regions)
+	sub := s.p.Analytics.Subscribe(regions)
 	defer sub.Close()
 
 	h := w.Header()

@@ -18,7 +18,6 @@ import (
 
 	"trips/internal/analytics"
 	"trips/internal/dsm"
-	"trips/internal/online"
 	"trips/internal/position"
 	"trips/internal/semantics"
 )
@@ -53,8 +52,8 @@ func TestAnalyticsEndpoints(t *testing.T) {
 	}
 	var st analytics.Stats
 	get(t, "/analytics", http.StatusOK, &st)
-	if st.Trips == 0 || st.Trips != int64(s.wh.Stats().Trips) {
-		t.Errorf("analytics folded %d trips, warehouse has %d", st.Trips, s.wh.Stats().Trips)
+	if st.Trips == 0 || st.Trips != int64(s.p.Warehouse.Stats().Trips) {
+		t.Errorf("analytics folded %d trips, warehouse has %d", st.Trips, s.p.Warehouse.Stats().Trips)
 	}
 	if visits+st.Regionless != st.Trips {
 		t.Errorf("visits %d + regionless %d ≠ trips %d", visits, st.Regionless, st.Trips)
@@ -227,7 +226,7 @@ func TestSSESubscribersUnderIngest(t *testing.T) {
 		resp.Body.Close()
 		// Sealing needs the engine's timer or more watermark progress;
 		// nudge with a flush and check whether the readers are done.
-		s.engine.Flush()
+		s.p.Engine.Flush()
 		done := make(chan struct{})
 		go func() { wg.Wait(); close(done) }()
 		select {
@@ -263,14 +262,25 @@ func TestSSESubscribersUnderIngest(t *testing.T) {
 	cancel()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if st := s.analytics().Stats(); st.Subscribers == 0 {
+		if st := s.p.Analytics.Stats(); st.Subscribers == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("subscribers leaked: %+v", s.analytics().Stats())
+			t.Fatalf("subscribers leaked: %+v", s.p.Analytics.Stats())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// smallBufferServer is demoServer with a two-delta subscriber buffer.
+func smallBufferServer(t *testing.T) *server {
+	t.Helper()
+	s, err := load(loadOptions{demo: true, analytics: analytics.Config{SubscriberBuffer: 2}})
+	if err != nil {
+		t.Fatalf("load demo: %v", err)
+	}
+	t.Cleanup(func() { s.p.Close() })
+	return s
 }
 
 // TestSSESlowConsumerEvicted connects a subscriber that never reads and
@@ -278,10 +288,7 @@ func TestSSESubscribersUnderIngest(t *testing.T) {
 // against a stalled client pinning ingest. The subscriber buffer is shrunk
 // so the kernel's socket buffering doesn't mask the eviction.
 func TestSSESlowConsumerEvicted(t *testing.T) {
-	s := demoServer(t)
-	// Replace the (empty-view) analytics engine before serving; only this
-	// test's direct Ingest calls feed it.
-	s.an.Store(analytics.New(analytics.Config{SubscriberBuffer: 2}))
+	s := smallBufferServer(t)
 	srv := httptest.NewServer(s.mux())
 	defer srv.Close()
 
@@ -296,7 +303,7 @@ func TestSSESlowConsumerEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	an := s.analytics()
+	an := s.p.Analytics
 	// Wait for the handler to attach before flooding.
 	deadline := time.Now().Add(5 * time.Second)
 	for an.Stats().Subscribers == 0 {
@@ -310,7 +317,7 @@ func TestSSESlowConsumerEvicted(t *testing.T) {
 	// buffers fill and it blocks, the hub buffer fills behind it, and the
 	// hub evicts. Deltas flow directly into the views.
 	at := time.Date(2017, 1, 2, 10, 0, 0, 0, time.UTC)
-	for i := 0; i < 500_000 && s.analytics().Stats().Evicted == 0; i++ {
+	for i := 0; i < 500_000 && s.p.Analytics.Stats().Evicted == 0; i++ {
 		an.Ingest("flood", semantics.Triplet{
 			Event:    semantics.EventStay,
 			Region:   "Flood",
@@ -320,7 +327,7 @@ func TestSSESlowConsumerEvicted(t *testing.T) {
 		})
 		at = at.Add(time.Minute)
 	}
-	st := s.analytics().Stats()
+	st := s.p.Analytics.Stats()
 	if st.Evicted == 0 {
 		t.Fatal("slow consumer never evicted")
 	}
@@ -335,9 +342,9 @@ func TestSSESlowConsumerEvicted(t *testing.T) {
 	}
 }
 
-// TestAnalyticsRebuildEndpoint swaps in a freshly bootstrapped engine via
-// POST /analytics/rebuild and proves live subscribers and the emitter tee
-// survive the swap.
+// TestAnalyticsRebuildEndpoint rebuilds the views via POST
+// /analytics/rebuild and proves live subscribers and the running engine's
+// tee survive it.
 func TestAnalyticsRebuildEndpoint(t *testing.T) {
 	s := demoServer(t)
 	mux := s.mux()
@@ -349,9 +356,8 @@ func TestAnalyticsRebuildEndpoint(t *testing.T) {
 		t.Fatalf("GET status = %d", rec.Code)
 	}
 
-	old := s.analytics()
-	before := old.Stats()
-	sub := old.Subscribe(nil)
+	before := s.p.Analytics.Stats()
+	sub := s.p.Analytics.Subscribe(nil)
 	defer sub.Close()
 
 	rec = httptest.NewRecorder()
@@ -363,34 +369,31 @@ func TestAnalyticsRebuildEndpoint(t *testing.T) {
 	if err := json.NewDecoder(rec.Body).Decode(&after); err != nil {
 		t.Fatal(err)
 	}
-	if s.analytics() == old {
-		t.Fatal("rebuild did not swap the engine")
+	if after.Trips != before.Trips || after.Trips != int64(s.p.Warehouse.Stats().Trips) {
+		t.Errorf("rebuilt views folded %d trips, want %d (warehouse %d)",
+			after.Trips, before.Trips, s.p.Warehouse.Stats().Trips)
 	}
-	if after.Trips != before.Trips || after.Trips != int64(s.wh.Stats().Trips) {
-		t.Errorf("rebuilt engine folded %d trips, want %d (warehouse %d)",
-			after.Trips, before.Trips, s.wh.Stats().Trips)
-	}
-
-	// The tee now feeds the fresh engine, and the subscriber (attached to
-	// the old engine's hub) still receives its deltas.
-	tr := semantics.Triplet{
-		Event:    semantics.EventStay,
-		Region:   "Rebuilt",
-		RegionID: dsm.RegionID("rebuilt-region"),
-		From:     time.Date(2030, 1, 1, 10, 0, 0, 0, time.UTC),
-		To:       time.Date(2030, 1, 1, 10, 1, 0, 0, time.UTC),
-	}
-	s.tee.Emit(online.Emission{Device: "post-rebuild", Seq: 0, Triplet: tr})
 	select {
 	case d := <-sub.C():
-		if d.RegionID != "rebuilt-region" {
+		t.Fatalf("subscriber saw a historical delta during rebuild: %+v", d)
+	default:
+	}
+
+	// The running engine's tee still feeds the rebuilt views, and the
+	// subscriber attached before the rebuild still receives its deltas.
+	ingestDemoReplay(t, s, mux, "post-rebuild")
+	s.p.Engine.Flush()
+	select {
+	case d := <-sub.C():
+		if d.Device != "post-rebuild" {
 			t.Errorf("post-rebuild delta = %+v", d)
 		}
 	case <-time.After(2 * time.Second):
 		t.Error("subscriber lost across rebuild")
 	}
-	if got := s.analytics().Stats().Trips; got != after.Trips+1 {
-		t.Errorf("tee fold after rebuild: trips = %d, want %d", got, after.Trips+1)
+	if st := s.p.Analytics.Stats(); st.Trips <= after.Trips || st.Trips != int64(s.p.Warehouse.Stats().Trips) {
+		t.Errorf("tee fold after rebuild: trips = %d (was %d), warehouse %d",
+			st.Trips, after.Trips, s.p.Warehouse.Stats().Trips)
 	}
 }
 
@@ -400,33 +403,28 @@ func TestAnalyticsRebuildEndpoint(t *testing.T) {
 // re-bootstrap.
 func TestAnalyticsSnapshotAcrossRestart(t *testing.T) {
 	storeDir, anDir := t.TempDir(), t.TempDir()
-	s1, err := load(loadOptions{demo: true, storeDir: storeDir, analyticsDir: anDir})
+	// The periodic writer idles at this interval; Close writes the final cut.
+	s1, err := load(loadOptions{demo: true, storeDir: storeDir, analyticsDir: anDir, snapshotEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Periodic writer idles at this interval; stopSnap writes the final cut.
-	s1.stopSnap = analytics.AutoSnapshot(s1.analytics, s1.anOpts, time.Hour)
-	first := s1.analytics().Snapshot()
-	s1.engine.Close()
-	if err := s1.stopSnap(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.wh.Close(); err != nil {
+	first := s1.p.Analytics.Snapshot()
+	if err := s1.p.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := load(loadOptions{demo: true, storeDir: storeDir, analyticsDir: anDir})
+	s2, err := load(loadOptions{demo: true, storeDir: storeDir, analyticsDir: anDir, snapshotEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s2.engine.Close(); s2.wh.Close() })
-	second := s2.analytics().Snapshot()
+	t.Cleanup(func() { s2.p.Close() })
+	second := s2.p.Analytics.Snapshot()
 	a, _ := json.Marshal(first)
 	b, _ := json.Marshal(second)
 	if !bytes.Equal(a, b) {
 		t.Errorf("views diverge across restart:\nbefore: %s\nafter:  %s", a, b)
 	}
-	if st := s2.analytics().Stats(); st.LastSnapshot.IsZero() {
+	if st := s2.p.Analytics.Stats(); st.LastSnapshot.IsZero() {
 		t.Error("restarted server does not report the loaded snapshot")
 	}
 }
@@ -439,13 +437,10 @@ func TestAnalyticsSnapshotAcrossRestart(t *testing.T) {
 // trailer) is covered by the SSE test; this one pins the pipeline
 // contract on /metrics.
 func TestSlowSubscriberUnderSustainedIngest(t *testing.T) {
-	s := demoServer(t)
-	// Shrink the hub buffer so a handful of folds evicts; reuse the
-	// server's registered instruments so /metrics reflects this engine.
-	s.an.Store(analytics.New(analytics.Config{SubscriberBuffer: 2, Metrics: s.obs.analytics}))
+	s := smallBufferServer(t) // a handful of folds evicts
 	mux := s.mux()
 
-	sub := s.analytics().Subscribe(nil) // never drained: the slow consumer
+	sub := s.p.Analytics.Subscribe(nil) // never drained: the slow consumer
 	defer sub.Close()
 
 	// Sustained load: three full demo journeys through the real ingest
@@ -456,7 +451,7 @@ func TestSlowSubscriberUnderSustainedIngest(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		total += ingestDemoReplay(t, s, mux, fmt.Sprintf("slow-sub-%d", i))
 	}
-	s.engine.Flush() // seal with arrival stamps → folds → hub publishes
+	s.p.Engine.Flush() // seal with arrival stamps → folds → hub publishes
 
 	s.anCache.at = time.Time{} // bypass the 1s stats cache for the scrape
 	samples := scrape(t, mux)

@@ -19,8 +19,8 @@
 // bootstrap from the warehouse; with -analytics-store they additionally
 // persist as periodic snapshots, so a restart loads the snapshot and
 // replays only the warehouse tail instead of re-folding the whole store,
-// and POST /analytics/rebuild swaps in freshly bootstrapped views after a
-// backfill.
+// and POST /analytics/rebuild re-derives the views from the warehouse after
+// a backfill.
 //
 // Usage:
 //
@@ -43,7 +43,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -56,10 +55,10 @@ import (
 	"trips/internal/obs"
 	"trips/internal/obs/trace"
 	"trips/internal/online"
+	"trips/internal/pipeline"
 	"trips/internal/position"
 	"trips/internal/semantics"
 	"trips/internal/simul"
-	"trips/internal/storage"
 	"trips/internal/tripstore"
 	"trips/internal/viewer"
 )
@@ -70,21 +69,8 @@ type server struct {
 	truths  map[position.DeviceID]simul.Truth
 	devices []position.DeviceID
 
-	engine *online.Engine
-	wh     *tripstore.Warehouse
-
-	// an is swapped atomically by POST /analytics/rebuild; handlers read
-	// it through analytics(), live emissions route through tee so they
-	// buffer across a swap instead of folding into a discarded engine.
-	an        atomic.Pointer[analytics.Engine]
-	tee       *analyticsTee
-	rebuildMu sync.Mutex
-
-	// anOpts locates the durable view snapshot (-analytics-store);
-	// stopSnap halts the periodic writer and saves the final snapshot.
-	// Both are zero when snapshots are disabled.
-	anOpts   analytics.StoreOptions
-	stopSnap func() error
+	// p is the live pipeline: online engine → warehouse → analytics views.
+	p *pipeline.Pipeline
 
 	// obs is the metrics registry and per-layer instruments behind
 	// GET /metrics; anCache amortizes the merged analytics snapshot the
@@ -94,9 +80,6 @@ type server struct {
 	anCache       anStatsCache
 	rebuildWarned atomic.Bool
 }
-
-// analytics returns the current analytics engine.
-func (s *server) analytics() *analytics.Engine { return s.an.Load() }
 
 func main() {
 	var (
@@ -124,78 +107,88 @@ func main() {
 	}
 	slog.SetDefault(slog.New(handler))
 
-	s, err := load(loadOptions{
-		demo:         *demo,
-		dsmPath:      *dsmPath,
-		dataPath:     *dataPath,
-		eventsPath:   *eventsPath,
-		storeDir:     *storeDir,
-		analyticsDir: *anDir,
-		queueLen:     *ingestQueue,
-		trace: trace.Config{
-			SampleRate: *traceSample,
-			KeepOver:   *traceSlow,
-			RingSize:   *traceRing,
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	err := run(ctx, runOptions{
+		addr:        *addr,
+		debugAddr:   *debugAddr,
+		autoRebuild: *autoRebuild,
+		load: loadOptions{
+			demo:          *demo,
+			dsmPath:       *dsmPath,
+			dataPath:      *dataPath,
+			eventsPath:    *eventsPath,
+			storeDir:      *storeDir,
+			analyticsDir:  *anDir,
+			snapshotEvery: *anInterval,
+			online:        online.Config{QueueLen: *ingestQueue},
+			trace: trace.Config{
+				SampleRate: *traceSample,
+				KeepOver:   *traceSlow,
+				RingSize:   *traceRing,
+			},
 		},
 	})
 	if err != nil {
-		slog.Error("startup failed", "error", err)
+		slog.Error("server failed", "error", err)
 		os.Exit(1)
 	}
-	if s.anOpts.Store != nil {
-		// The indirection over s.analytics keeps the writer on the live
-		// engine across /analytics/rebuild swaps.
-		s.stopSnap = analytics.AutoSnapshot(s.analytics, s.anOpts, *anInterval)
+}
+
+// runOptions is what main's flags decide beyond assembly.
+type runOptions struct {
+	addr        string
+	debugAddr   string
+	autoRebuild bool
+	load        loadOptions
+}
+
+// run loads the server, serves until ctx ends or the listener fails, and
+// closes the pipeline on every way out — a failed listen after a -store boot
+// still flushes the pending segment and writes the final view snapshot.
+func run(ctx context.Context, opts runOptions) (err error) {
+	s, err := load(opts.load)
+	if err != nil {
+		return fmt.Errorf("startup: %w", err)
 	}
+	defer func() { err = errors.Join(err, s.p.Close()) }()
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              opts.addr,
 		Handler:           s.mux(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	if *debugAddr != "" {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	if opts.debugAddr != "" {
 		go func() {
-			slog.Info("pprof listening", "addr", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, debugMux()); err != nil {
+			slog.Info("pprof listening", "addr", opts.debugAddr)
+			if err := http.ListenAndServe(opts.debugAddr, debugMux()); err != nil {
 				slog.Error("pprof server failed", "error", err)
 			}
 		}()
 	}
 	// The watcher warns when the views drop a backfill and — with
 	// -auto-rebuild — triggers the rebuild path itself.
-	go s.watchRebuild(ctx.Done(), 15*time.Second, *autoRebuild)
+	go s.watchRebuild(ctx.Done(), 15*time.Second, opts.autoRebuild)
 	errc := make(chan error, 1)
 	go func() {
-		slog.Info("serving", "devices", len(s.devices), "addr", *addr)
+		slog.Info("serving", "devices", len(s.devices), "addr", opts.addr)
 		errc <- srv.ListenAndServe()
 	}()
 	select {
 	case err := <-errc:
-		slog.Error("server failed", "error", err)
-		os.Exit(1)
+		return err
 	case <-ctx.Done():
 	}
 	slog.Info("shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
+	shutCtx, cancelShut := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelShut()
 	if err := srv.Shutdown(shutCtx); err != nil {
 		slog.Error("shutdown", "error", err)
 	}
-	s.engine.Close() // seal and emit every open session (flushes the warehouse log)
-	if s.stopSnap != nil {
-		// Final analytics snapshot, after the engine close so the views it
-		// persists cover the shutdown-sealed triplets, before the warehouse
-		// close so the Sync flush still works.
-		if err := s.stopSnap(); err != nil {
-			slog.Error("final analytics snapshot", "error", err)
-		}
-	}
-	if err := s.wh.Close(); err != nil {
-		slog.Error("warehouse close", "error", err)
-	}
+	return nil
 }
 
 // mux wires all routes — the batch Viewer pages, the online endpoints, and
@@ -228,10 +221,9 @@ func (s *server) mux() http.Handler {
 	return obs.Middleware(s.obs.http, slog.Default(), s.obs.tracer, mux)
 }
 
-// loadOptions configures server assembly. The struct form (rather than
-// positional arguments) exists because the ingest path is now tunable —
-// queueLen bounds admission — and tests need to reach the online engine's
-// configuration without threading every knob through a widening signature.
+// loadOptions configures server assembly: where the inputs and the durable
+// state live, and the subsystem configurations handed to the pipeline (load
+// adds the observability bundles to them).
 type loadOptions struct {
 	demo         bool
 	dsmPath      string
@@ -239,24 +231,23 @@ type loadOptions struct {
 	eventsPath   string
 	storeDir     string
 	analyticsDir string
-	// queueLen is the online shard inbox capacity (0 = engine default).
-	// When a shard's inbox fills, POST /ingest rejects with 429 instead of
-	// queueing unboundedly.
-	queueLen int
+	// snapshotEvery is the -analytics-snapshot interval (with analyticsDir).
+	snapshotEvery time.Duration
+	// online configures the live engine: main sets QueueLen (-ingest-queue,
+	// the admission bound behind the 429s); tests shrink flush windows or
+	// add a sink behind the warehouse and the views.
+	online online.Config
+	// analytics configures the views.
+	analytics analytics.Config
 	// trace configures the end-to-end tracer (-trace-sample / -trace-slow /
 	// -trace-ring); the zero value keeps tracing assembled but samples
 	// nothing unless a request forces itself with X-Trace-Id.
 	trace trace.Config
-	// tuneOnline, when set, adjusts the assembled online.Config just before
-	// the engine starts — a test seam for wrapping the emitter or shrinking
-	// flush windows; production callers leave it nil.
-	tuneOnline func(online.Config) online.Config
 }
 
 func load(opts loadOptions) (*server, error) {
 	demo := opts.demo
 	dsmPath, dataPath, eventsPath := opts.dsmPath, opts.dataPath, opts.eventsPath
-	storeDir, analyticsDir := opts.storeDir, opts.analyticsDir
 	var (
 		model  *dsm.Model
 		ds     *position.Dataset
@@ -305,34 +296,40 @@ func load(opts loadOptions) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The observability registry exists before the subsystems so their
-	// constructors can take the per-layer instrument bundles.
+	if opts.analyticsDir != "" && opts.storeDir == "" {
+		slog.Warn("-analytics-store without -store: snapshots may cover trips a restart cannot replay")
+	}
+	// The observability registry exists before the pipeline so its
+	// subsystems can take the per-layer instrument bundles.
 	so := newServerObs(opts.trace)
+	opts.online.Metrics, opts.online.Tracer = so.online, so.tracer
+	opts.analytics.Metrics, opts.analytics.Tracer = so.analytics, so.tracer
 
-	// The warehouse stores every translated trip behind both engines;
-	// with -store it persists across restarts (segment log + snapshot).
-	var wh *tripstore.Warehouse
-	if storeDir != "" {
-		st, err := storage.Open(storeDir)
-		if err != nil {
-			return nil, err
-		}
-		if wh, err = tripstore.New(tripstore.Options{Log: &tripstore.LogOptions{Store: st}, Metrics: so.store, Tracer: so.tracer}); err != nil {
-			return nil, err
-		}
-	} else if wh, err = tripstore.New(tripstore.Options{Metrics: so.store, Tracer: so.tracer}); err != nil {
+	// The warehouse is the engine's sink and the single sealed store —
+	// /live reads sealed triplets back from it, so the server keeps no
+	// second per-device copy that idle-session eviction can't reclaim
+	// (MAC-randomized device churn would grow it forever).
+	p, err := pipeline.Open(tr, pipeline.Options{
+		StoreDir:         opts.storeDir,
+		ViewsDir:         opts.analyticsDir,
+		SnapshotInterval: opts.snapshotEvery,
+		Warehouse:        tripstore.Options{Metrics: so.store, Tracer: so.tracer},
+		Analytics:        opts.analytics,
+		Online:           opts.online,
+	})
+	if err != nil {
 		return nil, err
 	}
-
 	s := &server{
 		model:   model,
 		results: make(map[position.DeviceID]core.Result),
 		truths:  truths,
-		wh:      wh,
+		p:       p,
 		obs:     so,
 	}
-	results, err := tr.TranslateTo(ds, wh)
+	results, err := p.Translate(ds)
 	if err != nil {
+		p.Close()
 		return nil, err
 	}
 	for _, r := range results {
@@ -341,60 +338,8 @@ func load(opts loadOptions) (*server, error) {
 	}
 	sort.Slice(s.devices, func(i, j int) bool { return s.devices[i] < s.devices[j] })
 
-	// The analytics engine bootstraps from the warehouse — which at this
-	// point holds the startup batch translation plus anything a previous
-	// -store run persisted — so its views match what live ingestion of the
-	// same trips would have built. With -analytics-store, the persisted
-	// view snapshot loads first and the bootstrap replays only the
-	// warehouse tail past its fold frontiers: boot cost O(tail), not
-	// O(stored trips).
-	an := analytics.New(analytics.Config{Metrics: so.analytics, Tracer: so.tracer})
-	if analyticsDir != "" {
-		if storeDir == "" {
-			slog.Warn("-analytics-store without -store: snapshots may cover trips a restart cannot replay")
-		}
-		anStore, err := storage.Open(analyticsDir)
-		if err != nil {
-			return nil, err
-		}
-		s.anOpts = analytics.StoreOptions{Store: anStore, Sync: wh.Flush}
-		if ok, err := an.LoadSnapshot(analytics.StoreOptions{Store: anStore}); err != nil {
-			if !errors.Is(err, analytics.ErrIncompatibleSnapshot) {
-				return nil, err
-			}
-			slog.Warn("ignoring analytics snapshot", "error", err)
-		} else if ok {
-			slog.Info("analytics views loaded from snapshot; replaying warehouse tail")
-		}
-	}
-	if err := an.Bootstrap(wh); err != nil {
-		return nil, err
-	}
-	s.an.Store(an)
-	s.tee = &analyticsTee{s: s}
-
-	// The online engine serves the live-ingest endpoints with the same
-	// trained pipeline; the warehouse is its sink and the single sealed
-	// store — /live reads sealed triplets back from it, so the server
-	// keeps no second per-device copy that idle-session eviction can't
-	// reclaim (MAC-randomized device churn would grow it forever). Sealed
-	// emissions tee through the analytics views on their way in; the tee
-	// is an indirection over s.an so a rebuild can swap engines under it.
-	onlineCfg := online.Config{
-		Emitter:  wh.Emitter(s.tee),
-		Metrics:  so.online,
-		Tracer:   so.tracer,
-		QueueLen: opts.queueLen,
-	}
-	if opts.tuneOnline != nil {
-		onlineCfg = opts.tuneOnline(onlineCfg)
-	}
-	s.engine, err = tr.NewOnline(onlineCfg)
-	if err != nil {
-		return nil, err
-	}
 	// Everything the query surface depends on exists now: dataset
-	// translated, warehouse replayed, views bootstrapped, engines running.
+	// translated, warehouse replayed, views bootstrapped, engine running.
 	// Register the pull-time metric bridges over them and open /readyz.
 	s.registerBridges()
 	so.ready.Store(true)
@@ -437,7 +382,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// The per-record closure stays bare: request-level accounting happens
 	// once below, keeping the record route at zero added allocations (the
 	// engine's AllocsPerRun test guards the rest of the path).
-	ingest := func(rec position.Record) error { return s.engine.TryIngestTraced(rec, recCtx) }
+	ingest := func(rec position.Record) error { return s.p.Engine.TryIngest(rec, recCtx) }
 	var (
 		n   int
 		err error
@@ -499,13 +444,13 @@ func (s *server) handleLive(w http.ResponseWriter, r *http.Request) {
 	// Snapshot first, sealed store second: a triplet sealing between the
 	// two reads then shows up in both (and is filtered below) instead of
 	// in neither.
-	snap, ok := s.engine.Snapshot(dev)
+	snap, ok := s.p.Engine.Snapshot(dev)
 	if ok {
 		view.Provisional = snap.Provisional
 		view.Watermark = snap.Watermark
 		view.TailRecords = snap.TailRecords
 	}
-	page, err := s.wh.Query(tripstore.QuerySpec{Device: dev})
+	page, err := s.p.Warehouse.Query(tripstore.QuerySpec{Device: dev})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -580,7 +525,7 @@ func (s *server) serveTripQuery(w http.ResponseWriter, r *http.Request, spec tri
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	page, err := s.wh.Query(spec)
+	page, err := s.p.Warehouse.Query(spec)
 	if err != nil {
 		// A closed warehouse is a server-side condition (shutdown race),
 		// not a malformed request; only cursor errors are the client's.
@@ -661,13 +606,13 @@ func (s *server) handleRegionVisits(w http.ResponseWriter, r *http.Request) {
 // handleWarehouseStats serves the warehouse counters.
 func (s *server) handleWarehouseStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.wh.Stats())
+	json.NewEncoder(w).Encode(s.p.Warehouse.Stats())
 }
 
 // handleStats serves the online engine's counters.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.engine.Stats())
+	json.NewEncoder(w).Encode(s.p.Engine.Stats())
 }
 
 var indexTmpl = template.Must(template.New("index").Parse(`<!DOCTYPE html>

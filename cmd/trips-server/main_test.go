@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -10,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"trips/internal/analytics"
+	"trips/internal/pipeline"
 	"trips/internal/position"
 	"trips/internal/tripstore"
 )
@@ -20,7 +24,7 @@ func demoServer(t *testing.T) *server {
 	if err != nil {
 		t.Fatalf("load demo: %v", err)
 	}
-	t.Cleanup(s.engine.Close)
+	t.Cleanup(func() { s.p.Close() })
 	return s
 }
 
@@ -143,7 +147,7 @@ func TestIngestAndLive(t *testing.T) {
 func TestIngestStreamsUntilBadRow(t *testing.T) {
 	s := demoServer(t)
 	mux := s.mux()
-	before := s.engine.Stats().RecordsIn
+	before := s.p.Engine.Stats().RecordsIn
 	body := "device,x,y,floor,time\n" +
 		"stream-1,5.0,5.0,1F,2017-01-01T15:00:00Z\n" +
 		"stream-1,5.2,5.1,1F,2017-01-01T15:00:05Z\n" +
@@ -158,8 +162,8 @@ func TestIngestStreamsUntilBadRow(t *testing.T) {
 	if !strings.Contains(msg, "row 4") || !strings.Contains(msg, "2 records ingested") {
 		t.Errorf("error lacks row number or ingested count: %q", msg)
 	}
-	s.engine.Flush() // barrier: drain the shard inboxes before reading stats
-	if got := s.engine.Stats().RecordsIn - before; got != 2 {
+	s.p.Engine.Flush() // barrier: drain the shard inboxes before reading stats
+	if got := s.p.Engine.Stats().RecordsIn - before; got != 2 {
 		t.Errorf("engine ingested %d records, want the 2 before the bad row", got)
 	}
 }
@@ -330,7 +334,7 @@ func TestOnlineIngestReachesWarehouse(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ingest status = %d", rec.Code)
 	}
-	s.engine.Close() // seal every open session → warehouse
+	s.p.Engine.Close() // seal every open session → warehouse
 
 	rec2 := httptest.NewRecorder()
 	mux.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/trips/wh-live", nil))
@@ -374,7 +378,7 @@ func TestLiveTripsForBatchDevice(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ingest status = %d", rec.Code)
 	}
-	s.engine.Close() // seal → warehouse
+	s.p.Engine.Close() // seal → warehouse
 
 	rec2 := httptest.NewRecorder()
 	mux.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/trips/"+string(dev)+"?limit=1000", nil))
@@ -404,8 +408,7 @@ func TestWarehousePersistsAcrossRestart(t *testing.T) {
 	if err := json.NewDecoder(rec.Body).Decode(&first); err != nil {
 		t.Fatal(err)
 	}
-	s1.engine.Close()
-	if err := s1.wh.Close(); err != nil {
+	if err := s1.p.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -413,7 +416,7 @@ func TestWarehousePersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s2.engine.Close(); s2.wh.Close() })
+	t.Cleanup(func() { s2.p.Close() })
 	rec2 := httptest.NewRecorder()
 	s2.mux().ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, q, nil))
 	var second tripstore.Page
@@ -425,8 +428,43 @@ func TestWarehousePersistsAcrossRestart(t *testing.T) {
 	}
 	// The demo re-translates at startup; dedupe must have absorbed the
 	// re-ingestion rather than doubling the warehouse.
-	if st := s2.wh.Stats(); st.Duplicates == 0 {
+	if st := s2.p.Warehouse.Stats(); st.Duplicates == 0 {
 		t.Error("expected re-ingested duplicates to be counted, not stored")
+	}
+}
+
+// TestRunClosesPipelineOnListenFailure: a port clash after a durable boot
+// must not skip the shutdown order — the startup trips still in the pending
+// segment reach disk and the final view snapshot is written.
+func TestRunClosesPipelineOnListenFailure(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	storeDir, anDir := t.TempDir(), t.TempDir()
+	err = run(context.Background(), runOptions{addr: ln.Addr().String(), load: loadOptions{
+		demo: true, storeDir: storeDir, analyticsDir: anDir, snapshotEvery: time.Hour,
+	}})
+	if err == nil {
+		t.Fatal("run served on a taken port")
+	}
+
+	want := demoServer(t).p.Warehouse.Stats().Trips
+	wh, err := pipeline.OpenWarehouse(storeDir, tripstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wh.Close()
+	if got := wh.Stats().Trips; got != want {
+		t.Errorf("reopened store holds %d trips, the startup translation produced %d", got, want)
+	}
+	an, _, err := pipeline.OpenViews(analytics.Config{}, anDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := an.Stats(); st.LastSnapshot.IsZero() || st.Trips != int64(want) {
+		t.Errorf("final view snapshot: %+v, want %d trips", st, want)
 	}
 }
 

@@ -112,7 +112,7 @@ func (s *server) cachedAnStats() (analytics.Stats, int64) {
 	defer c.mu.Unlock()
 	//trips:allow wallclock: stats cache freshness check, operational only
 	if c.at.IsZero() || time.Since(c.at) > time.Second {
-		an := s.analytics()
+		an := s.p.Analytics
 		c.st = an.Stats()
 		c.occupancy = 0
 		for _, r := range an.Occupancy(0) {
@@ -125,13 +125,11 @@ func (s *server) cachedAnStats() (analytics.Stats, int64) {
 }
 
 // registerBridges exposes the subsystems' own counters on /metrics; call
-// once, after load() built the engine, warehouse, and analytics views.
-// Every bridge reads through the server so the analytics gauges follow a
-// /analytics/rebuild swap automatically.
+// once, after load() opened the pipeline.
 func (s *server) registerBridges() {
 	r := s.obs.reg
-	eng := s.engine
-	wh := s.wh
+	eng := s.p.Engine
+	wh := s.p.Warehouse
 
 	// Online translation engine.
 	r.CounterFunc("trips_online_records_total",
@@ -266,10 +264,10 @@ func (s *server) registerBridges() {
 // checkRebuild inspects the views' RebuildRecommended signal once: it logs
 // a warning on the false→true transition (either way), and with auto set
 // it triggers the same path as POST /analytics/rebuild. The warning latch
-// resets when the signal clears (a successful rebuild starts a fresh
-// engine with zero dropped folds).
+// resets when the signal clears (a successful rebuild leaves views with
+// zero dropped folds).
 func (s *server) checkRebuild(auto bool) {
-	st := s.analytics().Stats()
+	st := s.p.Analytics.Stats()
 	if !st.RebuildRecommended {
 		s.rebuildWarned.Store(false)
 		return
@@ -283,8 +281,7 @@ func (s *server) checkRebuild(auto bool) {
 	}
 	//trips:allow wallclock: auto-rebuild duration metric
 	start := time.Now()
-	fresh, err := s.rebuildAnalytics()
-	if err != nil {
+	if err := s.p.Rebuild(); err != nil {
 		slog.Error("auto-rebuild failed", "error", err)
 		return
 	}
@@ -292,7 +289,7 @@ func (s *server) checkRebuild(auto bool) {
 	s.rebuildWarned.Store(false)
 	slog.Info("analytics views rebuilt automatically",
 		"droppedFolds", st.OutOfOrder,
-		"tripsFolded", fresh.Stats().Trips,
+		"tripsFolded", s.p.Analytics.Stats().Trips,
 		//trips:allow wallclock: auto-rebuild duration metric
 		"duration", time.Since(start))
 }

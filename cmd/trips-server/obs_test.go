@@ -66,7 +66,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	mux := s.mux()
 
 	want := ingestDemoReplay(t, s, mux, "live-obs")
-	s.engine.Flush() // seal, so freshness observations reach the analytics tee
+	s.p.Engine.Flush() // seal, so freshness observations reach the analytics tee
 
 	samples := scrape(t, mux)
 	if got := samples["trips_ingest_records_total"]; got != float64(want) {
@@ -220,7 +220,7 @@ func TestConcurrentIngestAndScrape(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s.engine.Flush()
+	s.p.Engine.Flush()
 	if _, err := obs.ParseExposition(strings.NewReader(scrapeRaw(t, mux))); err != nil {
 		t.Fatalf("final exposition does not parse: %v", err)
 	}
@@ -251,9 +251,9 @@ func TestCheckRebuild(t *testing.T) {
 		return semantics.Triplet{Event: semantics.EventStay, Region: "Nike",
 			RegionID: "obs-test-region", From: at, To: at.Add(time.Minute)}
 	}
-	s.analytics().Ingest("ooo-dev", mk(base.Add(time.Hour)))
-	s.analytics().Ingest("ooo-dev", mk(base)) // behind the frontier: dropped
-	if st := s.analytics().Stats(); !st.RebuildRecommended {
+	s.p.Analytics.Ingest("ooo-dev", mk(base.Add(time.Hour)))
+	s.p.Analytics.Ingest("ooo-dev", mk(base)) // behind the frontier: dropped
+	if st := s.p.Analytics.Stats(); !st.RebuildRecommended {
 		t.Fatal("out-of-order fold did not set RebuildRecommended")
 	}
 
@@ -268,7 +268,7 @@ func TestCheckRebuild(t *testing.T) {
 	if got := s.obs.autoRebuilds.Value(); got != 0 {
 		t.Errorf("auto rebuilds after warn-only check = %d, want 0", got)
 	}
-	if !s.analytics().Stats().RebuildRecommended {
+	if !s.p.Analytics.Stats().RebuildRecommended {
 		t.Error("warn-only check cleared RebuildRecommended")
 	}
 	if !s.rebuildWarned.Load() {
@@ -280,7 +280,7 @@ func TestCheckRebuild(t *testing.T) {
 	if got := s.obs.autoRebuilds.Value(); got != 1 {
 		t.Errorf("auto rebuilds = %d, want 1", got)
 	}
-	if st := s.analytics().Stats(); st.RebuildRecommended {
+	if st := s.p.Analytics.Stats(); st.RebuildRecommended {
 		t.Errorf("RebuildRecommended still set after auto-rebuild: %+v", st)
 	}
 	if s.rebuildWarned.Load() {

@@ -110,10 +110,10 @@ func (s *server) handleDeviceLineage(w http.ResponseWriter, r *http.Request) {
 	}
 	dev := position.DeviceID(raw)
 	view := deviceLineageView{Device: dev}
-	if lin, ok := s.engine.Lineage(dev); ok {
+	if lin, ok := s.p.Engine.Lineage(dev); ok {
 		view.Live = &lin
 	}
-	if page, err := s.wh.Query(tripstore.QuerySpec{Device: dev, Limit: 1}); err == nil {
+	if page, err := s.p.Warehouse.Query(tripstore.QuerySpec{Device: dev, Limit: 1}); err == nil {
 		view.Warehoused = len(page.Trips) > 0
 	}
 	for _, t := range s.obs.tracer.Traces(trace.Filter{Device: raw, Limit: 5}) {

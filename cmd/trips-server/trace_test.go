@@ -47,7 +47,7 @@ func TestEndToEndTraceSpanTree(t *testing.T) {
 	}
 	// The flush seals the first dwell (the second sits 15 min past it) and
 	// the emitter chain runs inline: warehouse append, analytics fold.
-	s.engine.Flush()
+	s.p.Engine.Flush()
 	wallMs := float64(time.Since(start)) / float64(time.Millisecond)
 
 	rec2 := httptest.NewRecorder()

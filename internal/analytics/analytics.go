@@ -80,13 +80,13 @@ type Config struct {
 	SubscriberBuffer int
 
 	// Metrics receives fold-latency and freshness observations; nil
-	// disables them. Carried across Rebuild, so histograms accumulate over
-	// view generations.
+	// disables them. Rebuild keeps it, so histograms accumulate over view
+	// generations.
 	Metrics *Metrics
 
-	// Tracer records an analytics_fold span for every traced fold (see
-	// IngestTraced) — the terminal span that completes an end-to-end
-	// request trace; nil disables it.
+	// Tracer records an analytics_fold span for every fold the Emitter tee
+	// delivers with a sampled Emission.Trace — the terminal span that
+	// completes an end-to-end request trace; nil disables it.
 	Tracer *trace.Tracer
 }
 
@@ -132,6 +132,9 @@ type Engine struct {
 	// counts failed periodic saves (see StartAutoSnapshot).
 	lastSnapshot   atomic.Int64
 	snapshotErrors atomic.Int64
+
+	// rebuild serializes Rebuild calls.
+	rebuild sync.Mutex
 }
 
 // New returns an engine with empty views.
@@ -165,7 +168,18 @@ type deviceState struct {
 // shard is one independently locked view fragment.
 type shard struct {
 	mu sync.Mutex
+	shardState
 
+	// overlap is left behind by Rebuild and read only on fold's drop branch:
+	// per device whose warehoused trip the rebuild folded ahead of its
+	// in-flight live delivery, that trip's From. The delivery then arrives
+	// on the new frontier and is replay overlap, not a dropped backfill.
+	overlap map[position.DeviceID]time.Time
+}
+
+// shardState is everything a fold writes and a query reads — the part of a
+// shard Rebuild replaces wholesale.
+type shardState struct {
 	devices   map[position.DeviceID]*deviceState
 	occupancy map[dsm.RegionID]int   // devices currently in region
 	visits    map[dsm.RegionID]int64 // lifetime triplet count per region
@@ -191,7 +205,7 @@ type shard struct {
 // regions, a few hundred devices per shard — so the steady-state fold never
 // pays an incremental map growth (rehash + bucket allocation) mid-ingest.
 func newShard() *shard {
-	return &shard{
+	return &shard{shardState: shardState{
 		devices:     make(map[position.DeviceID]*deviceState, 256),
 		occupancy:   make(map[dsm.RegionID]int, 64),
 		visits:      make(map[dsm.RegionID]int64, 64),
@@ -200,7 +214,7 @@ func newShard() *shard {
 		dwell:       make(map[dsm.RegionID]*histogram, 64),
 		ring:        make(map[int64]map[dsm.RegionID]int64, 64),
 		minRetained: math.MinInt64,
-	}
+	}}
 }
 
 type flowKey struct {
@@ -248,24 +262,18 @@ func (e *Engine) Ingest(dev position.DeviceID, t semantics.Triplet) {
 	e.fold(dev, t, false, trace.Ctx{})
 }
 
-// IngestTraced is Ingest carrying a trace context: a sampled tc records the
-// fold as an analytics_fold span parented under the producer's seal span —
-// the terminal span of an end-to-end trace. The Emitter tee uses it with
-// each emission's context; a zero tc is exactly Ingest.
-func (e *Engine) IngestTraced(dev position.DeviceID, t semantics.Triplet, tc trace.Ctx) {
-	e.fold(dev, t, false, tc)
-}
-
 // IngestReplay folds a triplet that may already be in the views: a trip at
 // or behind the device's fold frontier is skipped silently instead of
-// counting OutOfOrder. The replay paths use it — Bootstrap's tail replay
-// over a warehouse the views partially cover, and a rebuild draining
-// emissions that overlapped the re-bootstrap — where a re-delivery is
-// expected, not a backfill that warrants RebuildRecommended.
+// counting OutOfOrder. Bootstrap's tail replay over a warehouse the views
+// partially cover uses it — there a re-delivery is expected, not a backfill
+// that warrants RebuildRecommended.
 func (e *Engine) IngestReplay(dev position.DeviceID, t semantics.Triplet) {
 	e.fold(dev, t, true, trace.Ctx{})
 }
 
+// fold is the one fold body. A sampled tc (the Emitter tee passes each
+// emission's) records it as an analytics_fold span parented under the
+// producer's seal span — the terminal span of an end-to-end trace.
 func (e *Engine) fold(dev position.DeviceID, t semantics.Triplet, replay bool, tc trace.Ctx) {
 	var start time.Time
 	if e.cfg.Metrics != nil {
@@ -285,6 +293,12 @@ func (e *Engine) fold(dev position.DeviceID, t semantics.Triplet, replay bool, t
 		d = &deviceState{}
 		sh.devices[dev] = d
 	} else if !t.From.After(d.lastFrom) {
+		if f, ok := sh.overlap[dev]; ok && !replay && f.Equal(t.From) {
+			// A rebuild folded this trip from the warehouse while its live
+			// delivery waited on the shard lock.
+			delete(sh.overlap, dev)
+			replay = true
+		}
 		if !replay {
 			sh.outOfOrder++
 		}
@@ -497,19 +511,11 @@ const EventDeviceLeft = semantics.Event("device-left")
 func (e *Engine) DeviceLeft(dev position.DeviceID, at time.Time) {
 	sh := e.shardOf(dev)
 	sh.mu.Lock()
-	d := sh.devices[dev]
-	if d == nil || d.region == "" {
-		sh.mu.Unlock()
+	prev, prevOcc := sh.vacate(sh.devices[dev])
+	sh.mu.Unlock()
+	if prev == "" {
 		return
 	}
-	prev := d.region
-	d.region = ""
-	if sh.occupancy[prev]--; sh.occupancy[prev] <= 0 {
-		delete(sh.occupancy, prev)
-	}
-	prevOcc := sh.occupancy[prev]
-	sh.leaves++
-	sh.mu.Unlock()
 
 	e.hub.publish(Delta{
 		Device:        dev,
@@ -519,6 +525,22 @@ func (e *Engine) DeviceLeft(dev position.DeviceID, at time.Time) {
 		To:            at,
 		PrevOccupancy: prevOcc,
 	})
+}
+
+// vacate moves a device out of its current region and returns the region it
+// left with that region's remaining occupancy; "" when the device is unknown
+// (nil) or already nowhere. Callers hold the shard lock.
+func (sh *shardState) vacate(d *deviceState) (prev dsm.RegionID, prevOcc int) {
+	if d == nil || d.region == "" {
+		return "", 0
+	}
+	prev = d.region
+	d.region = ""
+	if sh.occupancy[prev]--; sh.occupancy[prev] <= 0 {
+		delete(sh.occupancy, prev)
+	}
+	sh.leaves++
+	return prev, sh.occupancy[prev]
 }
 
 // Emitter returns an online.Emitter that folds every sealed emission into
@@ -537,7 +559,7 @@ type teeEmitter struct {
 }
 
 func (t *teeEmitter) Emit(em online.Emission) {
-	t.e.IngestTraced(em.Device, em.Triplet, em.Trace)
+	t.e.fold(em.Device, em.Triplet, false, em.Trace)
 	// The triplet is now visible in the views; the arrival stamp closes the
 	// ingest→visible freshness loop. Close/idle flushes emit without one.
 	if m := t.e.cfg.Metrics; m != nil && !em.ArrivedAt.IsZero() {
@@ -579,7 +601,8 @@ type Stats struct {
 	// RebuildRecommended is set once any fold was dropped OutOfOrder: the
 	// views are missing warehoused trips (a backfill landed behind a
 	// device's fold frontier) and only a re-bootstrap recovers them —
-	// Engine.Rebuild, or POST /analytics/rebuild on trips-server.
+	// Engine.Rebuild, or POST /analytics/rebuild on trips-server. A rebuild
+	// clears it.
 	RebuildRecommended bool `json:"rebuildRecommended,omitempty"`
 	// LateBuckets counts triplets that arrived below the ring's pruning
 	// frontier (their bucket was already expired).

@@ -570,8 +570,8 @@ func TestIngestReplaySkipsSilently(t *testing.T) {
 	}
 }
 
-// TestRebuildKeepsSubscribers: Rebuild returns a freshly bootstrapped
-// engine whose folds keep flowing to the old engine's subscribers.
+// TestRebuildKeepsSubscribers: Rebuild re-derives the views in place, so the
+// engine's folds keep flowing to the subscribers attached before it.
 func TestRebuildKeepsSubscribers(t *testing.T) {
 	w, err := tripstore.New(tripstore.Options{})
 	if err != nil {
@@ -586,33 +586,32 @@ func TestRebuildKeepsSubscribers(t *testing.T) {
 		}
 	}
 
-	old := New(Config{Shards: 2})
-	// Fold out of order so the old engine drops a trip and recommends a
+	e := New(Config{Shards: 2})
+	// Fold out of order so the engine drops a trip and recommends a
 	// rebuild — the situation Rebuild exists for.
-	old.Ingest("dev", trip("r2", t0.Add(2*time.Minute), time.Minute))
-	old.Ingest("dev", trip("r1", t0, time.Minute))
-	if st := old.Stats(); !st.RebuildRecommended || st.Trips != 1 {
+	e.Ingest("dev", trip("r2", t0.Add(2*time.Minute), time.Minute))
+	e.Ingest("dev", trip("r1", t0, time.Minute))
+	if st := e.Stats(); !st.RebuildRecommended || st.Trips != 1 {
 		t.Fatalf("setup: %+v", st)
 	}
-	sub := old.Subscribe(nil)
+	sub := e.Subscribe(nil)
 	defer sub.Close()
 
-	fresh, err := old.Rebuild(w)
-	if err != nil {
+	if err := e.Rebuild(w); err != nil {
 		t.Fatal(err)
 	}
-	st := fresh.Stats()
-	if st.Trips != 2 || st.OutOfOrder != 0 || st.RebuildRecommended {
-		t.Errorf("rebuilt stats = %+v, want both trips, nothing dropped", st)
+	st := e.Stats()
+	if st.Trips != 2 || st.OutOfOrder != 0 || st.RebuildRecommended || st.Subscribers != 1 {
+		t.Errorf("rebuilt stats = %+v, want both trips, nothing dropped, the subscriber kept", st)
 	}
-	// The bootstrap replay published nothing to the adopted hub...
+	// The bootstrap replay published nothing to the hub...
 	select {
 	case d := <-sub.C():
 		t.Fatalf("subscriber saw a historical delta during rebuild: %+v", d)
 	default:
 	}
-	// ...but a live fold into the fresh engine reaches the old subscriber.
-	fresh.Ingest("dev", trip("r3", t0.Add(10*time.Minute), time.Minute))
+	// ...but a live fold after the rebuild reaches the subscriber.
+	e.Ingest("dev", trip("r3", t0.Add(10*time.Minute), time.Minute))
 	select {
 	case d := <-sub.C():
 		if d.RegionID != "r3" {
@@ -620,5 +619,74 @@ func TestRebuildKeepsSubscribers(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Error("subscriber lost across rebuild")
+	}
+}
+
+// TestRebuildSkipsInFlightOverlap: a trip that is warehoused but not yet
+// folded when a rebuild swaps is folded by the rebuild and delivered live
+// right after. That one delivery is replay overlap; a second delivery of the
+// same trip is an ordinary duplicate again.
+func TestRebuildSkipsInFlightOverlap(t *testing.T) {
+	w, err := tripstore.New(tripstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := trip("r1", t0, time.Minute)
+	inFlight := trip("r2", t0.Add(2*time.Minute), time.Minute)
+	for i, tr := range []semantics.Triplet{stored, inFlight} {
+		if err := w.Insert(tripstore.Trip{Device: "dev", Seq: i, Triplet: tr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := New(Config{Shards: 2})
+	e.Ingest("dev", stored)
+	if err := e.Rebuild(w); err != nil {
+		t.Fatal(err)
+	}
+	e.Ingest("dev", inFlight) // the tee's delivery, after the swap
+	if st := e.Stats(); st.Trips != 2 || st.OutOfOrder != 0 || st.RebuildRecommended {
+		t.Errorf("in-flight delivery after rebuild: %+v, want 2 trips and nothing out of order", st)
+	}
+	e.Ingest("dev", inFlight)
+	if st := e.Stats(); st.OutOfOrder != 1 {
+		t.Errorf("second delivery of the same trip: OutOfOrder = %d, want 1", st.OutOfOrder)
+	}
+}
+
+// TestRebuildKeepsDepartures: the warehouse replay knows nothing of
+// DeviceLeft signals, so a rebuild carries them over from the live views —
+// for a device that has folded nothing since, not for one that came back.
+func TestRebuildKeepsDepartures(t *testing.T) {
+	w, err := tripstore.New(tripstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Shards: 2})
+	store := func(dev position.DeviceID, seq int, tr semantics.Triplet) {
+		t.Helper()
+		if err := w.Insert(tripstore.Trip{Device: dev, Seq: seq, Triplet: tr}); err != nil {
+			t.Fatal(err)
+		}
+		e.Ingest(dev, tr)
+	}
+	for _, dev := range []position.DeviceID{"gone", "back", "stays"} {
+		store(dev, 0, trip("nike", t0, time.Minute))
+	}
+	e.DeviceLeft("gone", t0.Add(time.Minute))
+	e.DeviceLeft("back", t0.Add(time.Minute))
+	store("back", 1, trip("hall", t0.Add(time.Hour), time.Minute))
+
+	if err := e.Rebuild(w); err != nil {
+		t.Fatal(err)
+	}
+	byID := map[dsm.RegionID]int{}
+	for _, o := range e.Occupancy(0) {
+		byID[o.RegionID] = o.Occupancy
+	}
+	if byID["nike"] != 1 || byID["hall"] != 1 {
+		t.Errorf("occupancy after rebuild = %v, want nike 1 (stays), hall 1 (back)", byID)
+	}
+	if st := e.Stats(); st.DeviceLeaves != 2 || st.OutOfOrder != 0 {
+		t.Errorf("stats after rebuild = %+v, want the 2 departure signals still counted", st)
 	}
 }

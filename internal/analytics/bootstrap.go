@@ -22,10 +22,10 @@ import (
 // trips at or behind a frontier are skipped silently (they are replay
 // overlap, not backfill), so Bootstrap never inflates OutOfOrder.
 //
-// Call it before attaching the engine to a live feed; trips arriving
-// during the replay are deduplicated upstream by the warehouse, not here,
-// so the caller sequences bootstrap before tee-ingest
-// (trips.System.AttachAnalytics does).
+// Call it before attaching the engine to a live feed: a device that folds
+// a live trip while its page is in flight moves its frontier past the
+// page, which is then skipped as overlap. Rebuild is the replay that is
+// safe under a live feed.
 func (e *Engine) Bootstrap(w *tripstore.Warehouse) error {
 	const pageSize = 1024
 	for _, dev := range w.Devices() {
@@ -63,19 +63,69 @@ func (e *Engine) deviceFrontier(dev position.DeviceID) (frontier time.Time) {
 	return frontier
 }
 
-// Rebuild returns a fresh engine with the same configuration that has
-// re-bootstrapped from w, adopting e's live subscription hub so existing
-// subscribers keep receiving deltas from the replacement — the recovery
-// path for RebuildRecommended (a backfill the incremental fold had to
-// drop). The bootstrap replays into the fresh engine before the hub moves
-// over, so subscribers see no historical delta storm; the caller swaps the
-// returned engine in for e (POST /analytics/rebuild on trips-server does,
-// buffering concurrent live emissions across the swap).
-func (e *Engine) Rebuild(w *tripstore.Warehouse) (*Engine, error) {
-	fresh := New(e.cfg)
-	if err := fresh.Bootstrap(w); err != nil {
-		return nil, err
+// Rebuild re-derives every view from w in place — the recovery path for
+// RebuildRecommended (a backfill the incremental fold had to drop). The
+// hub, configuration, metrics and snapshot stamps stay, so subscribers keep
+// their feed, the Emitter tee keeps folding into this engine, and a running
+// StartAutoSnapshot keeps writing it; the replay publishes no deltas.
+//
+// Live folds continue while a scratch engine bootstraps from w. Then, with
+// every shard locked (the cut capture takes), the scratch replays the tail
+// once more and its shard state moves into the live shards. Nothing is
+// buffered across the swap because the warehouse is the buffer: every
+// producer stores a trip before folding it (Warehouse.Emitter runs ahead of
+// Engine.Emitter, core.MultiSink lists the warehouse first), so any trip a
+// live fold has seen is in w for the locked replay to find. Two things the
+// warehouse cannot tell are reconciled per device at the swap, off the
+// fold's hot path:
+//
+//   - a trip stored but still waiting on a shard lock to fold is replayed
+//     here and delivered live right after; it is at most one trip per
+//     device, sitting exactly on the rebuilt frontier, and fold skips it as
+//     replay overlap instead of counting OutOfOrder (which would recommend
+//     the rebuild that just ran);
+//   - DeviceLeft signals are not warehoused; a device the live views show
+//     departed since the same last trip stays departed, whether the signal
+//     came before the rebuild or during it.
+//
+// A query that merges shards one lock at a time can straddle the swap and
+// read some shards before it and some after. On error the views are left
+// as they were.
+func (e *Engine) Rebuild(w *tripstore.Warehouse) error {
+	e.rebuild.Lock()
+	defer e.rebuild.Unlock()
+
+	scratch := New(e.cfg)
+	if err := scratch.Bootstrap(w); err != nil {
+		return err
 	}
-	fresh.hub = e.hub
-	return fresh, nil
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+	}
+	if err := scratch.Bootstrap(w); err != nil {
+		return err
+	}
+	for i, sh := range e.shards {
+		fresh := scratch.shards[i].shardState
+		var overlap map[position.DeviceID]time.Time
+		//trips:commutative per-device reconciliation; devices are independent
+		for dev, d := range fresh.devices {
+			switch old := sh.devices[dev]; {
+			// Ahead of the live fold — or still ahead of it since the
+			// last rebuild: the delivery has yet to win the shard lock.
+			case old == nil || d.lastFrom.After(old.lastFrom) || sh.overlap[dev].Equal(d.lastFrom):
+				if overlap == nil {
+					overlap = make(map[position.DeviceID]time.Time)
+				}
+				overlap[dev] = d.lastFrom
+			case old.region == "" && d.lastFrom.Equal(old.lastFrom):
+				fresh.vacate(d)
+			}
+		}
+		fresh.leaves = sh.leaves
+		sh.shardState, sh.overlap = fresh, overlap
+	}
+	e.maxToBucket.Store(scratch.maxToBucket.Load())
+	return nil
 }

@@ -45,8 +45,8 @@ func TestMetricsFoldAndFreshness(t *testing.T) {
 		t.Errorf("freshness p50 = %v, want >= the 250ms the stamp was backdated", q)
 	}
 
-	// The metrics survive a rebuild: the fresh engine copies cfg, so folds
-	// keep landing in the same histograms.
+	// The metrics survive a rebuild: the configuration stays, so folds keep
+	// landing in the same histograms.
 	wh, err := tripstore.New(tripstore.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -54,11 +54,10 @@ func TestMetricsFoldAndFreshness(t *testing.T) {
 	if err := wh.Insert(tripstore.Trip{Device: "d1", Seq: 0, Triplet: trip(0)}); err != nil {
 		t.Fatal(err)
 	}
-	re, err := e.Rebuild(wh)
-	if err != nil {
+	if err := e.Rebuild(wh); err != nil {
 		t.Fatal(err)
 	}
-	re.Ingest("d2", trip(2))
+	e.Ingest("d2", trip(2))
 	if got := m.FoldSeconds.Count(); got < 4 {
 		t.Errorf("FoldSeconds count after rebuild = %d, want >= 4", got)
 	}

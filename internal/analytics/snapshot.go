@@ -509,14 +509,6 @@ func (e *Engine) restore(doc *snapshotDoc) error {
 // idempotent). Periodic save failures are counted in
 // Stats.SnapshotErrors and retried next tick.
 func (e *Engine) StartAutoSnapshot(opts StoreOptions, interval time.Duration) (stop func() error) {
-	return AutoSnapshot(func() *Engine { return e }, opts, interval)
-}
-
-// AutoSnapshot is StartAutoSnapshot over an indirection: current is read
-// at every tick, so a caller that swaps engines (trips-server's
-// /analytics/rebuild) keeps snapshotting the live one rather than a
-// discarded predecessor.
-func AutoSnapshot(current func() *Engine, opts StoreOptions, interval time.Duration) (stop func() error) {
 	if interval <= 0 {
 		interval = time.Minute
 	}
@@ -531,7 +523,7 @@ func AutoSnapshot(current func() *Engine, opts StoreOptions, interval time.Durat
 			case <-done:
 				return
 			case <-t.C:
-				current().SaveSnapshot(opts) // failures count in Stats.SnapshotErrors
+				e.SaveSnapshot(opts) // failures count in Stats.SnapshotErrors
 			}
 		}
 	}()
@@ -541,7 +533,7 @@ func AutoSnapshot(current func() *Engine, opts StoreOptions, interval time.Durat
 		once.Do(func() {
 			close(done)
 			<-exited
-			finalErr = current().SaveSnapshot(opts)
+			finalErr = e.SaveSnapshot(opts)
 		})
 		return finalErr
 	}

@@ -23,9 +23,9 @@ func (g *lcg) next() float64 {
 // longer than the split MaxGap. The session therefore stays alive the whole
 // time — no hard break ever trims its tail — which is exactly the workload
 // where per-flush recompute cost over the tail dominates: the long-session
-// variants of BenchmarkOnlineTranslate and cmd/trips-bench -online feed it
-// at tail lengths 1k/8k to verify flush cost tracks the new suffix, not the
-// tail.
+// variants of BenchmarkOnlineTranslate feed it at tail lengths 1k/8k, and
+// bench/'s longtail-saturate workload at multi-thousand-record tails, to
+// verify flush cost tracks the new suffix, not the tail.
 func LongSessionRecords(env *Env, dev position.DeviceID, n int) []position.Record {
 	const period = 5 * time.Second
 	regs := simul.ShopRegions(env.Model)

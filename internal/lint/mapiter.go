@@ -26,6 +26,7 @@ var mapiterScope = map[string]bool{
 	"trips/internal/analytics":   true,
 	"trips/internal/tripstore":   true,
 	"trips/internal/online":      true,
+	"trips/internal/pipeline":    true,
 	"trips/internal/experiments": true,
 	"trips/cmd/trips-gen":        true,
 	"trips/cmd/trips-server":     true,

@@ -16,6 +16,7 @@ import (
 // nothing.
 var wallclockScope = map[string]bool{
 	"trips/internal/online":    true,
+	"trips/internal/pipeline":  true,
 	"trips/internal/analytics": true,
 	"trips/internal/core":      true,
 	"trips/internal/tripstore": true,

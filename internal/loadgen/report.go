@@ -11,9 +11,7 @@ import (
 )
 
 // File is the BENCH_system.json schema: run metadata (what machine, what
-// commit, what profile) plus the measured Results. It mirrors
-// BENCH_online.json's framing so the two perf artifacts diff the same
-// way.
+// commit, what profile) plus the measured Results.
 type File struct {
 	Suite      string  `json:"suite"` // always "system"
 	Go         string  `json:"go"`

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"trips/internal/obs/trace"
 )
 
 // TestTryIngestBacklogPressure pins the bounded-admission contract: with a
@@ -47,7 +49,7 @@ feed:
 				break feed
 			default:
 			}
-			err := eng.TryIngest(recs[i])
+			err := eng.TryIngest(recs[i], trace.Ctx{})
 			if err == nil {
 				break
 			}
@@ -70,7 +72,7 @@ feed:
 	// admitted, then the engine must refuse rather than queue.
 	var rejected bool
 	for attempt := 0; attempt < 2; attempt++ {
-		err := eng.TryIngest(recs[i])
+		err := eng.TryIngest(recs[i], trace.Ctx{})
 		i++
 		if errors.Is(err, ErrBacklogged) {
 			rejected = true
@@ -97,7 +99,7 @@ func TestTryIngestClosed(t *testing.T) {
 	}
 	eng.Close()
 	g := lcg(3)
-	if err := eng.TryIngest(journey(&g, "c", t0)[0]); !errors.Is(err, ErrClosed) {
+	if err := eng.TryIngest(journey(&g, "c", t0)[0], trace.Ctx{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("TryIngest after Close = %v, want ErrClosed", err)
 	}
 }

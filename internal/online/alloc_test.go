@@ -38,7 +38,7 @@ func TestShardOfMatchesFNV(t *testing.T) {
 // not the route's.
 //
 //trips:guards Engine.Ingest
-//trips:guards Engine.IngestTraced
+//trips:guards Engine.route
 //trips:guards Engine.shardOf
 func TestIngestRouteZeroAlloc(t *testing.T) {
 	pl := testPipeline(t)
@@ -81,13 +81,15 @@ func TestIngestRouteZeroAlloc(t *testing.T) {
 // tracer wired in (sampling at 0, the production default posture), and a
 // freshness-observing sink. Instrumentation lives at flush granularity and
 // tracing gates everything on the record's sampled flag, so the per-record
-// route — including IngestTraced with the zero (unsampled) context that
-// every untraced request carries — must stay at zero allocations; this
+// route — including TryIngest with the unsampled context that every
+// untraced request carries — must stay at zero allocations; this
 // test is the contract that keeps it there. (AllocsPerRun reads the global
 // allocation counter, so like the plain guard it measures the
 // deterministic late-drop route; admitted records trigger concurrent
 // shard-side flush work whose legitimate allocations would drown the
 // signal.)
+//
+//trips:guards Engine.TryIngest
 func TestIngestRouteZeroAllocInstrumented(t *testing.T) {
 	pl := testPipeline(t)
 	g := lcg(9)
@@ -131,11 +133,11 @@ func TestIngestRouteZeroAllocInstrumented(t *testing.T) {
 		t.Fatal("sample rate 0 produced a sampled context")
 	}
 	if avg := testing.AllocsPerRun(500, func() {
-		if err := eng.IngestTraced(late, unsampled); err != nil {
+		if err := eng.TryIngest(late, unsampled); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("IngestTraced unsampled route allocates %.1f times per record, want 0", avg)
+		t.Errorf("TryIngest unsampled route allocates %.1f times per record, want 0", avg)
 	}
 	// Stage histograms filled during the seal-inducing preamble, and every
 	// sealed emission carried an arrival stamp the sink turned into a

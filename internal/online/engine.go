@@ -180,44 +180,26 @@ func (e *Engine) send(em Emission) {
 //
 //trips:zeroalloc
 func (e *Engine) Ingest(r position.Record) error {
-	return e.IngestTraced(r, trace.Ctx{})
-}
-
-// IngestTraced is Ingest carrying a trace context. A sampled context gets
-// an enqueue stamp so the shard side can record the inbox wait as a span;
-// the zero context (the untraced common case) adds no clock read and no
-// allocation — the unsampled path is byte-for-byte the old Ingest.
-//
-//trips:zeroalloc
-func (e *Engine) IngestTraced(r position.Record, tc trace.Ctx) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	if tc.Sampled() {
-		//trips:allow wallclock: trace enqueue stamp, operational telemetry
-		tc.Enq = time.Now().UnixNano()
-	}
-	e.shardOf(r.Device).ch <- shardMsg{kind: msgRecord, rec: r, tc: tc}
-	return nil
+	return e.route(r, trace.Ctx{}, true)
 }
 
 // TryIngest routes one record to its device's shard without ever blocking:
 // a full shard inbox returns ErrBacklogged instead of queueing, so a caller
 // with its own backpressure channel (an HTTP ingest endpoint answering 429)
-// can bound admission rather than letting blocked requests pile up. The
-// non-blocking send keeps the zero-allocation ingest route.
+// can bound admission rather than letting blocked requests pile up. tc is
+// the request's trace context; the zero value is an untraced record.
 //
 //trips:zeroalloc
-func (e *Engine) TryIngest(r position.Record) error {
-	return e.TryIngestTraced(r, trace.Ctx{})
+func (e *Engine) TryIngest(r position.Record, tc trace.Ctx) error {
+	return e.route(r, tc, false)
 }
 
-// TryIngestTraced is TryIngest carrying a trace context; see IngestTraced.
+// route is the one ingest body. A sampled context gets an enqueue stamp so
+// the shard side can record the inbox wait as a span; the zero context (the
+// untraced common case) adds no clock read and no allocation.
 //
 //trips:zeroalloc
-func (e *Engine) TryIngestTraced(r position.Record, tc trace.Ctx) error {
+func (e *Engine) route(r position.Record, tc trace.Ctx, wait bool) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
@@ -227,8 +209,13 @@ func (e *Engine) TryIngestTraced(r position.Record, tc trace.Ctx) error {
 		//trips:allow wallclock: trace enqueue stamp, operational telemetry
 		tc.Enq = time.Now().UnixNano()
 	}
+	ch := e.shardOf(r.Device).ch
+	if wait {
+		ch <- shardMsg{kind: msgRecord, rec: r, tc: tc}
+		return nil
+	}
 	select {
-	case e.shardOf(r.Device).ch <- shardMsg{kind: msgRecord, rec: r, tc: tc}:
+	case ch <- shardMsg{kind: msgRecord, rec: r, tc: tc}:
 		return nil
 	default:
 		e.stats.Backlogged.Add(1)

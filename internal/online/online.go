@@ -151,15 +151,16 @@ type Config struct {
 	Metrics *Metrics
 
 	// Tracer records spans for sampled records threaded in through
-	// IngestTraced/TryIngestTraced: shard enqueue, the flush stages of the
+	// TryIngest: shard enqueue, the flush stages of the
 	// flush that seals them, and drop/force-seal events. Untraced records
 	// (zero trace context) never touch it. Nil disables tracing.
 	Tracer *trace.Tracer
 
-	// fullRecompute disables the sessions' incremental clean+annotate
-	// caches, recomputing the whole tail on every flush — the shadow path
-	// the differential tests lock the incremental path against. Package-
-	// internal: it exists to prove equivalence, not to be configured.
+	// fullRecompute drops the sessions' incremental clean+annotate caches
+	// before every flush, so each one recomputes the whole tail cold — the
+	// reference the differential tests lock the warm path against.
+	// Package-internal: it exists to prove equivalence, not to be
+	// configured.
 	fullRecompute bool
 }
 

@@ -177,30 +177,15 @@ type stageStamps struct {
 	start, afterClean, afterAnnotate time.Time
 }
 
-// translateTail runs clean+annotate over the tail: incrementally through
-// the session's caches — re-cleaning from the last stable anchor and
-// re-annotating the unstable suffix window — or from scratch when the
-// engine's differential-shadow knob disables the caches. A non-nil st
-// stamps the stage boundaries; flushes pass one when metrics or tracing
-// consume the timings, provisional snapshot queries pass nil so the
-// flush-stage instruments stay clean.
-func (ss *session) translateTail(e *Engine, st *stageStamps) (cleaning.Report, *semantics.Sequence) {
+// translateTail runs clean+annotate over the tail incrementally through the
+// session's caches: re-cleaning from the last stable anchor and
+// re-annotating the unstable suffix window. A non-nil st stamps the stage
+// boundaries; flushes pass one when metrics or tracing consume the timings,
+// provisional snapshot queries pass nil so the flush-stage instruments stay
+// clean.
+func (ss *session) translateTail(e *Engine, st *stageStamps) *semantics.Sequence {
 	if e.cfg.fullRecompute {
-		if st != nil {
-			//trips:allow wallclock: stage latency stamp, operational telemetry
-			st.start = time.Now()
-		}
-		cleaned, rep := e.pl.Cleaner.Clean(ss.tail)
-		if st != nil {
-			//trips:allow wallclock: stage latency stamp, operational telemetry
-			st.afterClean = time.Now()
-		}
-		sem := e.annotatorFor(ss).Annotate(cleaned)
-		if st != nil {
-			//trips:allow wallclock: stage latency stamp, operational telemetry
-			st.afterAnnotate = time.Now()
-		}
-		return rep, sem
+		ss.resetTranslation() // the differential tests' cold reference
 	}
 	if st != nil {
 		//trips:allow wallclock: stage latency stamp, operational telemetry
@@ -210,7 +195,7 @@ func (ss *session) translateTail(e *Engine, st *stageStamps) (cleaning.Report, *
 	// repairs through State.Repaired — so suppress the merged change-list
 	// assembly, which costs O(total repairs) per flush.
 	ss.clean.NoChanges = true
-	cleaned, rep := e.pl.Cleaner.CleanFrom(&ss.clean, ss.tail, ss.admissionFloor(e))
+	cleaned, _ := e.pl.Cleaner.CleanFrom(&ss.clean, ss.tail, ss.admissionFloor(e))
 	if st != nil {
 		//trips:allow wallclock: stage latency stamp, operational telemetry
 		st.afterClean = time.Now()
@@ -223,7 +208,7 @@ func (ss *session) translateTail(e *Engine, st *stageStamps) (cleaning.Report, *
 		//trips:allow wallclock: stage latency stamp, operational telemetry
 		st.afterAnnotate = time.Now()
 	}
-	return rep, sem
+	return sem
 }
 
 // resetTranslation invalidates the incremental caches; the next flush
@@ -277,7 +262,7 @@ func (ss *session) flush(e *Engine, sealAll bool) {
 	if m != nil || traced {
 		st = &stamps
 	}
-	rep, sem := ss.translateTail(e, st)
+	sem := ss.translateTail(e, st)
 	if ss.clean.StableSince() > 0 {
 		// This flush re-cleaned only from the stable anchor forward. The
 		// counter lives here rather than in translateTail so provisional
@@ -299,9 +284,8 @@ func (ss *session) flush(e *Engine, sealAll bool) {
 
 	// Trailing invalid run: cleaned values there still depend on a future
 	// anchor, so triplets touching it cannot seal.
-	invalid := ss.invalidView(e, rep)
 	unstable := ss.tail.Len()
-	for unstable > 0 && invalid.has(unstable-1) {
+	for unstable > 0 && ss.clean.Repaired(unstable-1) {
 		unstable--
 	}
 
@@ -339,7 +323,7 @@ func (ss *session) flush(e *Engine, sealAll bool) {
 	if sealAll {
 		ss.restartTail(nil, ss.tail.Len())
 	} else {
-		ss.maybeTrim(e, sem, invalid)
+		ss.maybeTrim(e, sem)
 	}
 	// Count after trimming so force-seal emissions show in the breakdown.
 	sealed := ss.seq - seq0
@@ -424,7 +408,7 @@ func (ss *session) emit(e *Engine, t semantics.Triplet, watermark time.Time) {
 // A tail beyond MaxTail is force-trimmed at the seal boundary regardless,
 // and when there is no seal boundary at all it is force-sealed at the
 // horizon.
-func (ss *session) maybeTrim(e *Engine, sem *semantics.Sequence, invalid invalidView) {
+func (ss *session) maybeTrim(e *Engine, sem *semantics.Sequence) {
 	if ss.emittedInTail == 0 {
 		// No triplet has sealed from this tail, so there is no trim
 		// boundary — the case of a stationary device dwelling in one
@@ -450,7 +434,7 @@ func (ss *session) maybeTrim(e *Engine, sem *semantics.Sequence, invalid invalid
 		return
 	}
 	gap := ss.tail.Records[b].At.Sub(ss.tail.Records[b-1].At)
-	hard := gap > e.horizon && !invalid.has(b)
+	hard := gap > e.horizon && !ss.clean.Repaired(b)
 	forced := e.cfg.MaxTail > 0 && ss.tail.Len() > e.cfg.MaxTail
 	if !hard && !forced {
 		return
@@ -523,7 +507,7 @@ func (ss *session) provisional(e *Engine) []semantics.Triplet {
 	if ss.tail.Len() == 0 {
 		return nil
 	}
-	_, sem := ss.translateTail(e, nil)
+	sem := ss.translateTail(e, nil)
 	if ss.emittedInTail >= len(sem.Triplets) {
 		return nil
 	}
@@ -534,41 +518,4 @@ func (ss *session) provisional(e *Engine) []semantics.Triplet {
 		out = append(out, t)
 	}
 	return out
-}
-
-// invalidIndexes collects the record indexes the cleaner repaired for a
-// speed-constraint violation (floor fix or interpolation); snap-only
-// repairs don't count, they are position-local.
-func invalidIndexes(rep cleaning.Report) map[int]bool {
-	out := make(map[int]bool, len(rep.Changes))
-	for _, ch := range rep.Changes {
-		if ch.Kind == cleaning.RepairFloor || ch.Kind == cleaning.RepairInterpolate {
-			out[ch.Index] = true
-		}
-	}
-	return out
-}
-
-// invalidView answers "was record i floor-fixed or interpolated?" for one
-// flush without materializing a per-flush map: the incremental path reads
-// the cleaning State's repaired column directly; the differential-shadow
-// path (fullRecompute, batch Clean with a materialized report) falls back
-// to the map.
-type invalidView struct {
-	m  map[int]bool
-	st *cleaning.State
-}
-
-func (v invalidView) has(i int) bool {
-	if v.st != nil {
-		return v.st.Repaired(i)
-	}
-	return v.m[i]
-}
-
-func (ss *session) invalidView(e *Engine, rep cleaning.Report) invalidView {
-	if e.cfg.fullRecompute {
-		return invalidView{m: invalidIndexes(rep)}
-	}
-	return invalidView{st: &ss.clean}
 }

@@ -35,7 +35,6 @@ package trips
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"image"
 
@@ -48,6 +47,7 @@ import (
 	"trips/internal/floorplan"
 	"trips/internal/geom"
 	"trips/internal/online"
+	"trips/internal/pipeline"
 	"trips/internal/position"
 	"trips/internal/semantics"
 	"trips/internal/simul"
@@ -236,13 +236,10 @@ func NewWarehouse() (*Warehouse, error) { return tripstore.New(tripstore.Options
 
 // OpenWarehouse opens a durable trip warehouse rooted at a backend store
 // directory, replaying the persisted segment log and snapshot so it
-// answers queries exactly as it did before the restart.
+// answers queries exactly as it did before the restart. An empty dir keeps
+// the warehouse in memory.
 func OpenWarehouse(dir string) (*Warehouse, error) {
-	st, err := storage.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	return tripstore.New(tripstore.Options{Log: &tripstore.LogOptions{Store: st}})
+	return pipeline.OpenWarehouse(dir, tripstore.Options{})
 }
 
 // NewAnalytics returns an incremental mobility-analytics engine with empty
@@ -260,22 +257,13 @@ func OpenBackendStore(dir string) (*BackendStore, error) { return storage.Open(d
 // into the views, so a subsequent AttachAnalytics / Bootstrap over the
 // warehouse replays only the tail past the snapshot's fold frontiers —
 // boot cost O(tail), not O(stored trips). An incompatible or corrupt
-// snapshot is ignored (the engine starts empty and the next Bootstrap is a
-// full replay). The returned store locates the same snapshot for
-// SaveSnapshot / StartAutoSnapshot; pass the warehouse's Flush as
-// AnalyticsStoreOptions.Sync so snapshots never cover trips the trip log
+// snapshot is logged and ignored (the engine starts empty and the next
+// Bootstrap is a full replay). The returned store locates the same
+// snapshot for SaveSnapshot / StartAutoSnapshot; pass the warehouse's Flush
+// as AnalyticsStoreOptions.Sync so snapshots never cover trips the trip log
 // hasn't made durable.
 func OpenAnalytics(cfg AnalyticsConfig, dir string) (*AnalyticsEngine, *BackendStore, error) {
-	st, err := storage.Open(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	a := analytics.New(cfg)
-	if _, err := a.LoadSnapshot(AnalyticsStoreOptions{Store: st}); err != nil &&
-		!errors.Is(err, analytics.ErrIncompatibleSnapshot) {
-		return nil, nil, err
-	}
-	return a, st, nil
+	return pipeline.OpenViews(cfg, dir)
 }
 
 // SaveDataset writes a dataset to a .csv or .jsonl file.
@@ -373,8 +361,8 @@ func (s *System) Warehouse() *Warehouse { return s.wh }
 // that backfills a device's past (trips starting behind that device's
 // analytics frontier) still lands in the warehouse, but the fold drops it
 // (counted in AnalyticsStats.OutOfOrder, which raises RebuildRecommended).
-// After a backfill, rebuild the views with AnalyticsEngine.Rebuild (which
-// keeps live subscribers) or by attaching a fresh engine.
+// After a backfill, AnalyticsEngine.Rebuild re-derives the views from the
+// warehouse in place: subscribers and running online engines stay attached.
 func (s *System) AttachAnalytics(a *AnalyticsEngine) error {
 	if a != nil && s.wh != nil {
 		if err := a.Bootstrap(s.wh); err != nil {
@@ -417,17 +405,7 @@ func (s *System) Translate(ds *Dataset) ([]Result, error) {
 	if s.tr == nil {
 		return nil, fmt.Errorf("trips: Translate before Train")
 	}
-	var sinks []core.ResultSink
-	if s.wh != nil {
-		sinks = append(sinks, s.wh)
-	}
-	if s.an != nil {
-		sinks = append(sinks, s.an)
-	}
-	if len(sinks) > 0 {
-		return s.tr.TranslateTo(ds, core.MultiSink(sinks...))
-	}
-	return s.tr.Translate(ds), nil
+	return s.tr.TranslateTo(ds, pipeline.MultiSink(s.wh, s.an))
 }
 
 // NewOnline starts a streaming translation engine over the trained
@@ -441,12 +419,7 @@ func (s *System) NewOnline(cfg OnlineConfig) (*OnlineEngine, error) {
 	if s.tr == nil {
 		return nil, fmt.Errorf("trips: NewOnline before Train")
 	}
-	if s.an != nil {
-		cfg.Emitter = s.an.Emitter(cfg.Emitter)
-	}
-	if s.wh != nil {
-		cfg.Emitter = s.wh.Emitter(cfg.Emitter)
-	}
+	cfg.Emitter = pipeline.Tee(s.wh, s.an, cfg.Emitter)
 	return s.tr.NewOnline(cfg)
 }
 

@@ -204,3 +204,77 @@ func TestGoldenAnalyticsSnapshotBootMatchesBootstrap(t *testing.T) {
 		t.Errorf("boot stats = %+v, want %d trips, no drops", stats, total)
 	}
 }
+
+// TestSystemRebuildReachesRunningEngine: after a backfill the views rebuild
+// in place, so an online engine started before the rebuild keeps folding
+// into the views the System serves — there is no second engine to re-attach.
+func TestSystemRebuildReachesRunningEngine(t *testing.T) {
+	sys, ds := goldenSystem(t)
+	w, err := NewWarehouse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.AttachWarehouse(w)
+	a := NewAnalytics(AnalyticsConfig{Shards: 4})
+	if err := sys.AttachAnalytics(a); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sys.NewOnline(OnlineConfig{Shards: 2, FlushEvery: 64, FlushInterval: -1, IdleTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	// Each device's day in thirds: the middle streams first, the early
+	// third arrives as a batch backfill behind it, the last streams after
+	// the rebuild.
+	early := NewDataset()
+	var mid, late []Record
+	for _, seq := range ds.Sequences() {
+		n := len(seq.Records)
+		for _, r := range seq.Records[:n/3] {
+			early.Add(r)
+		}
+		mid = append(mid, seq.Records[n/3:2*n/3]...)
+		late = append(late, seq.Records[2*n/3:]...)
+	}
+	stream := func(recs []Record) {
+		t.Helper()
+		for _, r := range recs {
+			if err := eng.Ingest(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Flush()
+	}
+	stream(mid)
+	if _, err := sys.Translate(early); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Stats(); !st.RebuildRecommended {
+		t.Fatalf("backfill behind the live frontiers was not flagged: %+v", st)
+	}
+
+	if err := sys.Analytics().Rebuild(sys.Warehouse()); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := a.Stats()
+	if rebuilt.RebuildRecommended || rebuilt.Trips != int64(w.Stats().Trips) {
+		t.Fatalf("rebuilt views: %+v, warehouse holds %d trips", rebuilt, w.Stats().Trips)
+	}
+
+	stream(late)
+	eng.Close()
+	st := a.Stats()
+	if st.Trips <= rebuilt.Trips || st.Trips != int64(w.Stats().Trips) || st.OutOfOrder != 0 {
+		t.Errorf("emissions after the rebuild: views %+v (rebuilt with %d trips), warehouse holds %d",
+			st, rebuilt.Trips, w.Stats().Trips)
+	}
+	fresh := NewAnalytics(AnalyticsConfig{Shards: 4})
+	if err := fresh.Bootstrap(w); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Snapshot(), fresh.Snapshot()) {
+		t.Error("views fed across a rebuild differ from a fresh bootstrap of the warehouse")
+	}
+}
