@@ -577,7 +577,7 @@ func BenchmarkAnalyticsIngest(b *testing.B) {
 		b.Run(fmt.Sprintf("%dk", size/1000), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				a := NewAnalytics(AnalyticsConfig{Shards: 4})
+				a := NewAnalytics(AnalyticsConfig{})
 				for _, tr := range trips {
 					a.Ingest(tr.Device, tr.Triplet)
 				}
@@ -595,7 +595,7 @@ func BenchmarkAnalyticsIngest(b *testing.B) {
 // only the trip count grows 10×).
 func BenchmarkAnalyticsQuery(b *testing.B) {
 	for _, size := range []int{10_000, 100_000} {
-		a := NewAnalytics(AnalyticsConfig{Shards: 4})
+		a := NewAnalytics(AnalyticsConfig{})
 		for _, tr := range analyticsBenchTrips(size) {
 			a.Ingest(tr.Device, tr.Triplet)
 		}
@@ -634,7 +634,7 @@ func BenchmarkAnalyticsQuery(b *testing.B) {
 // not the store.
 func BenchmarkAnalyticsBoot(b *testing.B) {
 	const tail = 512
-	cfg := AnalyticsConfig{Shards: 4}
+	cfg := AnalyticsConfig{}
 	for _, size := range []int{10_000, 100_000} {
 		trips := analyticsBenchTrips(size)
 		w, err := tripstore.New(tripstore.Options{})
@@ -702,7 +702,7 @@ func BenchmarkAnalyticsSubscribe(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				a := NewAnalytics(AnalyticsConfig{Shards: 4, SubscriberBuffer: 1024})
+				a := NewAnalytics(AnalyticsConfig{SubscriberBuffer: 1024})
 				var wg sync.WaitGroup
 				subsList := make([]*AnalyticsSubscription, subs)
 				for s := range subsList {

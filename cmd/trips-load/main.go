@@ -1,14 +1,14 @@
 // Command trips-load is the closed-loop load harness: it drives a running
 // trips-server over HTTP with simulated shoppers under production-shaped
 // stress (bursty batches, reconnect storms, bounded out-of-order and
-// duplicate delivery, slow SSE subscribers), scrapes /metrics for the
-// system-level numbers — ingest→seal→analytics-visible freshness p50/p99,
-// sustained records/s, 429 push-back, heap ceiling — and writes them as
-// BENCH_system.json.
+// duplicate delivery, slow SSE subscribers) and scrapes /metrics for what
+// the run did to the system — ingest→seal→analytics-visible freshness,
+// acknowledged records/s, 429 push-back, heap ceiling. It is the soak for
+// the HTTP, admission, reconnect and SSE paths; performance numbers come
+// from bench/.
 //
-// With -check it additionally gates the fresh run against a committed
-// baseline (-baseline, default BENCH_system.json) under the SLO
-// tolerances and exits non-zero on a regression — the CI perf gate.
+// Every run exits non-zero when it acknowledged nothing, saw a non-429 HTTP
+// error, or never observed a sealed trip become visible (loadgen.Check).
 //
 // With -trace-check it forces an end-to-end trace on every 4th batch per
 // sender (X-Trace-Id), records the slowest kept trace's span tree as the
@@ -18,13 +18,14 @@
 // Usage:
 //
 //	trips-server -demo &                       # the system under test
-//	trips-load                                 # smoke run, writes BENCH_system.json
+//	trips-load                                 # smoke run
 //	trips-load -profile standard -devices 48   # heavier, overridden fleet
-//	trips-load -out /tmp/new.json -check -baseline BENCH_system.json
+//	trips-load -trace-check -out /tmp/run.json # also write the results as JSON
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -48,22 +49,9 @@ func main() {
 		slowSubs = flag.Int("slow-subscribers", -1, "override the profile's slow SSE subscriber count")
 		settle   = flag.Duration("settle", 0, "override the profile's post-send settle timeout")
 		timeout  = flag.Duration("timeout", 5*time.Minute, "abort the run after this long")
-		out      = flag.String("out", "BENCH_system.json", "output path for the run report")
-		check    = flag.Bool("check", false, "gate the run against -baseline and exit non-zero on regression")
-		baseline = flag.String("baseline", "BENCH_system.json", "baseline report for -check")
+		out      = flag.String("out", "", "write the run's results as JSON to this path (empty = don't)")
 		traceChk = flag.Bool("trace-check", false,
 			"force a trace on every 4th batch, record the slowest kept trace as slowest_trace, and fail if the server kept none")
-
-		tolThroughput = flag.Float64("tol-throughput", loadgen.DefaultTolerances().Throughput,
-			"allowed fractional records/s drop vs baseline")
-		tolP99 = flag.Float64("tol-p99", loadgen.DefaultTolerances().P99Frac,
-			"allowed fractional freshness-p99 growth vs baseline")
-		tolP99Slack = flag.Float64("tol-p99-slack", loadgen.DefaultTolerances().P99SlackS,
-			"absolute freshness-p99 slack in seconds")
-		tolHeap = flag.Float64("tol-heap", loadgen.DefaultTolerances().HeapFrac,
-			"allowed fractional heap-ceiling growth vs baseline")
-		tolHeapSlack = flag.Int64("tol-heap-slack", loadgen.DefaultTolerances().HeapSlackBytes,
-			"absolute heap-ceiling slack in bytes")
 	)
 	flag.Parse()
 
@@ -95,16 +83,6 @@ func main() {
 		p.TraceEvery = 4
 	}
 
-	// The -check baseline loads before the run: a missing or malformed
-	// baseline should fail in seconds, not after minutes of load.
-	var base *loadgen.File
-	if *check {
-		var err error
-		if base, err = loadgen.ReadFile(*baseline); err != nil {
-			log.Fatalf("baseline: %v", err)
-		}
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	ctx, cancel := context.WithTimeout(ctx, *timeout)
@@ -115,9 +93,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	file := loadgen.NewFile(p, res)
-	if err := file.Write(*out); err != nil {
-		log.Fatal(err)
+	if *out != "" {
+		data, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	fmt.Printf("profile %-10s %8d records  %8.0f records/s  freshness p50 %.2fs p99 %.2fs (%d sealed paths)\n",
@@ -127,7 +110,6 @@ func main() {
 	fmt.Printf("late %d  duplicates %d  backlogged %d  sealed %d  folded %d  evictions %d  heap-max %.1f MB\n",
 		res.LateRecords, res.DuplicateRecords, res.BackloggedRecords, res.TripletsSealed,
 		res.TripsFolded, res.SubscriberEvictions, float64(res.HeapMaxBytes)/(1<<20))
-	fmt.Printf("wrote %s\n", *out)
 
 	if *traceChk {
 		if res.SlowestTrace == nil {
@@ -138,20 +120,10 @@ func main() {
 			st.ID, st.DurationMs, len(st.Spans), st.Complete, st.Device)
 	}
 
-	if *check {
-		tol := loadgen.Tolerances{
-			Throughput:     *tolThroughput,
-			P99Frac:        *tolP99,
-			P99SlackS:      *tolP99Slack,
-			HeapFrac:       *tolHeap,
-			HeapSlackBytes: *tolHeapSlack,
+	if fails := loadgen.Check(res); len(fails) != 0 {
+		for _, f := range fails {
+			log.Printf("FAIL: %s", f)
 		}
-		if fails := loadgen.Check(base, file, tol); len(fails) != 0 {
-			for _, f := range fails {
-				log.Printf("SLO FAIL: %s", f)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("SLO gate passed against %s\n", *baseline)
+		os.Exit(1)
 	}
 }

@@ -453,7 +453,6 @@ func TestSlowSubscriberUnderSustainedIngest(t *testing.T) {
 	}
 	s.p.Engine.Flush() // seal with arrival stamps → folds → hub publishes
 
-	s.anCache.at = time.Time{} // bypass the 1s stats cache for the scrape
 	samples := scrape(t, mux)
 	if v := samples["trips_analytics_subscriber_evictions_total"]; v < 1 {
 		t.Errorf("trips_analytics_subscriber_evictions_total = %v, want >= 1", v)

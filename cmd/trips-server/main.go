@@ -73,11 +73,9 @@ type server struct {
 	p *pipeline.Pipeline
 
 	// obs is the metrics registry and per-layer instruments behind
-	// GET /metrics; anCache amortizes the merged analytics snapshot the
-	// gauge bridges read; rebuildWarned latches the rebuild-recommended
-	// warning so the watcher logs each episode once.
+	// GET /metrics; rebuildWarned latches the rebuild-recommended warning so
+	// the watcher logs each episode once.
 	obs           *serverObs
-	anCache       anStatsCache
 	rebuildWarned atomic.Bool
 }
 

@@ -4,7 +4,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -95,41 +94,13 @@ func registerTraceBridges(r *obs.Registry, t *trace.Tracer) {
 		func() float64 { return float64(t.Stats().Pending) })
 }
 
-// anStatsCache caches one merged analytics snapshot per second: a scrape
-// reads a dozen analytics gauges, and each Stats()/Occupancy() call merges
-// every shard, so the bridges share one fetch instead of re-merging per
-// sample.
-type anStatsCache struct {
-	mu        sync.Mutex
-	at        time.Time
-	st        analytics.Stats
-	occupancy int64
-}
-
-func (s *server) cachedAnStats() (analytics.Stats, int64) {
-	c := &s.anCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	//trips:allow wallclock: stats cache freshness check, operational only
-	if c.at.IsZero() || time.Since(c.at) > time.Second {
-		an := s.p.Analytics
-		c.st = an.Stats()
-		c.occupancy = 0
-		for _, r := range an.Occupancy(0) {
-			c.occupancy += int64(r.Occupancy)
-		}
-		//trips:allow wallclock: stats cache timestamp, operational only
-		c.at = time.Now()
-	}
-	return c.st, c.occupancy
-}
-
 // registerBridges exposes the subsystems' own counters on /metrics; call
 // once, after load() opened the pipeline.
 func (s *server) registerBridges() {
 	r := s.obs.reg
 	eng := s.p.Engine
 	wh := s.p.Warehouse
+	an := s.p.Analytics
 
 	// Online translation engine.
 	r.CounterFunc("trips_online_records_total",
@@ -201,64 +172,70 @@ func (s *server) registerBridges() {
 		"Trips buffered for the next segment write (0 for memory-only).",
 		func() float64 { return float64(wh.Stats().PendingLog) })
 
-	// Analytics views. All bridges read the 1s-cached merged snapshot.
+	// Analytics views.
 	r.CounterFunc("trips_analytics_trips_folded_total",
 		"Sealed triplets folded into the materialized views.",
-		func() int64 { st, _ := s.cachedAnStats(); return st.Trips })
+		func() int64 { return an.Stats().Trips })
 	r.CounterFunc("trips_analytics_out_of_order_total",
 		"Folds dropped for violating per-device order — the backfill signal behind rebuild_recommended.",
-		func() int64 { st, _ := s.cachedAnStats(); return st.OutOfOrder })
+		func() int64 { return an.Stats().OutOfOrder })
 	r.CounterFunc("trips_analytics_late_buckets_total",
 		"Triplets landing below the popularity ring's pruned frontier.",
-		func() int64 { st, _ := s.cachedAnStats(); return st.LateBuckets })
+		func() int64 { return an.Stats().LateBuckets })
 	r.CounterFunc("trips_analytics_device_leaves_total",
 		"Explicit departure signals folded (idle-finalized sessions).",
-		func() int64 { st, _ := s.cachedAnStats(); return st.DeviceLeaves })
+		func() int64 { return an.Stats().DeviceLeaves })
 	r.CounterFunc("trips_analytics_subscriber_evictions_total",
 		"Live subscribers evicted for not draining their delta buffer.",
-		func() int64 { st, _ := s.cachedAnStats(); return st.Evicted })
+		func() int64 { return an.Stats().Evicted })
 	r.CounterFunc("trips_analytics_snapshot_errors_total",
 		"Failed periodic view-snapshot writes.",
-		func() int64 { st, _ := s.cachedAnStats(); return st.SnapshotErrors })
+		func() int64 { return an.Stats().SnapshotErrors })
 	r.GaugeFunc("trips_analytics_devices",
 		"Devices tracked by the views.",
-		func() float64 { st, _ := s.cachedAnStats(); return float64(st.Devices) })
+		func() float64 { return float64(an.Stats().Devices) })
 	r.GaugeFunc("trips_analytics_subscribers",
 		"Live SSE subscribers attached to the delta hub.",
-		func() float64 { st, _ := s.cachedAnStats(); return float64(st.Subscribers) })
+		func() float64 { return float64(an.Stats().Subscribers) })
 	r.GaugeFunc("trips_analytics_rebuild_recommended",
 		"1 when the views dropped a backfill and POST /analytics/rebuild (or -auto-rebuild) should run.",
 		func() float64 {
-			if st, _ := s.cachedAnStats(); st.RebuildRecommended {
+			if an.Stats().RebuildRecommended {
 				return 1
 			}
 			return 0
 		})
 	r.GaugeFunc("trips_analytics_occupancy_devices",
-		"Devices currently inside any region, merged across every fold shard (the engine-wide total Delta.Occupancy is not).",
-		func() float64 { _, occ := s.cachedAnStats(); return float64(occ) })
+		"Devices currently inside any region: the sum of the per-region occupancy counts.",
+		func() float64 {
+			total := 0
+			for _, r := range an.Occupancy(0) {
+				total += r.Occupancy
+			}
+			return float64(total)
+		})
 	r.GaugeFunc("trips_analytics_watermark_seconds",
 		"Event-time view watermark (max folded triplet end) as a Unix timestamp; 0 before anything folded.",
 		func() float64 {
-			st, _ := s.cachedAnStats()
-			if st.Watermark.IsZero() {
+			w := an.Watermark()
+			if w.IsZero() {
 				return 0
 			}
-			return float64(st.Watermark.UnixMilli()) / 1000
+			return float64(w.UnixMilli()) / 1000
 		})
 	r.GaugeFunc("trips_analytics_watermark_age_seconds",
 		"Watermark lag: now minus the event-time watermark. Large by design when replaying historical datasets.",
 		func() float64 {
-			st, _ := s.cachedAnStats()
-			if st.Watermark.IsZero() {
+			w := an.Watermark()
+			if w.IsZero() {
 				return 0
 			}
 			//trips:allow wallclock: watermark-lag gauge deliberately compares wall time to event time
-			return time.Since(st.Watermark).Seconds()
+			return time.Since(w).Seconds()
 		})
 	r.GaugeFunc("trips_analytics_snapshot_age_seconds",
 		"Age of the newest durable view snapshot; 0 when snapshots are disabled or none exists.",
-		func() float64 { st, _ := s.cachedAnStats(); return st.SnapshotAgeSeconds })
+		func() float64 { return an.Stats().SnapshotAgeSeconds })
 }
 
 // checkRebuild inspects the views' RebuildRecommended signal once: it logs

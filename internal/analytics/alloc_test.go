@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"trips/internal/dsm"
-	"trips/internal/position"
 	"trips/internal/semantics"
 )
 
@@ -15,10 +14,10 @@ import (
 // present — folding one more sealed triplet must not allocate. New devices,
 // new regions, and ring-bucket rollover each pay a one-time allocation that
 // amortizes to zero over a stream; the per-trip path is index updates on
-// pre-sized maps behind one shard lock.
+// pre-sized maps behind the engine's one lock.
 //
-//trips:guards fnvHash
-//trips:guards Engine.shardOf
+//trips:guards Engine.bucketIndex
+//trips:guards histogram.observe
 func TestFoldSteadyStateZeroAlloc(t *testing.T) {
 	e := New(Config{BucketWidth: time.Hour, Buckets: 8})
 	// Aligned to the bucket grid so the measured folds stay inside one ring
@@ -52,12 +51,5 @@ func TestFoldSteadyStateZeroAlloc(t *testing.T) {
 		fold()
 	}); avg != 0 {
 		t.Errorf("steady-state fold allocates %.2f times per triplet, want 0", avg)
-	}
-
-	var dev position.DeviceID = "dev-1"
-	if avg := testing.AllocsPerRun(500, func() {
-		e.shardOf(dev)
-	}); avg != 0 {
-		t.Errorf("shardOf allocates %.2f times per call, want 0", avg)
 	}
 }

@@ -15,7 +15,7 @@
 //   - region→region transition (flow) matrices — consecutive region-carrying
 //     triplets of one device count one directed transition,
 //   - per-region dwell-time histograms with quantile estimation — fixed
-//     exponential buckets, so merging and querying are O(buckets),
+//     exponential buckets, so querying is O(buckets),
 //   - windowed region popularity — a time-bucketed ring keyed by triplet
 //     start time, answering top-k over "the last N minutes/hours" by summing
 //     the covered buckets.
@@ -34,18 +34,21 @@
 //
 // # Concurrency
 //
-// Devices are hashed across shards; each shard guards its own device states
-// and additive view fragments with one mutex, so ingest from many engine
-// shards rarely contends. Queries take every shard lock briefly, merge the
-// fragments, and return — O(view), never O(trips). Live subscribers attach
+// All view state sits behind one RWMutex on the Engine. A fold write-locks
+// it for a handful of map updates; sealing turns some thirty raw records into
+// one triplet, and every live fold already runs behind the warehouse's own
+// write lock in the tee, so there is no fold parallelism to shard for. Every
+// read renders under the read lock straight from the maps — O(view), never
+// O(trips) — and Snapshot renders all of them under one acquisition, so a
+// dump is one instant of one view generation. Live subscribers attach
 // through a Hub (see subscribe.go) that fans per-ingest deltas to buffered
 // per-subscriber channels and evicts consumers that stop draining.
 package analytics
 
 import (
 	"io"
-	"math"
-	"runtime"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -62,8 +65,7 @@ import (
 // Config parameterizes the engine. The zero value of every field selects a
 // sensible default.
 type Config struct {
-	// Shards is the number of independently locked view fragments devices
-	// are hashed across. Default min(NumCPU, 8).
+	// Shards is ignored; kept until bench/ stops setting it.
 	Shards int
 
 	// BucketWidth is the time-bucket width of the popularity ring (event
@@ -91,12 +93,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.Shards <= 0 {
-		c.Shards = runtime.NumCPU()
-		if c.Shards > 8 {
-			c.Shards = 8
-		}
-	}
 	if c.BucketWidth <= 0 {
 		c.BucketWidth = time.Minute
 	}
@@ -116,16 +112,17 @@ func (c *Config) applyDefaults() {
 // Ingest / the Emitter tee / Bootstrap, and read it with the query methods.
 // Safe for concurrent use.
 type Engine struct {
-	cfg    Config
-	shards []*shard
-	hub    *Hub
+	cfg Config
+	hub *Hub
 
-	// maxToBucket is the bucket index of the engine-wide watermark (the
-	// max triplet To folded into any shard), maintained as a CAS-max so
-	// every shard prunes its popularity ring against the same global
-	// retention frontier — a lagging shard must not retain more history
-	// than the window covers. math.MinInt64 = nothing folded yet.
-	maxToBucket atomic.Int64
+	// mu guards views and overlap.
+	mu    sync.RWMutex
+	views viewState
+	// overlap is left behind by Rebuild and read only on fold's drop branch:
+	// per device whose warehoused trip the rebuild folded ahead of its
+	// in-flight live delivery, that trip's From. The delivery then arrives
+	// on the new frontier and is replay overlap, not a dropped backfill.
+	overlap map[position.DeviceID]time.Time
 
 	// lastSnapshot is the UnixMilli of the newest durable snapshot written
 	// (SaveSnapshot) or loaded (LoadSnapshot); 0 = none. snapshotErrors
@@ -137,16 +134,22 @@ type Engine struct {
 	rebuild sync.Mutex
 }
 
-// New returns an engine with empty views.
+// New returns an engine with empty views. Every view map is pre-sized for a
+// working venue — a few dozen regions, a few hundred devices — so the
+// steady-state fold never pays an incremental map growth (rehash + bucket
+// allocation) mid-ingest.
 func New(cfg Config) *Engine {
 	cfg.applyDefaults()
-	e := &Engine{cfg: cfg, shards: make([]*shard, cfg.Shards)}
-	e.hub = newHub(cfg.SubscriberBuffer)
-	e.maxToBucket.Store(math.MinInt64)
-	for i := range e.shards {
-		e.shards[i] = newShard()
-	}
-	return e
+	return &Engine{cfg: cfg, hub: newHub(cfg.SubscriberBuffer), views: viewState{
+		devices:     make(map[position.DeviceID]*deviceState, 256),
+		occupancy:   make(map[dsm.RegionID]int, 64),
+		visits:      make(map[dsm.RegionID]int64, 64),
+		tags:        make(map[dsm.RegionID]string, 64),
+		flows:       make(map[flowKey]int64, 256),
+		dwell:       make(map[dsm.RegionID]*histogram, 64),
+		ring:        make(map[int64]map[dsm.RegionID]int64, 64),
+		minRetained: -1 << 62,
+	}}
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -165,21 +168,9 @@ type deviceState struct {
 	prevRegion dsm.RegionID
 }
 
-// shard is one independently locked view fragment.
-type shard struct {
-	mu sync.Mutex
-	shardState
-
-	// overlap is left behind by Rebuild and read only on fold's drop branch:
-	// per device whose warehoused trip the rebuild folded ahead of its
-	// in-flight live delivery, that trip's From. The delivery then arrives
-	// on the new frontier and is replay overlap, not a dropped backfill.
-	overlap map[position.DeviceID]time.Time
-}
-
-// shardState is everything a fold writes and a query reads — the part of a
-// shard Rebuild replaces wholesale.
-type shardState struct {
+// viewState is everything a fold writes and a query reads — the part of the
+// engine Rebuild replaces wholesale.
+type viewState struct {
 	devices   map[position.DeviceID]*deviceState
 	occupancy map[dsm.RegionID]int   // devices currently in region
 	visits    map[dsm.RegionID]int64 // lifetime triplet count per region
@@ -187,9 +178,10 @@ type shardState struct {
 	flows     map[flowKey]int64
 	dwell     map[dsm.RegionID]*histogram
 	ring      map[int64]map[dsm.RegionID]int64 // bucket index → region → count
-	// minRetained is the ring's pruned frontier: every bucket below it has
-	// been deleted, so prune only touches the indexes the frontier newly
-	// crossed — amortized O(1) per ingest. MinInt64 = never pruned.
+	// minRetained is the ring's retention frontier, the lowest bucket index
+	// the window ending at the watermark still covers: every bucket below it
+	// has been deleted, and a triplet starting below it is dropped. Before
+	// anything folds it sits far below any real bucket.
 	minRetained int64
 	watermark   time.Time // max triplet To seen
 
@@ -201,55 +193,8 @@ type shardState struct {
 	leaves     int64
 }
 
-// newShard pre-sizes every view map for a working venue — a few dozen
-// regions, a few hundred devices per shard — so the steady-state fold never
-// pays an incremental map growth (rehash + bucket allocation) mid-ingest.
-func newShard() *shard {
-	return &shard{shardState: shardState{
-		devices:     make(map[position.DeviceID]*deviceState, 256),
-		occupancy:   make(map[dsm.RegionID]int, 64),
-		visits:      make(map[dsm.RegionID]int64, 64),
-		tags:        make(map[dsm.RegionID]string, 64),
-		flows:       make(map[flowKey]int64, 256),
-		dwell:       make(map[dsm.RegionID]*histogram, 64),
-		ring:        make(map[int64]map[dsm.RegionID]int64, 64),
-		minRetained: math.MinInt64,
-	}}
-}
-
 type flowKey struct {
 	from, to dsm.RegionID
-}
-
-// fnvHash is an inlined FNV-1a over a string: identical bits to
-// fnv.New32a().Write(...).Sum32() without materializing a hash.Hash32 on the
-// heap — shard routing runs on every fold.
-//
-//trips:zeroalloc
-func fnvHash(s string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime32
-	}
-	return h
-}
-
-//trips:zeroalloc
-func (e *Engine) shardOf(dev position.DeviceID) *shard {
-	return e.shards[fnvHash(string(dev))%uint32(len(e.shards))]
-}
-
-// shardForRegion picks a shard by region hash. Live ingest never uses it —
-// additive view entries land on the folding device's shard — but snapshot
-// restore does, so a loaded engine spreads the historical map weight
-// instead of parking it all on shard 0.
-func (e *Engine) shardForRegion(r dsm.RegionID) *shard {
-	return e.shards[fnvHash(string(r))%uint32(len(e.shards))]
 }
 
 // Ingest folds one sealed triplet into the views and publishes a delta to
@@ -286,23 +231,23 @@ func (e *Engine) fold(dev position.DeviceID, t semantics.Triplet, replay bool, t
 	// into the completed entry.
 	sp := e.cfg.Tracer.Start(tc, "analytics_fold")
 	sp.SetDevice(string(dev))
-	sh := e.shardOf(dev)
-	sh.mu.Lock()
-	d := sh.devices[dev]
+	e.mu.Lock()
+	v := &e.views
+	d := v.devices[dev]
 	if d == nil {
 		d = &deviceState{}
-		sh.devices[dev] = d
+		v.devices[dev] = d
 	} else if !t.From.After(d.lastFrom) {
-		if f, ok := sh.overlap[dev]; ok && !replay && f.Equal(t.From) {
+		if f, ok := e.overlap[dev]; ok && !replay && f.Equal(t.From) {
 			// A rebuild folded this trip from the warehouse while its live
-			// delivery waited on the shard lock.
-			delete(sh.overlap, dev)
+			// delivery waited on the lock.
+			delete(e.overlap, dev)
 			replay = true
 		}
 		if !replay {
-			sh.outOfOrder++
+			v.outOfOrder++
 		}
-		sh.mu.Unlock()
+		e.mu.Unlock()
 		if !replay {
 			// A dropped fold means the views are missing this trip: flag the
 			// trace so the anomaly is kept and inspectable.
@@ -315,78 +260,64 @@ func (e *Engine) fold(dev position.DeviceID, t semantics.Triplet, replay bool, t
 	if t.To.After(d.lastTo) {
 		d.lastTo = t.To
 	}
-	sh.trips++
+	v.trips++
 	if t.Inferred {
-		sh.inferred++
+		v.inferred++
 	}
-	if t.To.After(sh.watermark) {
-		sh.watermark = t.To
-		e.advanceMaxBucket(e.bucketIndex(t.To))
+	if t.To.After(v.watermark) {
+		v.watermark = t.To
+		v.prune(e.bucketIndex(t.To), e.cfg.Buckets)
 	}
 
 	prev := d.region
 	region := t.RegionID
 	if region == "" {
-		sh.regionless++
+		v.regionless++
 	} else if t.Region != "" {
-		sh.tags[region] = t.Region
+		v.tags[region] = t.Region
 	}
 
 	// Occupancy: move the device from its previous region to the new one.
 	if prev != region {
 		if prev != "" {
-			if sh.occupancy[prev]--; sh.occupancy[prev] <= 0 {
-				delete(sh.occupancy, prev)
+			if v.occupancy[prev]--; v.occupancy[prev] <= 0 {
+				delete(v.occupancy, prev)
 			}
 		}
 		if region != "" {
-			sh.occupancy[region]++
+			v.occupancy[region]++
 		}
 		d.region = region
 	}
 
 	if region != "" {
-		sh.visits[region]++
+		v.visits[region]++
 		// Flows: one directed transition per consecutive pair of distinct
 		// region-carrying triplets.
 		if d.prevRegion != "" && d.prevRegion != region {
-			sh.flows[flowKey{d.prevRegion, region}]++
+			v.flows[flowKey{d.prevRegion, region}]++
 		}
 		d.prevRegion = region
 
 		// Dwell histogram.
-		h := sh.dwell[region]
+		h := v.dwell[region]
 		if h == nil {
 			h = new(histogram)
-			sh.dwell[region] = h
+			v.dwell[region] = h
 		}
 		h.observe(t.Duration())
 
-		// Popularity ring, keyed by the triplet's start bucket. Buckets
-		// older than the retained span are pruned by the engine-wide
-		// watermark (not the shard's own — a shard whose devices lag must
-		// not retain more history than the global window); a triplet
-		// landing below the pruning frontier is dropped (it would be
+		// Popularity ring, keyed by the triplet's start bucket. A triplet
+		// landing below the retention frontier is dropped (it would be
 		// pruned immediately anyway), keeping state deterministic across
 		// ingest orders.
-		idx := e.bucketIndex(t.From)
-		min := e.globalMinRetained()
-		if idx < min {
-			sh.lateBucket++
+		if idx := e.bucketIndex(t.From); idx < v.minRetained {
+			v.lateBucket++
 		} else {
-			b := sh.ring[idx]
-			if b == nil {
-				b = make(map[dsm.RegionID]int64)
-				sh.ring[idx] = b
-			}
-			b[region]++
+			v.bucket(idx)[region]++
 		}
-		// Prune on every region-carrying fold, including late-dropped ones:
-		// a lagging shard's stale buckets must go as soon as it learns the
-		// global frontier moved, not only when it folds something new.
-		sh.prune(min, e.cfg.Buckets)
 	}
-	occ := sh.occupancy[region]
+	occ := v.occupancy[region]
 	// The prev fields describe a departure; a device staying put (or a
 	// duplicate region) reports none.
 	var prevID dsm.RegionID
@@ -394,10 +325,10 @@ func (e *Engine) fold(dev position.DeviceID, t semantics.Triplet, replay bool, t
 	if prev != region {
 		prevID = prev
 		if prev != "" {
-			prevOcc = sh.occupancy[prev]
+			prevOcc = v.occupancy[prev]
 		}
 	}
-	sh.mu.Unlock()
+	e.mu.Unlock()
 
 	e.hub.publish(Delta{
 		Device:        dev,
@@ -415,31 +346,46 @@ func (e *Engine) fold(dev position.DeviceID, t semantics.Triplet, replay bool, t
 	sp.End()
 }
 
-// prune drops ring buckets below the retention frontier; callers hold the
-// shard lock. Buckets below the previous frontier are already gone, so
-// only the newly crossed indexes need deleting; a frontier jump wider than
-// the ring itself (first prune, or a watermark leap) falls back to one map
-// scan instead of walking the empty index range.
-func (sh *shard) prune(min int64, ringLen int) {
-	if min <= sh.minRetained {
+// bucket returns ring bucket idx, creating it on first use; callers hold
+// the write lock.
+func (v *viewState) bucket(idx int64) map[dsm.RegionID]int64 {
+	b := v.ring[idx]
+	if b == nil {
+		b = make(map[dsm.RegionID]int64)
+		v.ring[idx] = b
+	}
+	return b
+}
+
+// prune advances the ring's retention frontier to the window of ringLen
+// buckets ending at the watermark's bucket and drops the buckets below it;
+// callers hold the write lock. Buckets below the previous frontier are
+// already gone, so only the newly crossed indexes need deleting; a frontier
+// jump wider than the ring itself (the first fold, or a watermark leap)
+// falls back to one map scan instead of walking the empty index range.
+func (v *viewState) prune(watermarkBucket int64, ringLen int) {
+	min := watermarkBucket - int64(ringLen) + 1
+	if min <= v.minRetained {
 		return
 	}
-	if sh.minRetained == math.MinInt64 || min-sh.minRetained > int64(ringLen) {
+	if min-v.minRetained > int64(ringLen) {
 		//trips:commutative prune deletes by predicate; the surviving set is order-independent
-		for idx := range sh.ring {
+		for idx := range v.ring {
 			if idx < min {
-				delete(sh.ring, idx)
+				delete(v.ring, idx)
 			}
 		}
 	} else {
-		for idx := sh.minRetained; idx < min; idx++ {
-			delete(sh.ring, idx)
+		for idx := v.minRetained; idx < min; idx++ {
+			delete(v.ring, idx)
 		}
 	}
-	sh.minRetained = min
+	v.minRetained = min
 }
 
 // bucketIndex floors a time onto the ring's bucket grid.
+//
+//trips:zeroalloc
 func (e *Engine) bucketIndex(t time.Time) int64 {
 	ws := int64(e.cfg.BucketWidth / time.Second)
 	sec := t.Unix()
@@ -448,29 +394,6 @@ func (e *Engine) bucketIndex(t time.Time) int64 {
 		idx--
 	}
 	return idx
-}
-
-// advanceMaxBucket CAS-maxes the engine-wide watermark bucket; callers pass
-// the bucket index of a folded triplet's To.
-func (e *Engine) advanceMaxBucket(idx int64) {
-	for {
-		cur := e.maxToBucket.Load()
-		if idx <= cur || e.maxToBucket.CompareAndSwap(cur, idx) {
-			return
-		}
-	}
-}
-
-// globalMinRetained is the engine-wide ring retention frontier: the lowest
-// bucket index the window still covers, derived from the watermark bucket
-// shared by every shard. Before anything folds it sits far below any real
-// bucket so nothing is dropped or pruned.
-func (e *Engine) globalMinRetained() int64 {
-	max := e.maxToBucket.Load()
-	if max == math.MinInt64 {
-		return -1 << 62
-	}
-	return max - int64(e.cfg.Buckets) + 1
 }
 
 // IngestTrip folds one warehoused trip — the Bootstrap unit.
@@ -509,10 +432,9 @@ const EventDeviceLeft = semantics.Event("device-left")
 // cannot reconstruct them. A durable snapshot taken after the signal does
 // preserve it.
 func (e *Engine) DeviceLeft(dev position.DeviceID, at time.Time) {
-	sh := e.shardOf(dev)
-	sh.mu.Lock()
-	prev, prevOcc := sh.vacate(sh.devices[dev])
-	sh.mu.Unlock()
+	e.mu.Lock()
+	prev, prevOcc := e.views.vacate(e.views.devices[dev])
+	e.mu.Unlock()
 	if prev == "" {
 		return
 	}
@@ -529,18 +451,18 @@ func (e *Engine) DeviceLeft(dev position.DeviceID, at time.Time) {
 
 // vacate moves a device out of its current region and returns the region it
 // left with that region's remaining occupancy; "" when the device is unknown
-// (nil) or already nowhere. Callers hold the shard lock.
-func (sh *shardState) vacate(d *deviceState) (prev dsm.RegionID, prevOcc int) {
+// (nil) or already nowhere. Callers hold the write lock.
+func (v *viewState) vacate(d *deviceState) (prev dsm.RegionID, prevOcc int) {
 	if d == nil || d.region == "" {
 		return "", 0
 	}
 	prev = d.region
 	d.region = ""
-	if sh.occupancy[prev]--; sh.occupancy[prev] <= 0 {
-		delete(sh.occupancy, prev)
+	if v.occupancy[prev]--; v.occupancy[prev] <= 0 {
+		delete(v.occupancy, prev)
 	}
-	sh.leaves++
-	return prev, sh.occupancy[prev]
+	v.leaves++
+	return prev, v.occupancy[prev]
 }
 
 // Emitter returns an online.Emitter that folds every sealed emission into
@@ -584,7 +506,7 @@ func (t *teeEmitter) Close() error {
 	return nil
 }
 
-// Stats are the engine's diagnostic counters, summed across shards.
+// Stats are the engine's diagnostic counters.
 type Stats struct {
 	Trips    int64 `json:"trips"`
 	Inferred int64 `json:"inferred"`
@@ -624,37 +546,23 @@ type Stats struct {
 	SnapshotErrors     int64     `json:"snapshotErrors,omitempty"`
 }
 
-// Stats sums the shard counters.
+// Stats reads the counters under one read lock.
 func (e *Engine) Stats() Stats {
-	var st Stats
-	regions := make(map[dsm.RegionID]bool)
-	flows := make(map[flowKey]bool)
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		st.Trips += sh.trips
-		st.Inferred += sh.inferred
-		st.Devices += len(sh.devices)
-		st.Regionless += sh.regionless
-		st.OutOfOrder += sh.outOfOrder
-		st.LateBuckets += sh.lateBucket
-		st.DeviceLeaves += sh.leaves
-		// Distinct pairs merge across shards: the same transition folded on
-		// two shards is one flow, exactly as Flows() reports it.
-		//trips:commutative set union across shards; order-independent
-		for k := range sh.flows {
-			flows[k] = true
-		}
-		//trips:commutative set union across shards; order-independent
-		for r := range sh.visits {
-			regions[r] = true
-		}
-		if sh.watermark.After(st.Watermark) {
-			st.Watermark = sh.watermark
-		}
-		sh.mu.Unlock()
+	e.mu.RLock()
+	v := &e.views
+	st := Stats{
+		Trips:        v.trips,
+		Inferred:     v.inferred,
+		Devices:      len(v.devices),
+		Regions:      len(v.visits),
+		Flows:        len(v.flows),
+		Regionless:   v.regionless,
+		OutOfOrder:   v.outOfOrder,
+		LateBuckets:  v.lateBucket,
+		DeviceLeaves: v.leaves,
+		Watermark:    v.watermark,
 	}
-	st.Regions = len(regions)
-	st.Flows = len(flows)
+	e.mu.RUnlock()
 	st.Subscribers, st.Evicted = e.hub.stats()
 	st.RebuildRecommended = st.OutOfOrder > 0
 	if ms := e.lastSnapshot.Load(); ms != 0 {
@@ -668,15 +576,9 @@ func (e *Engine) Stats() Stats {
 
 // Watermark returns the latest triplet end time folded into any view.
 func (e *Engine) Watermark() time.Time {
-	var w time.Time
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		if sh.watermark.After(w) {
-			w = sh.watermark
-		}
-		sh.mu.Unlock()
-	}
-	return w
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.views.watermark
 }
 
 // RegionOccupancy is one row of the occupancy view.
@@ -687,51 +589,34 @@ type RegionOccupancy struct {
 	Visits    int64        `json:"visits"`           // lifetime triplet count
 }
 
-// Occupancy merges the per-shard occupancy and visit counters, sorted by
+// Occupancy returns the occupancy and visit counters per region, sorted by
 // occupancy (then visits, then ID) descending. activeWithin > 0 drops
 // devices whose last triplet ended more than that long before the
 // watermark — a staleness filter for venues where devices vanish without a
 // closing triplet; it walks device states instead of the folded counters,
 // so it is O(devices) rather than O(regions).
 func (e *Engine) Occupancy(activeWithin time.Duration) []RegionOccupancy {
-	occ := make(map[dsm.RegionID]int)
-	visits := make(map[dsm.RegionID]int64)
-	tags := make(map[dsm.RegionID]string)
-	var cutoff time.Time
-	if activeWithin > 0 {
-		if w := e.Watermark(); !w.IsZero() {
-			cutoff = w.Add(-activeWithin)
-		}
-	}
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		//trips:commutative per-shard counts merge by addition; order-independent
-		for r, n := range sh.visits {
-			visits[r] += n
-		}
-		//trips:commutative every shard stores the same tag for a region; last write wins identically
-		for r, tag := range sh.tags {
-			tags[r] = tag
-		}
-		if cutoff.IsZero() {
-			//trips:commutative per-shard counts merge by addition; order-independent
-			for r, n := range sh.occupancy {
-				occ[r] += n
-			}
-		} else {
-			//trips:commutative per-device occupancy increments sum; order-independent
-			for _, d := range sh.devices {
-				if d.region != "" && !d.lastTo.Before(cutoff) {
-					occ[d.region]++
-				}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.views.occupancyRows(activeWithin)
+}
+
+func (v *viewState) occupancyRows(activeWithin time.Duration) []RegionOccupancy {
+	occ := v.occupancy
+	if activeWithin > 0 && !v.watermark.IsZero() {
+		cutoff := v.watermark.Add(-activeWithin)
+		occ = make(map[dsm.RegionID]int)
+		//trips:commutative per-device occupancy increments sum; order-independent
+		for _, d := range v.devices {
+			if d.region != "" && !d.lastTo.Before(cutoff) {
+				occ[d.region]++
 			}
 		}
-		sh.mu.Unlock()
 	}
-	out := make([]RegionOccupancy, 0, len(visits))
+	out := make([]RegionOccupancy, 0, len(v.visits))
 	//trips:commutative row collection; iteration order is erased by the sort below
-	for r, v := range visits {
-		out = append(out, RegionOccupancy{RegionID: r, Region: tags[r], Occupancy: occ[r], Visits: v})
+	for r, n := range v.visits {
+		out = append(out, RegionOccupancy{RegionID: r, Region: v.tags[r], Occupancy: occ[r], Visits: n})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -755,30 +640,22 @@ type Flow struct {
 	Count   int64        `json:"count"`
 }
 
-// Flows merges the transition matrices, optionally restricted to
+// Flows returns the transition matrix, optionally restricted to
 // transitions touching region (either side; "" = all), sorted by count
 // descending then (From, To). limit <= 0 returns everything.
 func (e *Engine) Flows(region dsm.RegionID, limit int) []Flow {
-	sum := make(map[flowKey]int64)
-	tags := make(map[dsm.RegionID]string)
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		//trips:commutative per-shard counts merge by addition; order-independent
-		for k, n := range sh.flows {
-			if region == "" || k.from == region || k.to == region {
-				sum[k] += n
-			}
-		}
-		//trips:commutative every shard stores the same tag for a region; last write wins identically
-		for r, tag := range sh.tags {
-			tags[r] = tag
-		}
-		sh.mu.Unlock()
-	}
-	out := make([]Flow, 0, len(sum))
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.views.flowRows(region, limit)
+}
+
+func (v *viewState) flowRows(region dsm.RegionID, limit int) []Flow {
+	out := make([]Flow, 0, len(v.flows))
 	//trips:commutative row collection; iteration order is erased by the sort below
-	for k, n := range sum {
-		out = append(out, Flow{From: k.from, FromTag: tags[k.from], To: k.to, ToTag: tags[k.to], Count: n})
+	for k, n := range v.flows {
+		if region == "" || k.from == region || k.to == region {
+			out = append(out, Flow{From: k.from, FromTag: v.tags[k.from], To: k.to, ToTag: v.tags[k.to], Count: n})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -796,25 +673,20 @@ func (e *Engine) Flows(region dsm.RegionID, limit int) []Flow {
 	return out
 }
 
-// Dwell merges the region's dwell histograms and derives the summary
-// statistics. ok is false for a region with no folded triplets.
+// Dwell derives the region's dwell-time summary statistics. ok is false for
+// a region with no folded triplets.
 func (e *Engine) Dwell(region dsm.RegionID) (DwellStats, bool) {
-	var merged histogram
-	tag := ""
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		if h := sh.dwell[region]; h != nil {
-			merged.merge(h)
-		}
-		if t := sh.tags[region]; t != "" {
-			tag = t
-		}
-		sh.mu.Unlock()
-	}
-	if merged.count == 0 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.views.dwellStats(region)
+}
+
+func (v *viewState) dwellStats(region dsm.RegionID) (DwellStats, bool) {
+	h := v.dwell[region]
+	if h == nil || h.count == 0 {
 		return DwellStats{}, false
 	}
-	return merged.stats(region, tag), true
+	return h.stats(region, v.tags[region]), true
 }
 
 // RegionCount is one row of the windowed popularity view.
@@ -830,8 +702,10 @@ type RegionCount struct {
 // seen in the window. The cost is O(window buckets × regions), independent
 // of the number of trips folded.
 func (e *Engine) TopK(k int, window time.Duration) []RegionCount {
-	w := e.Watermark()
-	if w.IsZero() {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	v := &e.views
+	if v.watermark.IsZero() {
 		return nil
 	}
 	span := int64(e.cfg.Buckets)
@@ -840,31 +714,22 @@ func (e *Engine) TopK(k int, window time.Duration) []RegionCount {
 			span = b
 		}
 	}
-	min := e.bucketIndex(w) - span + 1
+	min := e.bucketIndex(v.watermark) - span + 1
 	sum := make(map[dsm.RegionID]int64)
-	tags := make(map[dsm.RegionID]string)
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		//trips:commutative per-shard counts merge by addition; order-independent
-		for idx, b := range sh.ring {
-			if idx < min {
-				continue
-			}
-			//trips:commutative per-shard counts merge by addition; order-independent
-			for r, n := range b {
-				sum[r] += n
-			}
+	//trips:commutative per-bucket counts sum; order-independent
+	for idx, b := range v.ring {
+		if idx < min {
+			continue
 		}
-		//trips:commutative every shard stores the same tag for a region; last write wins identically
-		for r, tag := range sh.tags {
-			tags[r] = tag
+		//trips:commutative per-bucket counts sum; order-independent
+		for r, n := range b {
+			sum[r] += n
 		}
-		sh.mu.Unlock()
 	}
 	out := make([]RegionCount, 0, len(sum))
 	//trips:commutative row collection; iteration order is erased by the sort below
 	for r, n := range sum {
-		out = append(out, RegionCount{RegionID: r, Region: tags[r], Count: n})
+		out = append(out, RegionCount{RegionID: r, Region: v.tags[r], Count: n})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -904,74 +769,30 @@ type RingBucket struct {
 	Regions []RegionCount `json:"regions"`
 }
 
-// Snapshot renders every view deterministically.
+// Snapshot renders every view deterministically, all under one read lock:
+// the dump is one instant of one view generation, even under live folds or a
+// concurrent Rebuild.
 func (e *Engine) Snapshot() Snapshot {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	v := &e.views
 	snap := Snapshot{
-		Watermark: e.Watermark(),
-		Occupancy: e.Occupancy(0),
-		Flows:     e.Flows("", 0),
+		Watermark: v.watermark,
+		Occupancy: v.occupancyRows(0),
+		Flows:     v.flowRows("", 0),
+		Trips:     v.trips,
+		Inferred:  v.inferred,
 	}
-	st := e.Stats()
-	snap.Trips, snap.Inferred = st.Trips, st.Inferred
-
-	regions := make(map[dsm.RegionID]bool)
-	buckets := make(map[int64]map[dsm.RegionID]int64)
-	// Render only the buckets the window still covers: a shard prunes
-	// lazily (on its own next ingest), so buckets below the global
-	// retention frontier may linger in memory, and whether they do depends
-	// on ingest interleaving — excluding them keeps the dump deterministic.
-	minRetained := e.globalMinRetained()
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		//trips:commutative set union across shards; order-independent
-		for r := range sh.dwell {
-			regions[r] = true
-		}
-		//trips:commutative bucket merge by addition; order-independent
-		for idx, b := range sh.ring {
-			if idx < minRetained {
-				continue
-			}
-			dst := buckets[idx]
-			if dst == nil {
-				dst = make(map[dsm.RegionID]int64)
-				buckets[idx] = dst
-			}
-			//trips:commutative per-shard counts merge by addition; order-independent
-			for r, n := range b {
-				dst[r] += n
-			}
-		}
-		sh.mu.Unlock()
-	}
-	ids := make([]dsm.RegionID, 0, len(regions))
-	//trips:commutative key collection; iteration order is erased by the sort below
-	for r := range regions {
-		ids = append(ids, r)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, r := range ids {
-		if st, ok := e.Dwell(r); ok {
+	for _, r := range slices.Sorted(maps.Keys(v.dwell)) {
+		if st, ok := v.dwellStats(r); ok {
 			snap.Dwell = append(snap.Dwell, st)
 		}
 	}
-	idxs := make([]int64, 0, len(buckets))
-	//trips:commutative key collection; iteration order is erased by the sort below
-	for idx := range buckets {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	ws := int64(e.cfg.BucketWidth / time.Second)
-	for _, idx := range idxs {
-		rb := RingBucket{Start: time.Unix(idx*ws, 0).UTC()}
-		rs := make([]dsm.RegionID, 0, len(buckets[idx]))
-		//trips:commutative key collection; iteration order is erased by the sort below
-		for r := range buckets[idx] {
-			rs = append(rs, r)
-		}
-		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-		for _, r := range rs {
-			rb.Regions = append(rb.Regions, RegionCount{RegionID: r, Count: buckets[idx][r]})
+	for _, idx := range slices.Sorted(maps.Keys(v.ring)) {
+		rb, b := RingBucket{Start: time.Unix(idx*ws, 0).UTC()}, v.ring[idx]
+		for _, r := range slices.Sorted(maps.Keys(b)) {
+			rb.Regions = append(rb.Regions, RegionCount{RegionID: r, Count: b[r]})
 		}
 		snap.Ring = append(snap.Ring, rb)
 	}

@@ -127,8 +127,7 @@ func TestFlows(t *testing.T) {
 func TestDwellQuantiles(t *testing.T) {
 	e := New(Config{Shards: 4})
 	at := t0
-	// 100 stays of 10s and one 30-minute outlier, spread across devices so
-	// every shard contributes to the merge.
+	// 100 stays of 10s and one 30-minute outlier, spread across devices.
 	for i := 0; i < 100; i++ {
 		dev := position.DeviceID(fmt.Sprintf("d%02d", i%8))
 		e.Ingest(dev, trip("nike", at, 10*time.Second))
@@ -329,9 +328,7 @@ func TestBootstrapMatchesLive(t *testing.T) {
 	}
 	// Ring pruning must have happened for the property to mean anything:
 	// the corpus spans hours of event time, far more than the 100 × 30s
-	// retention, so the earliest buckets cannot have survived. (Retention
-	// is per shard against its own watermark, so the earliest retained
-	// bucket can trail the global watermark by more than the ring span.)
+	// retention, so the earliest buckets cannot have survived.
 	earliest := liveSnap.Watermark
 	for _, ts := range corpus {
 		if ts[0].From.Before(earliest) {
@@ -439,52 +436,26 @@ func TestIngestResultAndEmitterTee(t *testing.T) {
 	e.Emitter(nil).Emit(online.Emission{Device: "dev", Triplet: trip("d", t0.Add(6*time.Minute), time.Minute)})
 }
 
-// devicesOnDistinctShards returns two device IDs that hash to different
-// shards of e, so a test can make one shard lag the other deliberately.
-func devicesOnDistinctShards(t *testing.T, e *Engine) (a, b position.DeviceID) {
-	t.Helper()
-	a = position.DeviceID("dev-a")
-	for i := 0; i < 1000; i++ {
-		b = position.DeviceID(fmt.Sprintf("dev-b%d", i))
-		if e.shardOf(b) != e.shardOf(a) {
-			return a, b
-		}
-	}
-	t.Fatal("no device pair on distinct shards")
-	return
-}
-
-// TestRingPrunesAgainstGlobalWatermark is the regression test for the
-// per-shard pruning bug: a shard whose devices lag must prune (and drop)
-// popularity buckets relative to the engine-wide watermark, not its own,
-// or it retains more history than the configured window.
+// TestRingPrunesAgainstGlobalWatermark: a device that lags the watermark
+// prunes (and drops) popularity buckets relative to the engine-wide
+// watermark, not its own progress, so the ring never retains more history
+// than the configured window.
 func TestRingPrunesAgainstGlobalWatermark(t *testing.T) {
-	e := New(Config{Shards: 2, BucketWidth: time.Minute, Buckets: 10})
-	ahead, lagging := devicesOnDistinctShards(t, e)
+	e := New(Config{BucketWidth: time.Minute, Buckets: 10})
+	const ahead, lagging = position.DeviceID("dev-a"), position.DeviceID("dev-b")
 
-	// The lagging shard folds one old bucket, then the other shard races
-	// three hours ahead — far beyond the 10-minute ring span.
+	// The lagging device folds one old bucket, then the other races three
+	// hours ahead — far beyond the 10-minute ring span.
 	e.Ingest(lagging, trip("old", t0, 30*time.Second))
 	e.Ingest(ahead, trip("new", t0.Add(3*time.Hour), 30*time.Second))
 
-	// The lagging shard's next fold is still near t0. Its own watermark
-	// would retain both of its buckets; the global watermark says both are
-	// ancient history: the retained one must be pruned and the new arrival
-	// dropped as a late bucket.
+	// The lagging device's next fold is still near t0; the watermark says
+	// both of its buckets are ancient history: the retained one must be
+	// pruned and the new arrival dropped as a late bucket.
 	e.Ingest(lagging, trip("old", t0.Add(2*time.Minute), 30*time.Second))
 
 	if st := e.Stats(); st.LateBuckets != 1 {
 		t.Errorf("LateBuckets = %d, want 1 (arrival below the global frontier)", st.LateBuckets)
-	}
-	min := e.globalMinRetained()
-	for i, sh := range e.shards {
-		sh.mu.Lock()
-		for idx := range sh.ring {
-			if idx < min {
-				t.Errorf("shard %d retains bucket %d below the global frontier %d", i, idx, min)
-			}
-		}
-		sh.mu.Unlock()
 	}
 	snap := e.Snapshot()
 	if len(snap.Ring) != 1 || snap.Ring[0].Regions[0].RegionID != "new" {
@@ -493,6 +464,30 @@ func TestRingPrunesAgainstGlobalWatermark(t *testing.T) {
 	// TopK agrees: only the ahead region is inside any window.
 	if all := e.TopK(0, 0); len(all) != 1 || all[0].RegionID != "new" {
 		t.Errorf("TopK = %+v", all)
+	}
+}
+
+// TestDeltaOccupancyIsRegionWide: the occupancy a delta carries is the
+// region's real device count — what Occupancy() reports — for entries and
+// for departures, not a share of it.
+func TestDeltaOccupancyIsRegionWide(t *testing.T) {
+	e := New(Config{Shards: 4, SubscriberBuffer: 32})
+	sub := e.Subscribe(nil)
+	defer sub.Close()
+
+	const n = 8
+	dev := func(i int) position.DeviceID { return position.DeviceID(fmt.Sprintf("dev-%d", i)) }
+	for k := 1; k <= n; k++ {
+		e.Ingest(dev(k), trip("nike", t0.Add(time.Duration(k)*time.Second), time.Minute))
+		if d := <-sub.C(); d.RegionID != "nike" || d.Occupancy != k {
+			t.Errorf("entry %d: delta %+v, want Occupancy %d", k, d, k)
+		}
+	}
+	for k := 1; k <= n; k++ {
+		e.DeviceLeft(dev(k), t0.Add(time.Hour))
+		if d := <-sub.C(); d.PrevRegionID != "nike" || d.PrevOccupancy != n-k {
+			t.Errorf("departure %d: delta %+v, want PrevOccupancy %d", k, d, n-k)
+		}
 	}
 }
 

@@ -54,12 +54,11 @@ func (e *Engine) Bootstrap(w *tripstore.Warehouse) error {
 // deviceFrontier returns the From of the device's last folded triplet —
 // the replay resume point; zero for a device the views have never seen.
 func (e *Engine) deviceFrontier(dev position.DeviceID) (frontier time.Time) {
-	sh := e.shardOf(dev)
-	sh.mu.Lock()
-	if d := sh.devices[dev]; d != nil {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if d := e.views.devices[dev]; d != nil {
 		frontier = d.lastFrom
 	}
-	sh.mu.Unlock()
 	return frontier
 }
 
@@ -69,28 +68,25 @@ func (e *Engine) deviceFrontier(dev position.DeviceID) (frontier time.Time) {
 // their feed, the Emitter tee keeps folding into this engine, and a running
 // StartAutoSnapshot keeps writing it; the replay publishes no deltas.
 //
-// Live folds continue while a scratch engine bootstraps from w. Then, with
-// every shard locked (the cut capture takes), the scratch replays the tail
-// once more and its shard state moves into the live shards. Nothing is
-// buffered across the swap because the warehouse is the buffer: every
-// producer stores a trip before folding it (Warehouse.Emitter runs ahead of
-// Engine.Emitter, core.MultiSink lists the warehouse first), so any trip a
-// live fold has seen is in w for the locked replay to find. Two things the
-// warehouse cannot tell are reconciled per device at the swap, off the
-// fold's hot path:
+// Live folds continue while a scratch engine bootstraps from w. Then, under
+// the engine's write lock, the scratch replays the tail once more and its
+// view state replaces the live one. Nothing is buffered across the swap
+// because the warehouse is the buffer: every producer stores a trip before
+// folding it (Warehouse.Emitter runs ahead of Engine.Emitter, core.MultiSink
+// lists the warehouse first), so any trip a live fold has seen is in w for
+// the locked replay to find. Two things the warehouse cannot tell are
+// reconciled per device at the swap, off the fold's hot path:
 //
-//   - a trip stored but still waiting on a shard lock to fold is replayed
-//     here and delivered live right after; it is at most one trip per
-//     device, sitting exactly on the rebuilt frontier, and fold skips it as
-//     replay overlap instead of counting OutOfOrder (which would recommend
-//     the rebuild that just ran);
+//   - a trip stored but still waiting on the lock to fold is replayed here
+//     and delivered live right after; it is at most one trip per device,
+//     sitting exactly on the rebuilt frontier, and fold skips it as replay
+//     overlap instead of counting OutOfOrder (which would recommend the
+//     rebuild that just ran);
 //   - DeviceLeft signals are not warehoused; a device the live views show
 //     departed since the same last trip stays departed, whether the signal
 //     came before the rebuild or during it.
 //
-// A query that merges shards one lock at a time can straddle the swap and
-// read some shards before it and some after. On error the views are left
-// as they were.
+// On error the views are left as they were.
 func (e *Engine) Rebuild(w *tripstore.Warehouse) error {
 	e.rebuild.Lock()
 	defer e.rebuild.Unlock()
@@ -99,33 +95,28 @@ func (e *Engine) Rebuild(w *tripstore.Warehouse) error {
 	if err := scratch.Bootstrap(w); err != nil {
 		return err
 	}
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err := scratch.Bootstrap(w); err != nil {
 		return err
 	}
-	for i, sh := range e.shards {
-		fresh := scratch.shards[i].shardState
-		var overlap map[position.DeviceID]time.Time
-		//trips:commutative per-device reconciliation; devices are independent
-		for dev, d := range fresh.devices {
-			switch old := sh.devices[dev]; {
-			// Ahead of the live fold — or still ahead of it since the
-			// last rebuild: the delivery has yet to win the shard lock.
-			case old == nil || d.lastFrom.After(old.lastFrom) || sh.overlap[dev].Equal(d.lastFrom):
-				if overlap == nil {
-					overlap = make(map[position.DeviceID]time.Time)
-				}
-				overlap[dev] = d.lastFrom
-			case old.region == "" && d.lastFrom.Equal(old.lastFrom):
-				fresh.vacate(d)
+	fresh := scratch.views
+	var overlap map[position.DeviceID]time.Time
+	//trips:commutative per-device reconciliation; devices are independent
+	for dev, d := range fresh.devices {
+		switch old := e.views.devices[dev]; {
+		// Ahead of the live fold — or still ahead of it since the last
+		// rebuild: the delivery has yet to win the lock.
+		case old == nil || d.lastFrom.After(old.lastFrom) || e.overlap[dev].Equal(d.lastFrom):
+			if overlap == nil {
+				overlap = make(map[position.DeviceID]time.Time)
 			}
+			overlap[dev] = d.lastFrom
+		case old.region == "" && d.lastFrom.Equal(old.lastFrom):
+			fresh.vacate(d)
 		}
-		fresh.leaves = sh.leaves
-		sh.shardState, sh.overlap = fresh, overlap
 	}
-	e.maxToBucket.Store(scratch.maxToBucket.Load())
+	fresh.leaves = e.views.leaves
+	e.views, e.overlap = fresh, overlap
 	return nil
 }

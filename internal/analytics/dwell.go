@@ -8,8 +8,7 @@ import (
 
 // dwellBounds are the fixed upper bounds of the dwell histogram buckets
 // (the last bucket is open-ended). Exponential-ish spacing keeps short
-// pass-bys and multi-hour stays both resolvable with a handful of buckets,
-// and a fixed layout makes shard merging a vector add.
+// pass-bys and multi-hour stays both resolvable with a handful of buckets.
 var dwellBounds = [...]time.Duration{
 	5 * time.Second, 15 * time.Second, 30 * time.Second,
 	time.Minute, 2 * time.Minute, 5 * time.Minute, 10 * time.Minute,
@@ -34,6 +33,7 @@ func bucketFor(d time.Duration) int {
 	return len(dwellBounds)
 }
 
+//trips:zeroalloc
 func (h *histogram) observe(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -43,17 +43,6 @@ func (h *histogram) observe(d time.Duration) {
 	h.sum += d
 	if d > h.max {
 		h.max = d
-	}
-}
-
-func (h *histogram) merge(o *histogram) {
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
 	}
 }
 

@@ -3,7 +3,9 @@ package analytics
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -39,10 +41,9 @@ import (
 //
 // # Consistency
 //
-// Capture locks every shard (in index order — ingest only ever holds one
-// shard lock, so this cannot deadlock) and copies the state, giving a
+// Capture copies the state under the engine's read lock, giving a
 // consistent cut even under live ingestion; the disk write happens after
-// the locks drop. The optional Sync hook runs between capture and write:
+// the lock drops. The optional Sync hook runs between capture and write:
 // callers pass the warehouse's Flush so the persisted views never run
 // ahead of the durable trip log they would need to replay against — a
 // crash that loses the warehouse's pending batch then also "loses" those
@@ -172,9 +173,8 @@ type dwellDoc struct {
 
 type ringViewDoc struct {
 	Frontier time.Time `json:"frontier,omitzero"`
-	// MinRetained is the pruning frontier at capture; buckets below it
-	// were excluded from the dump and the loaded shards resume pruning
-	// from it.
+	// MinRetained is the retention frontier at capture; the loaded engine
+	// resumes pruning from it.
 	MinRetained int64           `json:"minRetained"`
 	Buckets     []ringBucketDoc `json:"buckets"`
 }
@@ -190,111 +190,55 @@ type regionCountDoc struct {
 }
 
 // capture renders the full engine state as a snapshot document under a
-// consistent cut: all shard locks held, in order.
+// consistent cut: the read lock held throughout.
 func (e *Engine) capture() *snapshotDoc {
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range e.shards {
-			sh.mu.Unlock()
-		}
-	}()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	v := &e.views
 
 	doc := &snapshotDoc{
 		Version:     snapshotVersion,
 		BucketWidth: e.cfg.BucketWidth,
 		Buckets:     e.cfg.Buckets,
 		DwellBounds: len(dwellBounds),
+		Watermark:   v.watermark,
+		Counters: countersDoc{
+			Trips:       v.trips,
+			Inferred:    v.inferred,
+			Regionless:  v.regionless,
+			OutOfOrder:  v.outOfOrder,
+			LateBuckets: v.lateBucket,
+			Leaves:      v.leaves,
+		},
 	}
 
-	visits := make(map[dsm.RegionID]int64)
-	tags := make(map[dsm.RegionID]string)
-	flows := make(map[flowKey]int64)
-	dwell := make(map[dsm.RegionID]*histogram)
-	ring := make(map[int64]map[dsm.RegionID]int64)
-	minRetained := e.globalMinRetained()
 	var frontier time.Time
-
-	for _, sh := range e.shards {
-		doc.Counters.Trips += sh.trips
-		doc.Counters.Inferred += sh.inferred
-		doc.Counters.Regionless += sh.regionless
-		doc.Counters.OutOfOrder += sh.outOfOrder
-		doc.Counters.LateBuckets += sh.lateBucket
-		doc.Counters.Leaves += sh.leaves
-		if sh.watermark.After(doc.Watermark) {
-			doc.Watermark = sh.watermark
-		}
-		//trips:commutative devices are disjoint across shards; merge is keyed by device
-		for dev, d := range sh.devices {
-			doc.Devices.States = append(doc.Devices.States, deviceDoc{
-				Device:     dev,
-				Region:     d.region,
-				PrevRegion: d.prevRegion,
-				LastFrom:   d.lastFrom,
-				LastTo:     d.lastTo,
-			})
-			if d.lastFrom.After(frontier) {
-				frontier = d.lastFrom
-			}
-		}
-		//trips:commutative per-shard counts merge by addition; order-independent
-		for r, n := range sh.visits {
-			visits[r] += n
-		}
-		//trips:commutative every shard stores the same tag for a region; last write wins identically
-		for r, tag := range sh.tags {
-			if tag != "" {
-				tags[r] = tag
-			}
-		}
-		//trips:commutative per-shard counts merge by addition; order-independent
-		for k, n := range sh.flows {
-			flows[k] += n
-		}
-		//trips:commutative dwell stats merge by addition; order-independent
-		for r, h := range sh.dwell {
-			dst := dwell[r]
-			if dst == nil {
-				dst = new(histogram)
-				dwell[r] = dst
-			}
-			dst.merge(h)
-		}
-		//trips:commutative bucket merge by addition; order-independent
-		for idx, b := range sh.ring {
-			if idx < minRetained {
-				continue // lingering below the global frontier; see Snapshot
-			}
-			dst := ring[idx]
-			if dst == nil {
-				dst = make(map[dsm.RegionID]int64)
-				ring[idx] = dst
-			}
-			//trips:commutative per-shard counts merge by addition; order-independent
-			for r, n := range b {
-				dst[r] += n
-			}
+	for _, dev := range slices.Sorted(maps.Keys(v.devices)) {
+		d := v.devices[dev]
+		doc.Devices.States = append(doc.Devices.States, deviceDoc{
+			Device:     dev,
+			Region:     d.region,
+			PrevRegion: d.prevRegion,
+			LastFrom:   d.lastFrom,
+			LastTo:     d.lastTo,
+		})
+		if d.lastFrom.After(frontier) {
+			frontier = d.lastFrom
 		}
 	}
-
 	doc.Devices.Frontier = frontier
 	doc.Regions.Frontier = frontier
 	doc.Flows.Frontier = frontier
 	doc.Dwell.Frontier = frontier
 	doc.Ring.Frontier = frontier
-	doc.Ring.MinRetained = minRetained
+	doc.Ring.MinRetained = v.minRetained
 
-	sort.Slice(doc.Devices.States, func(i, j int) bool {
-		return doc.Devices.States[i].Device < doc.Devices.States[j].Device
-	})
-	for _, r := range sortedRegions(visits) {
-		doc.Regions.Rows = append(doc.Regions.Rows, regionDoc{Region: r, Tag: tags[r], Visits: visits[r]})
+	for _, r := range slices.Sorted(maps.Keys(v.visits)) {
+		doc.Regions.Rows = append(doc.Regions.Rows, regionDoc{Region: r, Tag: v.tags[r], Visits: v.visits[r]})
 	}
 	//trips:commutative row collection; iteration order is erased by the sort below
-	for k := range flows {
-		doc.Flows.Rows = append(doc.Flows.Rows, flowDoc{From: k.from, To: k.to, Count: flows[k]})
+	for k, n := range v.flows {
+		doc.Flows.Rows = append(doc.Flows.Rows, flowDoc{From: k.from, To: k.to, Count: n})
 	}
 	sort.Slice(doc.Flows.Rows, func(i, j int) bool {
 		a, b := doc.Flows.Rows[i], doc.Flows.Rows[j]
@@ -303,8 +247,8 @@ func (e *Engine) capture() *snapshotDoc {
 		}
 		return a.To < b.To
 	})
-	for _, r := range sortedRegions(dwell) {
-		h := dwell[r]
+	for _, r := range slices.Sorted(maps.Keys(v.dwell)) {
+		h := v.dwell[r]
 		doc.Dwell.Rows = append(doc.Dwell.Rows, dwellDoc{
 			Region:  r,
 			Buckets: append([]int64(nil), h.buckets[:]...),
@@ -313,30 +257,14 @@ func (e *Engine) capture() *snapshotDoc {
 			Max:     h.max,
 		})
 	}
-	idxs := make([]int64, 0, len(ring))
-	//trips:commutative row collection; iteration order is erased by the sort below
-	for idx := range ring {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
-		rb := ringBucketDoc{Index: idx}
-		for _, r := range sortedRegions(ring[idx]) {
-			rb.Regions = append(rb.Regions, regionCountDoc{Region: r, Count: ring[idx][r]})
+	for _, idx := range slices.Sorted(maps.Keys(v.ring)) {
+		rb, b := ringBucketDoc{Index: idx}, v.ring[idx]
+		for _, r := range slices.Sorted(maps.Keys(b)) {
+			rb.Regions = append(rb.Regions, regionCountDoc{Region: r, Count: b[r]})
 		}
 		doc.Ring.Buckets = append(doc.Ring.Buckets, rb)
 	}
 	return doc
-}
-
-func sortedRegions[V any](m map[dsm.RegionID]V) []dsm.RegionID {
-	out := make([]dsm.RegionID, 0, len(m))
-	//trips:commutative key collection; iteration order is erased by the sort below
-	for r := range m {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // SaveSnapshot captures the views under a consistent cut, runs opts.Sync
@@ -405,30 +333,15 @@ func (e *Engine) LoadSnapshot(opts StoreOptions) (bool, error) {
 	return true, nil
 }
 
-// restore populates a fresh engine from a decoded snapshot. Per-device
-// fold states land on their hash shard (the fold guard needs them there)
-// and occupancy is re-derived from them. The purely additive aggregates —
-// visits, tags, flows, dwell, ring — are spread across shards by region
-// hash: any placement is observationally identical (every query merges
-// shards by sum and nothing ever decrements), but loading them all into
-// one shard would leave that shard holding the entire history's map
-// weight while the others start empty — a memory imbalance that persists
-// for the life of the process because entries are never rebalanced. Only
-// the scalar diagnostic counters stay on shard 0; they carry no per-key
-// state to balance.
+// restore populates a fresh engine from a decoded snapshot. Occupancy is
+// re-derived from the per-device fold states, so it can never disagree with
+// them.
 func (e *Engine) restore(doc *snapshotDoc) error {
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range e.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	for _, sh := range e.shards {
-		if len(sh.devices) > 0 || sh.trips > 0 {
-			return ErrEngineNotEmpty
-		}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	v := &e.views
+	if len(v.devices) > 0 || v.trips > 0 {
+		return ErrEngineNotEmpty
 	}
 	// Validate every section before touching the engine: a partial restore
 	// would leave device frontiers installed, and the caller's full-rebuild
@@ -440,62 +353,44 @@ func (e *Engine) restore(doc *snapshotDoc) error {
 	}
 
 	for _, d := range doc.Devices.States {
-		sh := e.shardOf(d.Device)
-		sh.devices[d.Device] = &deviceState{
+		v.devices[d.Device] = &deviceState{
 			region:     d.Region,
 			prevRegion: d.PrevRegion,
 			lastFrom:   d.LastFrom,
 			lastTo:     d.LastTo,
 		}
 		if d.Region != "" {
-			sh.occupancy[d.Region]++
-		}
-		if d.LastTo.After(sh.watermark) {
-			sh.watermark = d.LastTo
+			v.occupancy[d.Region]++
 		}
 	}
-
-	s0 := e.shards[0]
-	s0.trips = doc.Counters.Trips
-	s0.inferred = doc.Counters.Inferred
-	s0.regionless = doc.Counters.Regionless
-	s0.outOfOrder = doc.Counters.OutOfOrder
-	s0.lateBucket = doc.Counters.LateBuckets
-	s0.leaves = doc.Counters.Leaves
+	v.watermark = doc.Watermark
+	v.trips = doc.Counters.Trips
+	v.inferred = doc.Counters.Inferred
+	v.regionless = doc.Counters.Regionless
+	v.outOfOrder = doc.Counters.OutOfOrder
+	v.lateBucket = doc.Counters.LateBuckets
+	v.leaves = doc.Counters.Leaves
 	for _, r := range doc.Regions.Rows {
-		sh := e.shardForRegion(r.Region)
-		sh.visits[r.Region] = r.Visits
+		v.visits[r.Region] = r.Visits
 		if r.Tag != "" {
-			sh.tags[r.Region] = r.Tag
+			v.tags[r.Region] = r.Tag
 		}
 	}
 	for _, f := range doc.Flows.Rows {
-		sh := e.shardForRegion(f.From)
-		sh.flows[flowKey{f.From, f.To}] = f.Count
+		v.flows[flowKey{f.From, f.To}] = f.Count
 	}
 	for _, d := range doc.Dwell.Rows {
 		h := new(histogram)
 		copy(h.buckets[:], d.Buckets)
 		h.count, h.sum, h.max = d.Count, d.Sum, d.Max
-		e.shardForRegion(d.Region).dwell[d.Region] = h
+		v.dwell[d.Region] = h
 	}
 	for _, b := range doc.Ring.Buckets {
 		for _, r := range b.Regions {
-			sh := e.shardForRegion(r.Region)
-			dst := sh.ring[b.Index]
-			if dst == nil {
-				dst = make(map[dsm.RegionID]int64)
-				sh.ring[b.Index] = dst
-			}
-			dst[r.Region] = r.Count
+			v.bucket(b.Index)[r.Region] = r.Count
 		}
 	}
-	for _, sh := range e.shards {
-		sh.minRetained = doc.Ring.MinRetained
-	}
-	if !doc.Watermark.IsZero() {
-		e.maxToBucket.Store(e.bucketIndex(doc.Watermark))
-	}
+	v.minRetained = doc.Ring.MinRetained
 	if !doc.SavedAt.IsZero() {
 		e.lastSnapshot.Store(doc.SavedAt.UnixMilli())
 	}

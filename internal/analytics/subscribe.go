@@ -24,18 +24,10 @@ type Delta struct {
 	From         time.Time    `json:"from"`
 	To           time.Time    `json:"to"`
 	Inferred     bool         `json:"inferred,omitempty"`
-	// Occupancy is the entered region's device count after this update;
-	// PrevOccupancy the left region's.
-	//
-	// Both counts are fold-shard-local: devices are hashed across
-	// independently locked shards and a fold reads only its own shard's
-	// counter, so a region visited by devices on several shards reports
-	// only the folding shard's share here — by design, because merging
-	// every shard on every delta would serialize ingest. Dashboards that
-	// need the true region-wide count should query /analytics/occupancy
-	// (Engine.Occupancy), which merges all shards; the engine-wide total
-	// is also exported as the trips_analytics_occupancy_devices gauge on
-	// /metrics. Treat these fields as change signals, not absolute values.
+	// Occupancy is the entered region's device count after this update,
+	// PrevOccupancy the left region's: the region-wide counts, read under
+	// the same lock as the fold, so they agree with what Engine.Occupancy
+	// reported at that instant.
 	Occupancy     int `json:"occupancy"`
 	PrevOccupancy int `json:"prevOccupancy,omitempty"`
 	// Trace is the fold span's context when the fold carried a sampled

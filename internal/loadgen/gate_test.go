@@ -5,63 +5,45 @@ import (
 	"testing"
 )
 
-// baselineFile is a plausible committed trajectory for the gate tests.
-func baselineFile() *File {
-	return &File{
-		Suite:  "system",
-		Config: Smoke(),
-		Results: Results{
-			RecordsSent:    1800,
-			RecordsPerS:    9000,
-			FreshnessP50S:  0.4,
-			FreshnessP99S:  2.1,
-			FreshnessCount: 35,
-			HeapMaxBytes:   90 << 20,
-		},
+// healthyRun is a plausible smoke-profile result.
+func healthyRun() Results {
+	return Results{
+		RecordsSent:    1800,
+		RecordsPerS:    9000,
+		FreshnessP50S:  0.4,
+		FreshnessP99S:  2.1,
+		FreshnessCount: 35,
+		HeapMaxBytes:   90 << 20,
 	}
 }
 
-// TestGatePassesOnBaseline is the -check green path: a run identical to
-// the committed trajectory violates nothing.
+// TestGatePassesOnBaseline is the green path: a healthy run violates
+// nothing, whatever its throughput, latency or heap read.
 func TestGatePassesOnBaseline(t *testing.T) {
-	base := baselineFile()
-	cur := baselineFile()
-	if fails := Check(base, cur, DefaultTolerances()); len(fails) != 0 {
-		t.Fatalf("identical run failed the gate: %v", fails)
-	}
-	// Drift inside the tolerances also passes: 20% slower, p99 a second
-	// higher, heap 30% bigger.
-	cur.Results.RecordsPerS = base.Results.RecordsPerS * 0.8
-	cur.Results.FreshnessP99S = base.Results.FreshnessP99S + 1
-	cur.Results.HeapMaxBytes = int64(float64(base.Results.HeapMaxBytes) * 1.3)
-	if fails := Check(base, cur, DefaultTolerances()); len(fails) != 0 {
-		t.Fatalf("in-tolerance drift failed the gate: %v", fails)
+	if fails := Check(healthyRun()); len(fails) != 0 {
+		t.Fatalf("healthy run failed the gate: %v", fails)
 	}
 }
 
-// TestGateFailsOnRegression injects each regression class separately and
-// demands the gate names it — the acceptance criterion that -check
-// "demonstrably fails" on a regressed run.
+// TestGateFailsOnRegression injects each hard-invariant breach separately
+// and demands the gate names it.
 func TestGateFailsOnRegression(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Results)
 		expect string
 	}{
-		{"throughput collapse", func(r *Results) { r.RecordsPerS /= 2 }, "throughput"},
-		{"freshness p99 blowup", func(r *Results) { r.FreshnessP99S = 30 }, "freshness p99"},
-		{"heap blowup", func(r *Results) { r.HeapMaxBytes *= 4 }, "heap ceiling"},
 		{"http errors", func(r *Results) { r.HTTPErrors = 3 }, "HTTP errors"},
 		{"empty run", func(r *Results) { r.RecordsSent = 0 }, "measured nothing"},
 		{"pipeline never completed", func(r *Results) { r.FreshnessCount = 0 }, "no freshness observations"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base, cur := baselineFile(), baselineFile()
-			tc.mutate(&cur.Results)
-			fails := Check(base, cur, DefaultTolerances())
+			res := healthyRun()
+			tc.mutate(&res)
+			fails := Check(res)
 			if len(fails) == 0 {
-				t.Fatalf("gate passed a run with a %s", tc.name)
+				t.Fatalf("gate passed a run with %s", tc.name)
 			}
 			found := false
 			for _, f := range fails {
@@ -73,19 +55,5 @@ func TestGateFailsOnRegression(t *testing.T) {
 				t.Errorf("failures %v never mention %q", fails, tc.expect)
 			}
 		})
-	}
-}
-
-// TestGateSlackAbsorbsTinyBaselines guards the absolute slack terms: on a
-// near-instant baseline, doubling a 100ms p99 or adding 10MB of heap is
-// noise, not a regression.
-func TestGateSlackAbsorbsTinyBaselines(t *testing.T) {
-	base, cur := baselineFile(), baselineFile()
-	base.Results.FreshnessP99S = 0.1
-	base.Results.HeapMaxBytes = 8 << 20
-	cur.Results.FreshnessP99S = 0.9     // 9x, but under 0.1*1.5+2.0
-	cur.Results.HeapMaxBytes = 40 << 20 // 5x, but under 8MB*1.5+64MB
-	if fails := Check(base, cur, DefaultTolerances()); len(fails) != 0 {
-		t.Fatalf("slack terms did not absorb tiny-baseline noise: %v", fails)
 	}
 }

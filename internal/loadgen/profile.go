@@ -10,9 +10,8 @@
 // The harness is closed-loop: every sender holds at most one request in
 // flight and honors 429 + Retry-After before re-sending, so offered load
 // adapts to what the server admits instead of stampeding an unbounded
-// queue. The run's results serialize as BENCH_system.json (report.go) and
-// gate.Check turns a baseline file plus tolerances into pass/fail SLO
-// verdicts for CI.
+// queue. Check (gate.go) holds every run to the invariants no run may
+// break; performance numbers come from bench/, not from here.
 package loadgen
 
 import "time"

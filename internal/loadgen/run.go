@@ -40,8 +40,7 @@ type Results struct {
 	SubscriberEvictions int64 `json:"subscriber_evictions"`
 
 	// HeapMaxBytes is the largest trips_runtime_heap_alloc_bytes seen by
-	// the 250ms sampler during the run — the memory ceiling the SLO gate
-	// holds.
+	// the 250ms sampler during the run.
 	HeapMaxBytes int64 `json:"heap_max_bytes"`
 
 	// SlowestTrace is the slowest end-to-end trace the run left in the
@@ -216,10 +215,9 @@ func (r *Runner) awaitServer(ctx context.Context, hc *http.Client) (Sample, erro
 
 // settle waits (bounded by SettleTimeout) for the pipeline to drain after
 // the last send: the shard backlog at zero and the warehouse trip count
-// stable across consecutive polls. Once stable it waits out the server's
-// 1s analytics stats cache before the final scrape, so the folded/eviction
-// bridges reflect the run rather than a cached pre-fold snapshot. On
-// timeout or cancellation it returns the most recent scrape.
+// stable across consecutive polls (every fold runs synchronously behind its
+// warehouse append, so a stable store means settled views). It returns the
+// most recent scrape — on timeout or cancellation too.
 func (r *Runner) settle(ctx context.Context, hc *http.Client, last Sample) Sample {
 	timeout := r.Profile.SettleTimeout
 	if timeout <= 0 {
@@ -233,7 +231,7 @@ func (r *Runner) settle(ctx context.Context, hc *http.Client, last Sample) Sampl
 			last = s
 			trips := s["trips_store_trips_total"]
 			if s["trips_online_shard_backlog_records"] == 0 && trips == prevTrips {
-				break
+				return last
 			}
 			prevTrips = trips
 		}
@@ -242,11 +240,4 @@ func (r *Runner) settle(ctx context.Context, hc *http.Client, last Sample) Sampl
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
-	if !sleepCtx(ctx, 1100*time.Millisecond) {
-		return last
-	}
-	if s, err := scrapeMetrics(ctx, hc, r.Addr); err == nil {
-		last = s
-	}
-	return last
 }

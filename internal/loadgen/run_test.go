@@ -252,30 +252,8 @@ func TestSyntheticTraceIDDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunReportRoundTrip writes a run's report and reads it back as a
-// gate baseline.
-func TestRunReportRoundTrip(t *testing.T) {
-	f := NewFile(Smoke(), Results{RecordsSent: 10, RecordsPerS: 100, FreshnessCount: 3,
-		FreshnessP99S: 1.5, HeapMaxBytes: 1 << 20})
-	path := t.TempDir() + "/BENCH_system.json"
-	if err := f.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Suite != "system" || got.Results != f.Results || got.Config != f.Config {
-		t.Errorf("round trip diverged:\nwrote %+v\nread  %+v", f, got)
-	}
-	if fails := Check(got, f, DefaultTolerances()); len(fails) != 0 {
-		t.Errorf("self-comparison failed the gate: %v", fails)
-	}
-}
-
 // TestBuildWorkloadDeterministic pins that the same profile always yields
-// the same schedule — the property that makes two BENCH_system.json runs
-// comparable.
+// the same schedule — the property that makes two runs comparable.
 func TestBuildWorkloadDeterministic(t *testing.T) {
 	a, err := BuildWorkload(testProfile())
 	if err != nil {

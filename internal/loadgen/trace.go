@@ -14,7 +14,7 @@ import (
 
 // syntheticTraceID derives a 32-hex-digit trace ID from the device, batch
 // ordinal, and workload seed, so re-runs of the same profile force the same
-// trace identities — two BENCH_system.json artifacts name the same traces.
+// trace identities — two runs' reports name the same traces.
 func syntheticTraceID(dev string, batch int, seed int64) string {
 	h := fnv.New128a()
 	fmt.Fprintf(h, "%s#%d#%d", dev, batch, seed)

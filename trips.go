@@ -111,7 +111,7 @@ type (
 	WarehouseStats = tripstore.Stats
 
 	// AnalyticsEngine is the incremental mobility-analytics engine:
-	// sharded materialized views (occupancy, flows, dwell, windowed
+	// materialized views (occupancy, flows, dwell, windowed
 	// popularity) over the sealed-triplet stream, with live subscriptions
 	// and durable view snapshots (SaveSnapshot / LoadSnapshot /
 	// StartAutoSnapshot).
