@@ -1,31 +1,23 @@
 package trips
 
-// Benchmarks, one per paper artifact (DESIGN.md §4) plus the ablation
-// benches of §5. The same workloads back cmd/trips-bench; here they run
+// Benchmarks, one per paper artifact (experiments E1–E6) plus the E4
+// ablation benches. The same workloads back cmd/trips-bench; here they run
 // under testing.B for performance tracking:
 //
 //	go test -bench=. -benchmem
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"trips/internal/annotation"
 	"trips/internal/cleaning"
 	"trips/internal/complement"
-	"trips/internal/dsm"
 	"trips/internal/experiments"
 	"trips/internal/floorplan"
-	"trips/internal/online"
 	"trips/internal/position"
 	"trips/internal/semantics"
 	"trips/internal/simul"
-	"trips/internal/storage"
-	"trips/internal/tripstore"
 	"trips/internal/viewer"
 )
 
@@ -144,7 +136,7 @@ func BenchmarkE3_Trace(b *testing.B) {
 }
 
 // BenchmarkE4_Cleaning measures the Cleaning layer and its distance-metric
-// ablation (DESIGN.md §5.1): indoor walking distance vs Euclidean.
+// ablation (E4a): indoor walking distance vs Euclidean.
 func BenchmarkE4_Cleaning(b *testing.B) {
 	e := env(b)
 	seq := oneSequence(b, e, 500)
@@ -206,7 +198,7 @@ func trainBenchModel(b *testing.B, e *experiments.Env, name string) *annotation.
 }
 
 // BenchmarkE4_Split measures the density-based splitting against the
-// fixed-window ablation (DESIGN.md §5.3).
+// fixed-window ablation (E4).
 func BenchmarkE4_Split(b *testing.B) {
 	e := env(b)
 	seq := oneSequence(b, e, 2000)
@@ -226,7 +218,7 @@ func BenchmarkE4_Split(b *testing.B) {
 }
 
 // BenchmarkE4_MAPInference measures the Complementor's MAP path search,
-// learned prior vs the uniform-prior ablation (DESIGN.md §5.4).
+// learned prior vs the uniform-prior ablation (E4c).
 func BenchmarkE4_MAPInference(b *testing.B) {
 	e := env(b)
 	results := e.Trans.Translate(e.Raw)
@@ -296,441 +288,6 @@ func BenchmarkE6_Workflow(b *testing.B) {
 		e.Trans.Translate(e.Raw)
 	}
 	b.ReportMetric(float64(records), "records/op")
-}
-
-// onlineBenchEnv caches a larger population for the online engine bench:
-// more devices than the shared env so sharding has work to spread.
-var onlineBenchEnv *experiments.Env
-
-// onlineBenchFeeds partitions the population into device-disjoint,
-// time-ordered feeds — the producers of the bench, mirroring a venue with
-// several positioning gateways. Per-device ordering is preserved because a
-// device belongs to exactly one feed.
-var onlineBenchFeeds [][]position.Record
-
-func onlineEnv(b *testing.B) (*experiments.Env, [][]position.Record) {
-	b.Helper()
-	if onlineBenchEnv == nil {
-		spec := experiments.DefaultEnvSpec()
-		spec.Devices = 16
-		spec.Window = time.Hour
-		e, err := experiments.NewEnv(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		onlineBenchEnv = e
-		const producers = 4
-		onlineBenchFeeds = make([][]position.Record, producers)
-		for i, seq := range e.Raw.Sequences() {
-			p := i % producers
-			onlineBenchFeeds[p] = append(onlineBenchFeeds[p], seq.Records...)
-		}
-		for _, feed := range onlineBenchFeeds {
-			sort.SliceStable(feed, func(i, j int) bool {
-				return feed[i].At.Before(feed[j].At)
-			})
-		}
-	}
-	return onlineBenchEnv, onlineBenchFeeds
-}
-
-// BenchmarkOnlineTranslate measures the online engine's sustained ingest
-// throughput at 1, 4, and 16 shards over a 16-device hour of traffic fed
-// by 4 concurrent producers, plus the batch Translate of the same dataset
-// as the baseline. One op = one full pass: engine start, every record
-// ingested, engine closed (all sessions sealed). Shard scaling needs
-// GOMAXPROCS > 1; the aggressive FlushEvery keeps the incremental
-// recompute — not channel routing — the dominant cost, as in a live
-// deployment with long-running sessions.
-func BenchmarkOnlineTranslate(b *testing.B) {
-	e, feeds := onlineEnv(b)
-	records := e.Raw.NumRecords()
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var emitted atomic.Int64
-				eng, err := e.Trans.NewOnline(online.Config{
-					Shards:        shards,
-					FlushEvery:    16,
-					FlushInterval: -1,
-					IdleTimeout:   -1,
-					Emitter: online.EmitterFunc(func(online.Emission) {
-						emitted.Add(1)
-					}),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var wg sync.WaitGroup
-				for _, feed := range feeds {
-					wg.Add(1)
-					go func(feed []position.Record) {
-						defer wg.Done()
-						for _, r := range feed {
-							if err := eng.Ingest(r); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(feed)
-				}
-				wg.Wait()
-				eng.Close()
-				if emitted.Load() == 0 {
-					b.Fatal("no semantics emitted")
-				}
-			}
-			b.ReportMetric(float64(records*b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-	}
-	b.Run("batch-baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e.Trans.Translate(e.Raw)
-		}
-		b.ReportMetric(float64(records*b.N)/b.Elapsed().Seconds(), "records/s")
-	})
-	// Long-session variants: one device whose tail grows to 1k/8k records
-	// without a hard break, flushed every 16 records — the workload where
-	// per-flush recompute cost over the tail dominates. The acceptance
-	// property is that ns/record stays roughly flat from 1k to 8k (flush
-	// cost proportional to the new suffix); before the incremental flush it
-	// grew linearly with the tail.
-	for _, n := range []int{1000, 8000} {
-		recs := experiments.LongSessionRecords(e, "long", n)
-		b.Run(fmt.Sprintf("long-session-%dk", n/1000), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var emitted atomic.Int64
-				eng, err := e.Trans.NewOnline(online.Config{
-					Shards:        1,
-					FlushEvery:    16,
-					FlushInterval: -1,
-					IdleTimeout:   -1,
-					Emitter: online.EmitterFunc(func(online.Emission) {
-						emitted.Add(1)
-					}),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range recs {
-					if err := eng.Ingest(r); err != nil {
-						b.Fatal(err)
-					}
-				}
-				eng.Close()
-				if emitted.Load() == 0 {
-					b.Fatal("no semantics emitted")
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*b.N), "ns/record")
-			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-	}
-}
-
-// warehouseBenchTrips synthesizes n trips in arrival order: 64 devices
-// round-robin, 32 regions, 4-minute stays every 5 seconds — the shape a
-// day of online emissions has.
-func warehouseBenchTrips(n int) []tripstore.Trip {
-	const devices, regions = 64, 32
-	start := time.Date(2017, 1, 1, 10, 0, 0, 0, time.UTC)
-	seq := make([]int, devices)
-	trips := make([]tripstore.Trip, 0, n)
-	for i := 0; i < n; i++ {
-		d := i % devices
-		r := (i * 7) % regions
-		trips = append(trips, tripstore.Trip{
-			Device: position.DeviceID(fmt.Sprintf("dev-%03d", d)),
-			Seq:    seq[d],
-			Triplet: semantics.Triplet{
-				Event:    semantics.EventStay,
-				Region:   fmt.Sprintf("shop-%02d", r),
-				RegionID: dsm.RegionID(fmt.Sprintf("r-%02d", r)),
-				From:     start.Add(time.Duration(i) * 5 * time.Second),
-				To:       start.Add(time.Duration(i)*5*time.Second + 4*time.Minute),
-			},
-		})
-		seq[d]++
-	}
-	return trips
-}
-
-// BenchmarkWarehouseIngest measures the warehouse write path: index
-// maintenance alone (memory) and with the batched segment log underneath
-// (durable).
-func BenchmarkWarehouseIngest(b *testing.B) {
-	for _, size := range []int{10_000, 100_000} {
-		trips := warehouseBenchTrips(size)
-		b.Run(fmt.Sprintf("memory-%dk", size/1000), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				w, err := tripstore.New(tripstore.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, tr := range trips {
-					if err := w.Insert(tr); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportMetric(float64(size*b.N)/b.Elapsed().Seconds(), "trips/s")
-		})
-	}
-	trips := warehouseBenchTrips(10_000)
-	b.Run("durable-10k", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			st, err := storage.Open(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			w, err := tripstore.New(tripstore.Options{Log: &tripstore.LogOptions{Store: st}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, tr := range trips {
-				if err := w.Insert(tr); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(trips)*b.N)/b.Elapsed().Seconds(), "trips/s")
-	})
-}
-
-// BenchmarkWarehouseQuery measures the read path per predicate class at
-// 10k and 100k warehoused trips: one device's timeline, a time-range
-// overlap via the interval index, and a region posting list intersected
-// with a time range. Pages are capped at 100 trips, the server default.
-func BenchmarkWarehouseQuery(b *testing.B) {
-	for _, size := range []int{10_000, 100_000} {
-		w, err := tripstore.New(tripstore.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		trips := warehouseBenchTrips(size)
-		for _, tr := range trips {
-			if err := w.Insert(tr); err != nil {
-				b.Fatal(err)
-			}
-		}
-		mid := trips[size/2].Triplet.From
-		specs := []struct {
-			name string
-			spec tripstore.QuerySpec
-		}{
-			{"device", tripstore.QuerySpec{Device: "dev-007", Limit: 100}},
-			{"time", tripstore.QuerySpec{Since: mid, Until: mid.Add(5 * time.Minute), Limit: 100}},
-			{"region", tripstore.QuerySpec{Region: "shop-03", Since: mid, Until: mid.Add(30 * time.Minute), Limit: 100}},
-		}
-		for _, tc := range specs {
-			b.Run(fmt.Sprintf("%s-%dk", tc.name, size/1000), func(b *testing.B) {
-				page, err := w.Query(tc.spec) // warm: sorts the index once
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(page.Trips) == 0 {
-					b.Fatal("empty benchmark query")
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := w.Query(tc.spec); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(len(page.Trips)), "trips/page")
-			})
-		}
-	}
-}
-
-// analyticsBenchTrips reshapes the warehouse bench workload for the
-// analytics views: same 64 devices and 32 regions, but each device walks
-// through the regions (one step per trip) instead of revisiting a single
-// one, so the flow matrix actually populates.
-func analyticsBenchTrips(n int) []tripstore.Trip {
-	trips := warehouseBenchTrips(n)
-	const devices, regions = 64, 32
-	for i := range trips {
-		r := (i%devices*7 + i/devices) % regions
-		trips[i].Triplet.Region = fmt.Sprintf("shop-%02d", r)
-		trips[i].Triplet.RegionID = dsm.RegionID(fmt.Sprintf("r-%02d", r))
-	}
-	return trips
-}
-
-// BenchmarkAnalyticsIngest measures the analytics fold: trips/s through
-// Engine.Ingest at 10k and 100k trips (the warehouse bench workload: 64
-// devices, 32 regions). Per-trip cost is O(1) map work, so trips/s should
-// hold flat as the corpus grows.
-func BenchmarkAnalyticsIngest(b *testing.B) {
-	for _, size := range []int{10_000, 100_000} {
-		trips := analyticsBenchTrips(size)
-		b.Run(fmt.Sprintf("%dk", size/1000), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a := NewAnalytics(AnalyticsConfig{})
-				for _, tr := range trips {
-					a.Ingest(tr.Device, tr.Triplet)
-				}
-			}
-			b.ReportMetric(float64(size*b.N)/b.Elapsed().Seconds(), "trips/s")
-		})
-	}
-}
-
-// BenchmarkAnalyticsQuery measures every materialized view's read path at
-// 10k and 100k folded trips. The acceptance property of the subsystem is
-// that these stay O(view) — occupancy/top-k scale with regions, flows with
-// region pairs, dwell with histogram buckets — so the numbers must stay
-// flat from 10k to 100k (the device and region populations are identical;
-// only the trip count grows 10×).
-func BenchmarkAnalyticsQuery(b *testing.B) {
-	for _, size := range []int{10_000, 100_000} {
-		a := NewAnalytics(AnalyticsConfig{})
-		for _, tr := range analyticsBenchTrips(size) {
-			a.Ingest(tr.Device, tr.Triplet)
-		}
-		queries := []struct {
-			name string
-			run  func() int
-		}{
-			{"occupancy", func() int { return len(a.Occupancy(0)) }},
-			{"flows", func() int { return len(a.Flows("", 10)) }},
-			{"dwell", func() int {
-				st, _ := a.Dwell("r-03")
-				return int(st.Count)
-			}},
-			{"topk", func() int { return len(a.TopK(5, 30*time.Minute)) }},
-		}
-		for _, q := range queries {
-			b.Run(fmt.Sprintf("%s-%dk", q.name, size/1000), func(b *testing.B) {
-				if q.run() == 0 {
-					b.Fatal("empty benchmark query")
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					q.run()
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAnalyticsBoot compares the two analytics boot paths at 10k and
-// 100k warehoused trips: a full warehouse Bootstrap (O(stored trips)) vs
-// loading a durable snapshot and replaying only the 512-trip tail past its
-// fold frontiers. The full numbers must grow ~10× between the sizes while
-// the snapshot numbers stay nearly flat — boot cost scales with the tail,
-// not the store.
-func BenchmarkAnalyticsBoot(b *testing.B) {
-	const tail = 512
-	cfg := AnalyticsConfig{}
-	for _, size := range []int{10_000, 100_000} {
-		trips := analyticsBenchTrips(size)
-		w, err := tripstore.New(tripstore.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, tr := range trips {
-			if err := w.Insert(tr); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// The snapshot covers everything but the last `tail` trips, exactly
-		// the state a crash mid-stream leaves behind.
-		st, err := storage.Open(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		pre := NewAnalytics(cfg)
-		for _, tr := range trips[:size-tail] {
-			pre.Ingest(tr.Device, tr.Triplet)
-		}
-		opts := AnalyticsStoreOptions{Store: st}
-		if err := pre.SaveSnapshot(opts); err != nil {
-			b.Fatal(err)
-		}
-
-		b.Run(fmt.Sprintf("full-%dk", size/1000), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a := NewAnalytics(cfg)
-				if err := a.Bootstrap(w); err != nil {
-					b.Fatal(err)
-				}
-				if a.Stats().Trips != int64(size) {
-					b.Fatal("incomplete bootstrap")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("snapshot-%dk", size/1000), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a := NewAnalytics(cfg)
-				if ok, err := a.LoadSnapshot(opts); err != nil || !ok {
-					b.Fatalf("LoadSnapshot = %v, %v", ok, err)
-				}
-				if err := a.Bootstrap(w); err != nil {
-					b.Fatal(err)
-				}
-				if a.Stats().Trips != int64(size) {
-					b.Fatal("incomplete snapshot boot")
-				}
-			}
-			b.ReportMetric(tail, "tail-trips/op")
-		})
-	}
-}
-
-// BenchmarkAnalyticsSubscribe measures ingest throughput with live
-// subscribers attached and draining — the fan-out cost of the continuous
-// query path.
-func BenchmarkAnalyticsSubscribe(b *testing.B) {
-	trips := analyticsBenchTrips(10_000)
-	for _, subs := range []int{0, 1, 8} {
-		b.Run(fmt.Sprintf("subscribers-%d", subs), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				a := NewAnalytics(AnalyticsConfig{SubscriberBuffer: 1024})
-				var wg sync.WaitGroup
-				subsList := make([]*AnalyticsSubscription, subs)
-				for s := range subsList {
-					subsList[s] = a.Subscribe(nil)
-					wg.Add(1)
-					go func(sub *AnalyticsSubscription) {
-						defer wg.Done()
-						for range sub.C() {
-						}
-					}(subsList[s])
-				}
-				b.StartTimer()
-				for _, tr := range trips {
-					a.Ingest(tr.Device, tr.Triplet)
-				}
-				b.StopTimer()
-				for _, sub := range subsList {
-					sub.Close()
-				}
-				wg.Wait()
-				if st := a.Stats(); st.Trips != int64(len(trips)) {
-					b.Fatalf("folded %d trips", st.Trips)
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(len(trips)*b.N)/b.Elapsed().Seconds(), "trips/s")
-		})
-	}
 }
 
 // BenchmarkWalkingDistance isolates the DSM's door-graph Dijkstra, the

@@ -1,6 +1,5 @@
-// Command trips-bench runs the reproduction experiments indexed in
-// DESIGN.md §4 — one per paper artifact (Table 1, Figures 1–6) — and prints
-// their report tables. EXPERIMENTS.md records the output.
+// Command trips-bench runs the reproduction experiments E1–E6 — one per
+// paper artifact (Table 1, Figures 1–6) — and prints their report tables.
 //
 // Usage:
 //

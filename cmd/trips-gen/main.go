@@ -3,7 +3,7 @@
 // truth, and Event Editor training data derived from the truth.
 //
 // It substitutes for the paper's proprietary "7-floor shopping mall in
-// Hangzhou" dataset; see DESIGN.md §1.
+// Hangzhou" dataset.
 //
 // Usage:
 //

@@ -72,7 +72,6 @@ func newServerObs(tc trace.Config) *serverObs {
 }
 
 // registerTraceBridges exposes the tracer's own counters on /metrics.
-// Tracer.Stats does not drain the span buffers, so a scrape stays cheap.
 func registerTraceBridges(r *obs.Registry, t *trace.Tracer) {
 	r.CounterFunc("trips_trace_sampled_total",
 		"Requests head-sampled (or forced via X-Trace-Id) into the tracer.",
@@ -83,14 +82,11 @@ func registerTraceBridges(r *obs.Registry, t *trace.Tracer) {
 	r.CounterFunc("trips_trace_evicted_total",
 		"Completed traces evicted from the ring to make room.",
 		func() int64 { return t.Stats().Evicted })
-	r.CounterFunc("trips_trace_dropped_spans_total",
-		"Spans overwritten before a drain could collect them (buffer overflow).",
-		func() int64 { return t.Stats().DroppedSpans })
 	r.GaugeFunc("trips_trace_ring_traces",
 		"Completed traces currently held in the ring.",
 		func() float64 { return float64(t.Stats().Ring) })
 	r.GaugeFunc("trips_trace_pending_traces",
-		"Traces with drained spans still awaiting their terminal span or linger window.",
+		"Traces with recorded spans still awaiting their terminal span or linger window.",
 		func() float64 { return float64(t.Stats().Pending) })
 }
 

@@ -26,8 +26,8 @@ const smokeTraceCSV = "device,x,y,floor,time\n" +
 // kept, complete trace whose span tree covers the whole pipeline —
 // ingest → enqueue → clean → annotate → seal → warehouse_append →
 // analytics_fold — with parent links intact and stage durations consistent
-// with the measured wall time. Run under -race it also exercises the
-// lock-free span buffers against the shard pool.
+// with the measured wall time. Run under -race it also exercises span
+// recording from the shard pool against the tracer's mutex.
 func TestEndToEndTraceSpanTree(t *testing.T) {
 	s := demoServer(t)
 	mux := s.mux()

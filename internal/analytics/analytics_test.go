@@ -400,6 +400,15 @@ func TestSlowSubscriberEvicted(t *testing.T) {
 	slow.Close()
 }
 
+// closeSink is a closable downstream emitter for the tee test.
+type closeSink struct {
+	got    []online.Emission
+	closed bool
+}
+
+func (c *closeSink) Emit(e online.Emission) { c.got = append(c.got, e) }
+func (c *closeSink) Close() error           { c.closed = true; return nil }
+
 func TestIngestResultAndEmitterTee(t *testing.T) {
 	e := New(Config{Shards: 2})
 	seq := semantics.NewSequence("dev")
@@ -416,20 +425,20 @@ func TestIngestResultAndEmitterTee(t *testing.T) {
 	}
 
 	// The emitter tee folds and forwards.
-	next := online.NewChanEmitter(4)
+	next := &closeSink{}
 	em := e.Emitter(next)
 	em.Emit(online.Emission{Device: "dev", Seq: 2, Triplet: trip("c", t0.Add(4*time.Minute), time.Minute)})
 	if st := e.Stats(); st.Trips != 3 {
 		t.Errorf("tee did not fold: %d trips", st.Trips)
 	}
-	if fw := <-next.Results(); fw.Triplet.RegionID != "c" {
-		t.Errorf("tee did not forward: %+v", fw)
+	if len(next.got) != 1 || next.got[0].Triplet.RegionID != "c" {
+		t.Errorf("tee did not forward: %+v", next.got)
 	}
 	// Closing the tee closes the downstream emitter.
 	if err := em.(interface{ Close() error }).Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := <-next.Results(); ok {
+	if !next.closed {
 		t.Error("downstream emitter not closed by tee")
 	}
 	// A tee with no downstream is fine.

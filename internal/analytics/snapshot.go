@@ -288,7 +288,7 @@ func (e *Engine) SaveSnapshot(opts StoreOptions) (err error) {
 			return fmt.Errorf("analytics: snapshot sync: %w", err)
 		}
 	}
-	if err := opts.Store.PutCompact(opts.collection(), snapshotDocKey, doc); err != nil {
+	if err := opts.Store.Put(opts.collection(), snapshotDocKey, doc); err != nil {
 		return fmt.Errorf("analytics: write snapshot: %w", err)
 	}
 	e.lastSnapshot.Store(doc.SavedAt.UnixMilli())

@@ -287,7 +287,7 @@ func TestCorruptSectionLeavesEngineUntouched(t *testing.T) {
 	}
 	row := rows[0].(map[string]any)
 	row["buckets"] = row["buckets"].([]any)[:2]
-	if err := st.PutCompact("analytics-snapshot", "latest", doc); err != nil {
+	if err := st.Put("analytics-snapshot", "latest", doc); err != nil {
 		t.Fatal(err)
 	}
 

@@ -40,7 +40,7 @@ type Cleaner struct {
 
 	// UseEuclidean switches the speed check from the minimum indoor
 	// walking distance to straight-line distance. It exists for the
-	// ablation experiment (E4 in DESIGN.md) showing that Euclidean
+	// ablation experiment (E4a) showing that Euclidean
 	// distance under-detects wall-crossing errors; production use keeps
 	// it false.
 	UseEuclidean bool

@@ -6,7 +6,7 @@ import "trips/internal/online"
 // trained components: the same cleaner, annotator, and complementor
 // configuration runs incrementally per device instead of over a
 // materialized dataset. The returned engine is live; feed it with Ingest
-// or Consume and Close it to seal every open session.
+// or TryIngest and Close it to seal every open session.
 func (t *Translator) NewOnline(cfg online.Config) (*online.Engine, error) {
 	return online.NewEngine(online.Pipeline{
 		Model:            t.Model,

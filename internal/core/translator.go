@@ -44,7 +44,6 @@ type Result struct {
 	Inserted int
 
 	Conciseness semantics.Conciseness
-	Elapsed     time.Duration
 }
 
 // Translator is the configured three-layer pipeline.
@@ -149,8 +148,6 @@ func NewTranslator(m *dsm.Model, em *annotation.EventModel,
 // knowledge (nil knowledge still cleans and annotates; complementing then
 // uses the uniform prior only if the Complementor is configured so).
 func (t *Translator) TranslateOne(s *position.Sequence, know *complement.Knowledge) Result {
-	//trips:allow wallclock: per-sequence Elapsed is operational timing
-	start := time.Now()
 	res := Result{Device: s.Device, Raw: s}
 	res.Cleaned, res.Clean = t.Cleaner.Clean(s)
 	res.Original = t.Annotator.Annotate(res.Cleaned)
@@ -164,8 +161,6 @@ func (t *Translator) TranslateOne(s *position.Sequence, know *complement.Knowled
 		res.Final, res.Inserted = comp.Complement(res.Original)
 	}
 	res.Conciseness = measure(res.Raw, res.Final)
-	//trips:allow wallclock: per-sequence Elapsed is operational timing
-	res.Elapsed = time.Since(start)
 	return res
 }
 
@@ -195,12 +190,8 @@ func (t *Translator) Translate(ds *position.Dataset) []Result {
 			for i := range work {
 				s := seqs[i]
 				r := Result{Device: s.Device, Raw: s}
-				//trips:allow wallclock: per-sequence Elapsed is operational timing
-				start := time.Now()
 				r.Cleaned, r.Clean = t.Cleaner.Clean(s)
 				r.Original = t.Annotator.Annotate(r.Cleaned)
-				//trips:allow wallclock: per-sequence Elapsed is operational timing
-				r.Elapsed = time.Since(start)
 				results[i] = r
 			}
 		}()
@@ -227,11 +218,7 @@ func (t *Translator) Translate(ds *position.Dataset) []Result {
 		if t.Complementor != nil {
 			comp := *t.Complementor
 			comp.Know = know
-			//trips:allow wallclock: per-sequence Elapsed is operational timing
-			start := time.Now()
 			r.Final, r.Inserted = comp.Complement(r.Original)
-			//trips:allow wallclock: per-sequence Elapsed is operational timing
-			r.Elapsed += time.Since(start)
 		}
 		r.Conciseness = measure(r.Raw, r.Final)
 	}

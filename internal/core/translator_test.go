@@ -132,9 +132,6 @@ func TestTranslateOneMatchesPipeline(t *testing.T) {
 	if res.Original.Len() == 0 {
 		t.Error("no semantics from TranslateOne")
 	}
-	if res.Elapsed <= 0 {
-		t.Error("elapsed not measured")
-	}
 }
 
 func TestTranslateComplementorDisabled(t *testing.T) {

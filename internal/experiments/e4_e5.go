@@ -19,7 +19,7 @@ import (
 
 // E4a sweeps the error model and measures the Cleaning layer: mean planar
 // error and floor accuracy before vs after cleaning, including the
-// Euclidean-speed ablation (DESIGN.md §5.1).
+// Euclidean-speed ablation.
 func E4a(env *Env) (Report, error) {
 	out := Report{
 		ID:    "E4a",

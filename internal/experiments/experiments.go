@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness: one entry point
 // per paper artifact (Table 1, Figures 1–6), each regenerating the
-// artifact's content or measuring the behaviour it illustrates, as indexed
-// in DESIGN.md §4. cmd/trips-bench prints the reports; bench_test.go wraps
-// the same entry points in testing.B; EXPERIMENTS.md records the outcomes.
+// artifact's content or measuring the behaviour it illustrates (E1–E6).
+// cmd/trips-bench prints the reports; bench_test.go wraps the same entry
+// points in testing.B.
 package experiments
 
 import (

@@ -9,7 +9,7 @@ import (
 )
 
 // lcg is a tiny deterministic generator for workload jitter, so the online
-// benchmarks replay the identical record stream on every run.
+// workloads replay the identical record stream on every run.
 type lcg uint64
 
 func (g *lcg) next() float64 {
@@ -22,9 +22,8 @@ func (g *lcg) next() float64 {
 // between, sampled every 5 seconds with positioning jitter, never pausing
 // longer than the split MaxGap. The session therefore stays alive the whole
 // time — no hard break ever trims its tail — which is exactly the workload
-// where per-flush recompute cost over the tail dominates: the long-session
-// variants of BenchmarkOnlineTranslate feed it at tail lengths 1k/8k, and
-// bench/'s longtail-saturate workload at multi-thousand-record tails, to
+// where per-flush recompute cost over the tail dominates: bench/'s
+// longtail-saturate workload feeds it at multi-thousand-record tails, to
 // verify flush cost tracks the new suffix, not the tail.
 func LongSessionRecords(env *Env, dev position.DeviceID, n int) []position.Record {
 	const period = 5 * time.Second

@@ -291,34 +291,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return max
 }
 
-// HistogramSnapshot is a point-in-time summary of a histogram — the
-// p50/p99 view the /stats-style JSON endpoints embed.
-type HistogramSnapshot struct {
-	Count int64         `json:"count"`
-	Mean  time.Duration `json:"mean"`
-	P50   time.Duration `json:"p50"`
-	P99   time.Duration `json:"p99"`
-	Max   time.Duration `json:"max"`
-}
-
-// Snapshot summarizes the histogram (zero value for nil or empty).
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return HistogramSnapshot{}
-	}
-	return HistogramSnapshot{
-		Count: n,
-		Mean:  time.Duration(h.sum.Load() / n),
-		P50:   h.Quantile(0.50),
-		P99:   h.Quantile(0.99),
-		Max:   time.Duration(h.max.Load()),
-	}
-}
-
 // metricKind discriminates family types for TYPE lines and rendering.
 type metricKind uint8
 

@@ -111,10 +111,6 @@ func TestHistogramQuantilesMonotone(t *testing.T) {
 		}
 		prev = v
 	}
-	snap := h.Snapshot()
-	if snap.Count != 5000 || snap.P50 > snap.P99 || snap.P99 > snap.Max {
-		t.Errorf("snapshot not ordered: %+v", snap)
-	}
 }
 
 // TestWriteSideZeroAlloc guards the hot-path contract: observing and
@@ -149,9 +145,6 @@ func TestWriteSideZeroAlloc(t *testing.T) {
 	}
 	if nc.Value() != 0 || ng.Value() != 0 || nh.Count() != 0 || nh.Quantile(0.5) != 0 {
 		t.Error("nil metric reads are not zero")
-	}
-	if (nh.Snapshot() != HistogramSnapshot{}) {
-		t.Error("nil histogram snapshot not zero")
 	}
 }
 

@@ -6,14 +6,12 @@ import (
 	"time"
 )
 
-// pendingTrace accumulates drained spans for a trace that has not yet
+// pendingTrace accumulates the spans of a trace that has not yet
 // finalized.
 type pendingTrace struct {
 	spans []Span
-	// last is the drain instant of the most recent span — the linger clock.
+	// last is when the most recent span was recorded — the linger clock.
 	last time.Time
-	// terminal is set once the configured terminal span has been seen.
-	terminal bool
 }
 
 // Trace is a completed trace in the ring.
@@ -44,23 +42,11 @@ func (tr *Trace) snapshot() Trace {
 	return out
 }
 
-// drainLocked swaps every slot cell into the assembly state and then
-// finalizes what can be finalized. Caller holds t.mu.
-func (t *Tracer) drainLocked(now time.Time) {
-	for i := range t.slots {
-		sl := &t.slots[i]
-		for j := range sl.buf {
-			if sp := sl.buf[j].Swap(nil); sp != nil {
-				t.addSpanLocked(*sp, now)
-			}
-		}
-	}
-	t.finalizeLocked(now)
-}
-
-// addSpanLocked routes one drained span: into the matching completed trace
-// if its trace already finalized (late spans — SSE delivery lands after
-// the fold that completed the trace), otherwise into the pending set.
+// addSpanLocked routes one finished span: into the matching completed trace
+// if its trace already finalized (late spans — the seal and ingest spans
+// end after the fold that completed the trace, SSE delivery later still),
+// otherwise into the pending set, which the terminal span completes on the
+// spot.
 func (t *Tracer) addSpanLocked(s Span, now time.Time) {
 	if tr, ok := t.index[s.Trace]; ok {
 		tr.Spans = append(tr.Spans, s)
@@ -79,7 +65,7 @@ func (t *Tracer) addSpanLocked(s Span, now time.Time) {
 	p.spans = append(p.spans, s)
 	p.last = now
 	if s.Name == t.cfg.Terminal {
-		p.terminal = true
+		t.completeLocked(s.Trace, p, true)
 	}
 }
 
@@ -104,21 +90,23 @@ func (tr *Trace) absorb(s Span) {
 	}
 }
 
-// finalizeLocked promotes pending traces into the completed ring: those
-// whose terminal span arrived, and those quiet past the linger window.
+// finalizeLocked is the linger sweep: pending traces quiet past the linger
+// window enter the completed ring as they are (Complete false).
 func (t *Tracer) finalizeLocked(now time.Time) {
+	t.swept = now
 	for id, p := range t.pending {
-		if !p.terminal && now.Sub(p.last) < t.cfg.Linger {
-			continue
+		if now.Sub(p.last) >= t.cfg.Linger {
+			t.completeLocked(id, p, false)
 		}
-		t.completeLocked(id, p)
-		delete(t.pending, id)
 	}
 }
 
-func (t *Tracer) completeLocked(id TraceID, p *pendingTrace) {
+// completeLocked moves a pending trace into the completed ring; terminal
+// says whether its terminal span arrived.
+func (t *Tracer) completeLocked(id TraceID, p *pendingTrace, terminal bool) {
+	delete(t.pending, id)
 	sortSpans(p.spans)
-	tr := &Trace{ID: id, Complete: p.terminal, Spans: p.spans}
+	tr := &Trace{ID: id, Complete: terminal, Spans: p.spans}
 	for _, s := range p.spans {
 		tr.absorb(s)
 	}
@@ -131,7 +119,7 @@ func (t *Tracer) completeLocked(id TraceID, p *pendingTrace) {
 // insertLocked appends to the ring, evicting the oldest unpinned trace when
 // full — or the oldest outright when everything is pinned.
 func (t *Tracer) insertLocked(tr *Trace) {
-	t.kept.Add(1)
+	t.kept++
 	if len(t.ring) >= t.cfg.RingSize {
 		victim := -1
 		for i, old := range t.ring {
@@ -145,7 +133,7 @@ func (t *Tracer) insertLocked(tr *Trace) {
 		}
 		delete(t.index, t.ring[victim].ID)
 		t.ring = append(t.ring[:victim], t.ring[victim+1:]...)
-		t.evicted.Add(1)
+		t.evicted++
 	}
 	t.ring = append(t.ring, tr)
 	t.index[tr.ID] = tr
@@ -169,7 +157,7 @@ type Filter struct {
 	Limit int
 }
 
-// Traces drains and returns completed traces matching f, newest first.
+// Traces returns completed traces matching f, newest first.
 func (t *Tracer) Traces(f Filter) []Trace {
 	if t == nil {
 		return nil
@@ -180,7 +168,7 @@ func (t *Tracer) Traces(f Filter) []Trace {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.drainLocked(time.Now())
+	t.finalizeLocked(time.Now())
 	out := make([]Trace, 0, min(limit, len(t.ring)))
 	for i := len(t.ring) - 1; i >= 0 && len(out) < limit; i-- {
 		tr := t.ring[i]
@@ -198,7 +186,7 @@ func (t *Tracer) Traces(f Filter) []Trace {
 	return out
 }
 
-// Get drains and returns the trace by ID — completed if finalized, else an
+// Get returns the trace by ID — completed if finalized, else an
 // in-flight snapshot of its pending spans (Complete false).
 func (t *Tracer) Get(id TraceID) (Trace, bool) {
 	if t == nil {
@@ -206,7 +194,7 @@ func (t *Tracer) Get(id TraceID) (Trace, bool) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.drainLocked(time.Now())
+	t.finalizeLocked(time.Now())
 	if tr, ok := t.index[id]; ok {
 		return tr.snapshot(), true
 	}
@@ -222,14 +210,13 @@ func (t *Tracer) Get(id TraceID) (Trace, bool) {
 }
 
 // Stats is a point-in-time summary of tracer activity, cheap enough to
-// bridge into /metrics on every scrape (it does not drain).
+// bridge into /metrics on every scrape (it does not run the linger sweep).
 type Stats struct {
-	Sampled      int64 `json:"sampled"`
-	Kept         int64 `json:"kept"`
-	Evicted      int64 `json:"evicted"`
-	DroppedSpans int64 `json:"droppedSpans"`
-	Ring         int   `json:"ring"`
-	Pending      int   `json:"pending"`
+	Sampled int64 `json:"sampled"`
+	Kept    int64 `json:"kept"`
+	Evicted int64 `json:"evicted"`
+	Ring    int   `json:"ring"`
+	Pending int   `json:"pending"`
 }
 
 // Stats reports cumulative counters and current ring/pending sizes.
@@ -238,15 +225,13 @@ func (t *Tracer) Stats() Stats {
 		return Stats{}
 	}
 	t.mu.Lock()
-	ring, pending := len(t.ring), len(t.pending)
-	t.mu.Unlock()
+	defer t.mu.Unlock()
 	return Stats{
-		Sampled:      t.sampled.Load(),
-		Kept:         t.kept.Load(),
-		Evicted:      t.evicted.Load(),
-		DroppedSpans: t.droppedSpans.Load(),
-		Ring:         ring,
-		Pending:      pending,
+		Sampled: t.sampled.Load(),
+		Kept:    t.kept,
+		Evicted: t.evicted,
+		Ring:    len(t.ring),
+		Pending: len(t.pending),
 	}
 }
 

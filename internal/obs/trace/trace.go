@@ -1,10 +1,10 @@
 // Package trace is the in-process distributed-tracing core of TRIPS:
-// 128-bit trace IDs, sampled span recording over lock-free per-slot
-// buffers, and a bounded in-memory ring of completed traces with
-// tail-based keep decisions. It is dependency-free (stdlib only) and — by
-// design — imports nothing else from this repository, so every layer a
-// record crosses (HTTP ingest, the online engine's shards, the warehouse,
-// the analytics fold) can carry a Ctx without import cycles.
+// 128-bit trace IDs, sampled span recording, and a bounded in-memory ring
+// of completed traces with tail-based keep decisions. It is dependency-free
+// (stdlib only) and — by design — imports nothing else from this
+// repository, so every layer a record crosses (HTTP ingest, the online
+// engine's shards, the warehouse, the analytics fold) can carry a Ctx
+// without import cycles.
 //
 // # Sampling model
 //
@@ -13,8 +13,8 @@
 // inbound X-Trace-Id header forces sampling (Tracer.Force) so a client or
 // a CI smoke test can always get its trace back. Unsampled requests still
 // receive a trace ID — logs correlate either way — but their Ctx carries
-// no Sampled flag, Start returns an inert SpanRec, and nothing is written
-// to any buffer: the untraced hot path stays allocation-free.
+// no Sampled flag, Start returns an inert SpanRec, and nothing is recorded:
+// the untraced hot path stays allocation-free and takes no lock.
 //
 // On top of head sampling sits a tail-based always-keep: a completed trace
 // is pinned against ring eviction when it was slow (total duration over
@@ -25,13 +25,12 @@
 //
 // # Concurrency
 //
-// Span recording is lock-free: the finished span is published into one of
-// a few fixed-size slot buffers by an atomic index reservation plus an
-// atomic pointer swap (overwriting the oldest unread span when a slot
-// laps, counted as a drop). Assembly — draining the slots, grouping spans
-// by trace, deciding completion and keep — runs under one mutex, triggered
-// by queries and opportunistically by recording; the hot path never waits
-// on it (it only TryLocks).
+// One mutex guards the assembly state. A finished span of a sampled trace
+// is filed under it directly — grouped by trace, completing the trace when
+// its terminal span arrives — so no span can be lost and a trace finalizes
+// without anyone querying. Only sampled requests (1% by default, a handful
+// of spans each) ever take the lock; sampling decisions and inert spans
+// touch nothing but an atomic counter.
 package trace
 
 import (
@@ -142,11 +141,6 @@ type Config struct {
 	// SampleRate is the head-sampling probability in [0, 1].
 	SampleRate float64
 
-	// Slots is the number of independent lock-free span buffers recording
-	// fans across; SlotSpans is each buffer's capacity. Defaults 8 × 256.
-	Slots     int
-	SlotSpans int
-
 	// RingSize bounds the completed-trace ring. Default 256.
 	RingSize int
 
@@ -161,18 +155,12 @@ type Config struct {
 	Linger time.Duration
 
 	// Terminal is the span name whose completion finalizes a trace
-	// immediately at the next drain. Default "analytics_fold", the last
-	// synchronous stage of the ingest pipeline.
+	// immediately. Default "analytics_fold", the last synchronous stage of
+	// the ingest pipeline.
 	Terminal string
 }
 
 func (c *Config) applyDefaults() {
-	if c.Slots <= 0 {
-		c.Slots = 8
-	}
-	if c.SlotSpans <= 0 {
-		c.SlotSpans = 256
-	}
 	if c.RingSize <= 0 {
 		c.RingSize = 256
 	}
@@ -198,26 +186,15 @@ type Tracer struct {
 	all       bool
 	rng       atomic.Uint64
 
-	slots []slot
-
-	sampled      atomic.Int64 // traces started (head-sampled or forced)
-	droppedSpans atomic.Int64 // spans overwritten in a lapped slot
-	kept         atomic.Int64 // completed traces that entered the ring
-	evicted      atomic.Int64 // completed traces evicted from the ring
+	sampled atomic.Int64 // traces started (head-sampled or forced)
 
 	mu      sync.Mutex
 	pending map[TraceID]*pendingTrace
 	ring    []*Trace // completed traces, oldest first
 	index   map[TraceID]*Trace
-}
-
-// slot is one lock-free span buffer: writers reserve a position with an
-// atomic add and publish the span with an atomic pointer swap; the drainer
-// swaps cells back to nil. A non-nil pointer displaced by a writer is a
-// span the drainer never saw — a drop, counted but harmless.
-type slot struct {
-	n   atomic.Uint64
-	buf []atomic.Pointer[Span]
+	kept    int64     // completed traces that entered the ring
+	evicted int64     // completed traces evicted from the ring
+	swept   time.Time // last linger sweep
 }
 
 // New returns a Tracer with the given configuration.
@@ -228,13 +205,9 @@ func New(cfg Config) *Tracer {
 		all:     cfg.SampleRate >= 1,
 		pending: make(map[TraceID]*pendingTrace),
 		index:   make(map[TraceID]*Trace),
-		slots:   make([]slot, cfg.Slots),
 	}
 	if cfg.SampleRate > 0 && !t.all {
 		t.threshold = uint64(cfg.SampleRate * float64(^uint64(0)))
-	}
-	for i := range t.slots {
-		t.slots[i].buf = make([]atomic.Pointer[Span], cfg.SlotSpans)
 	}
 	t.rng.Store(uint64(time.Now().UnixNano()) | 1)
 	return t
@@ -254,7 +227,7 @@ func (t *Tracer) rand64() uint64 {
 // Sample makes the head-sampling decision for one request. The returned
 // context always carries a fresh trace ID — access logs correlate even for
 // unsampled requests — but only a winning roll sets the Sampled flag, and
-// only sampled contexts ever write to the span buffers. Allocation-free.
+// only sampled contexts ever record spans. Allocation-free.
 //
 //trips:zeroalloc
 func (t *Tracer) Sample() Ctx {
@@ -401,38 +374,17 @@ func (sr *SpanRec) EndAt(at time.Time) {
 	sr.t = nil
 }
 
-// record publishes one finished span into a slot buffer. Lock-free: the
-// only coordination is the atomic reservation and pointer swap. Every so
-// often it opportunistically tries to drain, so traces complete even when
-// nobody queries — but only tries, never waits.
+// record files one finished span into the assembly state; a trace whose
+// terminal span just arrived completes on the spot. The linger sweep runs
+// here as well as on every query, so traces finalize even when nobody asks
+// — at most once per linger window, which keeps a span O(1) when
+// -trace-sample 1 under load leaves thousands of traces lingering.
 func (t *Tracer) record(s Span) {
-	sl := &t.slots[uint(s.Trace[15])%uint(len(t.slots))]
-	pos := sl.n.Add(1) - 1
-	sp := new(Span)
-	*sp = s
-	if old := sl.buf[pos%uint64(len(sl.buf))].Swap(sp); old != nil {
-		t.droppedSpans.Add(1)
-	}
-	if (pos+1)%uint64(len(sl.buf)/2) == 0 {
-		t.tryDrain()
-	}
-}
-
-func (t *Tracer) tryDrain() {
-	if t.mu.TryLock() {
-		t.drainLocked(time.Now())
-		t.mu.Unlock()
-	}
-}
-
-// Drain flushes every slot buffer into the assembly state and finalizes
-// traces that completed or exceeded the linger window. Queries drain
-// implicitly; tests call it to make completion deterministic.
-func (t *Tracer) Drain() {
-	if t == nil {
-		return
-	}
+	now := time.Now()
 	t.mu.Lock()
-	t.drainLocked(time.Now())
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	t.addSpanLocked(s, now)
+	if now.Sub(t.swept) >= t.cfg.Linger {
+		t.finalizeLocked(now)
+	}
 }

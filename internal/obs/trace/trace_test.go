@@ -50,7 +50,6 @@ func TestSamplingRates(t *testing.T) {
 		t.Fatal("span active under unsampled context")
 	}
 	sp.End()
-	tr.Drain()
 	if s := tr.Stats(); s.Kept != 0 || s.Pending != 0 {
 		t.Fatalf("inert span reached assembly: %+v", s)
 	}
@@ -82,13 +81,12 @@ func TestSamplingRates(t *testing.T) {
 	nsp := nilT.Start(Ctx{Flags: FlagSampled}, "x")
 	nsp.SetErr()
 	nsp.End()
-	nilT.Drain()
 	if got := nilT.Stats(); got != (Stats{}) {
 		t.Fatalf("nil Stats = %+v", got)
 	}
 }
 
-// endTrace records a terminal span so the trace finalizes at next drain.
+// endTrace records a terminal span, which finalizes the trace.
 func endTrace(tr *Tracer, c Ctx) {
 	sp := tr.Start(c, tr.cfg.Terminal)
 	sp.End()
@@ -106,7 +104,6 @@ func TestRingEvictionOrder(t *testing.T) {
 		sp.End()
 		done := tr.Start(c, "done")
 		done.End()
-		tr.Drain()
 		return c.Trace
 	}
 
@@ -152,7 +149,6 @@ func TestRingEvictionOrder(t *testing.T) {
 		sp.SetErr()
 		sp.End()
 		endTrace(small, c)
-		small.Drain()
 		pinnedIDs = append(pinnedIDs, c.Trace)
 	}
 	if _, ok := small.Get(pinnedIDs[0]); ok {
@@ -175,7 +171,6 @@ func TestTailKeepDecisions(t *testing.T) {
 	done := tr.Start(fast, "done")
 	done.SetStart(now.Add(time.Millisecond))
 	done.EndAt(now.Add(2 * time.Millisecond))
-	tr.Drain()
 	if got, ok := tr.Get(fast.Trace); !ok || got.Pinned {
 		t.Fatalf("fast trace: ok=%v pinned=%v, want kept unpinned", ok, got.Pinned)
 	}
@@ -188,7 +183,6 @@ func TestTailKeepDecisions(t *testing.T) {
 	done = tr.Start(slow, "done")
 	done.SetStart(now.Add(50 * time.Millisecond))
 	done.EndAt(now.Add(51 * time.Millisecond))
-	tr.Drain()
 	if got, ok := tr.Get(slow.Trace); !ok || !got.Pinned {
 		t.Fatalf("slow trace not pinned: ok=%v %+v", ok, got)
 	}
@@ -200,7 +194,6 @@ func TestTailKeepDecisions(t *testing.T) {
 	sp.SetErr()
 	sp.EndAt(now.Add(time.Millisecond))
 	endTrace(tr, errc)
-	tr.Drain()
 	if got, ok := tr.Get(errc.Trace); !ok || !got.Pinned || !got.Err {
 		t.Fatalf("errored trace: ok=%v %+v", ok, got)
 	}
@@ -212,7 +205,6 @@ func TestTailKeepDecisions(t *testing.T) {
 	sp.SetStart(now)
 	sp.EndAt(now.Add(time.Millisecond))
 	endTrace(tr, fc)
-	tr.Drain()
 	if got, ok := tr.Get(id); !ok || !got.Pinned || !got.Forced {
 		t.Fatalf("forced trace: ok=%v %+v", ok, got)
 	}
@@ -223,7 +215,6 @@ func TestLingerFinalizesIncompleteTraces(t *testing.T) {
 	c := tr.Sample()
 	sp := tr.Start(c, "orphan")
 	sp.End()
-	tr.Drain() // pending now, too fresh to finalize
 	if got, ok := tr.Get(c.Trace); !ok || got.Complete {
 		t.Fatalf("pre-linger: ok=%v complete=%v, want pending snapshot", ok, got.Complete)
 	}
@@ -231,7 +222,6 @@ func TestLingerFinalizesIncompleteTraces(t *testing.T) {
 		t.Fatalf("trace finalized before linger: %+v", s)
 	}
 	time.Sleep(10 * time.Millisecond)
-	tr.Drain()
 	got, ok := tr.Get(c.Trace)
 	if !ok || got.Complete {
 		t.Fatalf("post-linger: ok=%v complete=%v, want finalized incomplete", ok, got.Complete)
@@ -241,7 +231,7 @@ func TestLingerFinalizesIncompleteTraces(t *testing.T) {
 	}
 }
 
-// TestLateSpanJoinsCompletedTrace: a span drained after its trace finalized
+// TestLateSpanJoinsCompletedTrace: a span recorded after its trace finalized
 // (SSE delivery after the fold) is appended to the completed entry.
 func TestLateSpanJoinsCompletedTrace(t *testing.T) {
 	tr := New(Config{SampleRate: 1, Terminal: "done"})
@@ -249,11 +239,9 @@ func TestLateSpanJoinsCompletedTrace(t *testing.T) {
 	root := tr.Start(c, "work")
 	root.End()
 	endTrace(tr, c)
-	tr.Drain()
 
 	late := tr.Start(c, "sse_deliver")
 	late.End()
-	tr.Drain()
 	got, ok := tr.Get(c.Trace)
 	if !ok {
 		t.Fatal("trace missing")
@@ -267,70 +255,109 @@ func TestLateSpanJoinsCompletedTrace(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecordDrain is the -race assertion for the lock-free span
-// buffers: many writers record while readers drain and query concurrently.
+// TestCompletesWithoutQuery: recording alone finalizes traces — the terminal
+// span completes its trace on the spot, and a later span of any trace runs
+// the linger sweep — with no query in between (Stats does not sweep).
+func TestCompletesWithoutQuery(t *testing.T) {
+	tr := New(Config{SampleRate: 1, Linger: 5 * time.Millisecond, Terminal: "done"})
+	c := tr.Sample()
+	sp := tr.Start(c, "work")
+	sp.End()
+	if s := tr.Stats(); s.Kept != 0 || s.Pending != 1 {
+		t.Fatalf("before the terminal span: %+v, want kept 0 pending 1", s)
+	}
+	endTrace(tr, c)
+	if s := tr.Stats(); s.Kept != 1 || s.Pending != 0 {
+		t.Fatalf("after the terminal span: %+v, want kept 1 pending 0", s)
+	}
+
+	orphan := tr.Sample()
+	sp = tr.Start(orphan, "orphan")
+	sp.End()
+	time.Sleep(10 * time.Millisecond)
+	if s := tr.Stats(); s.Kept != 1 || s.Pending != 1 {
+		t.Fatalf("Stats swept the lingering trace: %+v", s)
+	}
+	sp = tr.Start(tr.Sample(), "other")
+	sp.End()
+	if s := tr.Stats(); s.Kept != 2 || s.Pending != 1 {
+		t.Fatalf("after another trace's span: %+v, want the orphan kept and the new trace pending", s)
+	}
+}
+
+// TestConcurrentRecordDrain is the -race assertion for recording under the
+// tracer's mutex: many writers record while readers query concurrently, and
+// the accounting is exact — every recorded span sits in a kept or a pending
+// trace, none is lost.
 func TestConcurrentRecordDrain(t *testing.T) {
-	tr := New(Config{SampleRate: 1, Slots: 4, SlotSpans: 64, RingSize: 64, Terminal: "done"})
 	const writers = 8
 	const perWriter = 200
+	// Nothing lingers out or is evicted, so every trace stays inspectable.
+	tr := New(Config{SampleRate: 1, RingSize: writers * perWriter, Linger: time.Hour, Terminal: "done"})
 
-	var wg sync.WaitGroup
+	// Every fourth trace never sees its terminal span and stays pending.
+	terminated := func(i int) bool { return i%4 != 3 }
+	ids := make([][]TraceID, writers)
+	var writing sync.WaitGroup
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
+		writing.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer writing.Done()
 			for i := 0; i < perWriter; i++ {
 				c := tr.Sample()
+				ids[w] = append(ids[w], c.Trace)
 				sp := tr.Start(c, "work")
 				sp.SetDevice(fmt.Sprintf("dev-%d", w))
 				sp.SetShard(w)
 				sp.End()
-				endTrace(tr, c)
+				if terminated(i) {
+					endTrace(tr, c)
+				}
 			}
 		}(w)
 	}
 	stop := make(chan struct{})
+	var reading sync.WaitGroup
 	for r := 0; r < 2; r++ {
-		wg.Add(1)
+		reading.Add(1)
 		go func() {
-			defer wg.Done()
+			defer reading.Done()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					tr.Drain()
-					tr.Traces(Filter{Limit: 8})
+					for _, got := range tr.Traces(Filter{Limit: 8}) {
+						tr.Get(got.ID)
+					}
 					tr.Stats()
 				}
 			}
 		}()
 	}
-	// Wait for writers by counting completed work through stats.
-	deadline := time.After(10 * time.Second)
-	for {
-		s := tr.Stats()
-		if s.Sampled >= writers*perWriter {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("writers did not finish: %+v", s)
-		case <-time.After(time.Millisecond):
-		}
-	}
+	writing.Wait()
 	close(stop)
-	wg.Wait()
-	tr.Drain()
+	reading.Wait()
 
-	s := tr.Stats()
-	// Conservation: every started trace either completed into the ring or
-	// lost spans to slot overwrites (still pending until linger).
-	if s.Kept+int64(s.Pending)+s.DroppedSpans < writers*perWriter {
-		t.Fatalf("trace accounting hole: %+v", s)
+	const wantKept = writers * perWriter * 3 / 4
+	const wantPending = writers*perWriter - wantKept
+	if s := tr.Stats(); s.Sampled != writers*perWriter || s.Kept != wantKept ||
+		s.Pending != wantPending || s.Ring != wantKept || s.Evicted != 0 {
+		t.Fatalf("stats = %+v, want sampled %d kept %d pending %d evicted 0",
+			s, writers*perWriter, wantKept, wantPending)
 	}
-	if s.Ring > 64 {
-		t.Fatalf("ring overflow: %+v", s)
+	for w := range ids {
+		for i, id := range ids[w] {
+			got, ok := tr.Get(id)
+			wantSpans := 1
+			if terminated(i) {
+				wantSpans = 2
+			}
+			if !ok || got.Complete != terminated(i) || len(got.Spans) != wantSpans {
+				t.Fatalf("writer %d trace %d: ok=%v complete=%v spans=%d, want complete=%v spans=%d",
+					w, i, ok, got.Complete, len(got.Spans), terminated(i), wantSpans)
+			}
+		}
 	}
 }
 
@@ -343,7 +370,6 @@ func TestViewStages(t *testing.T) {
 		sp.SetStart(now.Add(time.Duration(i) * 10 * time.Millisecond))
 		sp.EndAt(now.Add(time.Duration(i)*10*time.Millisecond + 5*time.Millisecond))
 	}
-	tr.Drain()
 	got, ok := tr.Get(c.Trace)
 	if !ok {
 		t.Fatal("trace missing")

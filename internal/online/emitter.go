@@ -64,32 +64,3 @@ type EmitterFunc func(Emission)
 
 // Emit implements Emitter.
 func (f EmitterFunc) Emit(e Emission) { f(e) }
-
-// ChanEmitter is the channel sink: emissions are delivered on a buffered
-// channel, exerting backpressure on the shards when the consumer lags. The
-// engine closes the channel when it shuts down.
-type ChanEmitter struct {
-	ch chan Emission
-}
-
-// NewChanEmitter returns a channel sink with the given buffer (minimum 1).
-func NewChanEmitter(buf int) *ChanEmitter {
-	if buf < 1 {
-		buf = 1
-	}
-	return &ChanEmitter{ch: make(chan Emission, buf)}
-}
-
-// Emit implements Emitter.
-func (c *ChanEmitter) Emit(e Emission) { c.ch <- e }
-
-// Results returns the receive side of the sink. The channel closes when
-// the owning engine closes.
-func (c *ChanEmitter) Results() <-chan Emission { return c.ch }
-
-// Close closes the result channel. Engine.Close calls it for the emitter
-// it was configured with; don't call it while the engine is running.
-func (c *ChanEmitter) Close() error {
-	close(c.ch)
-	return nil
-}

@@ -1,14 +1,12 @@
 package online
 
 import (
-	"context"
 	"errors"
 	"io"
 	"sync"
 	"time"
 
 	"trips/internal/annotation"
-	"trips/internal/intern"
 	"trips/internal/obs/trace"
 	"trips/internal/position"
 	"trips/internal/semantics"
@@ -25,7 +23,7 @@ var ErrBacklogged = errors.New("online: shard inbox full")
 
 // Engine is the online translation engine: it shards devices across a
 // fixed worker pool and runs a Session per device. Create with NewEngine
-// (or core.Translator.NewOnline), feed it with Ingest or Consume, and
+// (or core.Translator.NewOnline), feed it with Ingest or TryIngest, and
 // Close it to seal every open session.
 type Engine struct {
 	pl        Pipeline
@@ -36,12 +34,6 @@ type Engine struct {
 	know      *knowledgeStore
 	anTail    annotation.Annotator // head-merge-suppressed copy for trimmed tails
 	tracer    *trace.Tracer        // nil disables span recording
-
-	// devs interns device ids engine-wide: sessions key their shard map by
-	// the dense id (integer hash and compare on every record) and per-device
-	// state can live in flat slices. Strings survive on the session for the
-	// API/serialization boundaries.
-	devs intern.Table
 
 	shards []*shard
 	wg     sync.WaitGroup
@@ -55,13 +47,12 @@ type Engine struct {
 }
 
 // shard owns a subset of devices; its single goroutine serializes every
-// session mutation, so per-device ordering is free. Sessions are keyed by
-// the engine-wide interned device id: the per-record map probe hashes an
-// int32 instead of the id string.
+// session mutation, so per-device ordering is free and the session map
+// needs no lock.
 type shard struct {
 	id       int
 	ch       chan shardMsg
-	sessions map[intern.ID]*session
+	sessions map[position.DeviceID]*session
 }
 
 // shardMsg is the shard inbox protocol, discriminated by kind. Records
@@ -128,7 +119,7 @@ func NewEngine(pl Pipeline, cfg Config) (*Engine, error) {
 		e.shards[i] = &shard{
 			id:       i,
 			ch:       make(chan shardMsg, cfg.QueueLen),
-			sessions: make(map[intern.ID]*session),
+			sessions: make(map[position.DeviceID]*session),
 		}
 		e.wg.Add(1)
 		go e.runShard(e.shards[i])
@@ -223,39 +214,6 @@ func (e *Engine) route(r position.Record, tc trace.Ctx, wait bool) error {
 	}
 }
 
-// Consume subscribes to a live feed and ingests it until the stream
-// closes, the context is canceled, or the engine closes. It returns the
-// number of records ingested.
-func (e *Engine) Consume(ctx context.Context, st *position.Stream, buf int) int {
-	if buf <= 0 {
-		buf = 256
-	}
-	ch, cancel := st.Subscribe(buf)
-	defer cancel()
-	return e.ConsumeChan(ctx, ch)
-}
-
-// ConsumeChan ingests records from an already-open channel until it
-// closes, the context is canceled, or the engine closes. Callers that must
-// not miss records subscribe first and hand the channel over.
-func (e *Engine) ConsumeChan(ctx context.Context, ch <-chan position.Record) int {
-	n := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return n
-		case r, ok := <-ch:
-			if !ok {
-				return n
-			}
-			if e.Ingest(r) != nil {
-				return n
-			}
-			n++
-		}
-	}
-}
-
 // Flush makes every shard drain its inbox and run a seal pass, then
 // returns. It does not force-seal anything: only watermark-sealed triplets
 // emit. Mostly useful for tests and benchmarks that disabled the timer.
@@ -278,7 +236,8 @@ func (e *Engine) Flush() {
 
 // Close stops intake, seals and emits every open session, and shuts the
 // shard pool down. If the configured Emitter implements io.Closer (the
-// channel sink does), it is closed last. Close is idempotent.
+// warehouse tee does, to flush its segment log), it is closed last. Close
+// is idempotent.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -380,9 +339,7 @@ func (e *Engine) runShard(sh *shard) {
 					}
 					// Evict the quiescent session so churning device IDs
 					// (MAC randomization) don't grow the map forever. A
-					// returning device starts a fresh epoch. (The intern
-					// table keeps the id: it is the engine-wide identity,
-					// not per-session state.)
+					// returning device starts a fresh epoch.
 					delete(sh.sessions, id)
 					// The eviction is positive evidence the device is gone;
 					// tell a finalizer-aware sink (the analytics tee uses it
@@ -397,12 +354,11 @@ func (e *Engine) runShard(sh *shard) {
 }
 
 func (sh *shard) ingest(e *Engine, r position.Record, tc trace.Ctx) {
-	id := e.devs.Intern(string(r.Device))
-	ss := sh.sessions[id]
+	ss := sh.sessions[r.Device]
 	if ss == nil {
 		ss = newSession(r.Device)
 		ss.lastArrival = e.now()
-		sh.sessions[id] = ss
+		sh.sessions[r.Device] = ss
 		e.stats.Sessions.Add(1)
 	}
 	outcome := ss.ingest(e, r)
@@ -469,7 +425,7 @@ func (sh *shard) traceAdmit(e *Engine, ss *session, tc trace.Ctx, outcome admit)
 }
 
 func (sh *shard) snapshot(e *Engine, dev position.DeviceID) Snapshot {
-	ss := sh.lookup(e, dev)
+	ss := sh.sessions[dev]
 	if ss == nil {
 		return Snapshot{}
 	}
@@ -533,18 +489,8 @@ func (e *Engine) Lineage(dev position.DeviceID) (Lineage, bool) {
 	return l, l.Device != ""
 }
 
-// lookup resolves a device's live session without growing the intern table:
-// a query for a never-seen device must stay a miss, not mint an id.
-func (sh *shard) lookup(e *Engine, dev position.DeviceID) *session {
-	id, ok := e.devs.Lookup(string(dev))
-	if !ok {
-		return nil
-	}
-	return sh.sessions[id]
-}
-
 func (sh *shard) lineage(e *Engine, dev position.DeviceID) Lineage {
-	ss := sh.lookup(e, dev)
+	ss := sh.sessions[dev]
 	if ss == nil {
 		return Lineage{}
 	}

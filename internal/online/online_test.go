@@ -333,9 +333,32 @@ func TestSnapshotAndProvisional(t *testing.T) {
 	eng.Close()
 }
 
+// closeSink is a closable sink: it counts emissions, Close calls, and
+// emissions that arrive after Close. Emit runs on shard goroutines.
+type closeSink struct {
+	mu                     sync.Mutex
+	emitted, closes, after int
+}
+
+func (c *closeSink) Emit(Emission) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.emitted++
+	if c.closes > 0 {
+		c.after++
+	}
+}
+
+func (c *closeSink) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closes++
+	return nil
+}
+
 func TestCloseSemantics(t *testing.T) {
 	pl := testPipeline(t)
-	sink := NewChanEmitter(64)
+	sink := &closeSink{}
 	eng, err := NewEngine(pl, manualConfig(sink, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -344,18 +367,14 @@ func TestCloseSemantics(t *testing.T) {
 	for _, r := range journey(&g, "dev-1", t0) {
 		eng.Ingest(r)
 	}
-	done := make(chan int)
-	go func() {
-		n := 0
-		for range sink.Results() {
-			n++
-		}
-		done <- n
-	}()
 	eng.Close()
 	eng.Close() // idempotent
-	if n := <-done; n == 0 {
-		t.Error("channel emitter saw no emissions before close")
+	if sink.emitted == 0 {
+		t.Error("closable emitter saw no emissions before close")
+	}
+	if sink.closes != 1 || sink.after != 0 {
+		t.Errorf("emitter closed %d times with %d emissions after; want closed once, last",
+			sink.closes, sink.after)
 	}
 	if err := eng.Ingest(position.Record{Device: "dev-1", At: t0}); err != ErrClosed {
 		t.Errorf("Ingest after Close = %v, want ErrClosed", err)

@@ -2,9 +2,7 @@ package position
 
 import (
 	"bytes"
-	"context"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -288,91 +286,6 @@ func TestLoadSaveFile(t *testing.T) {
 	if _, err := LoadFile(dir + "/a.xml"); err == nil {
 		t.Error("unknown extension accepted on load")
 	}
-}
-
-func TestStreamPublishSubscribe(t *testing.T) {
-	st := NewStream()
-	ch, cancel := st.Subscribe(4)
-	defer cancel()
-	go func() {
-		st.Publish(rec("s1", 1, 1, 1, 0))
-		st.Publish(rec("s1", 2, 2, 1, time.Second))
-		st.Close()
-	}()
-	var got []Record
-	for r := range ch {
-		got = append(got, r)
-	}
-	if len(got) != 2 {
-		t.Fatalf("received %d records", len(got))
-	}
-	// Publish after close is a no-op, not a panic.
-	st.Publish(rec("s1", 3, 3, 1, 2*time.Second))
-	// Subscribe after close yields a closed channel.
-	ch2, cancel2 := st.Subscribe(1)
-	defer cancel2()
-	if _, ok := <-ch2; ok {
-		t.Error("subscribe after close should be drained")
-	}
-}
-
-func TestStreamCancelDetaches(t *testing.T) {
-	st := NewStream()
-	ch, cancel := st.Subscribe(1)
-	cancel()
-	cancel() // idempotent
-	if _, ok := <-ch; ok {
-		t.Error("canceled channel should be closed")
-	}
-	st.Publish(rec("x", 1, 1, 1, 0)) // must not block on the dead subscriber
-	st.Close()
-}
-
-func TestCollect(t *testing.T) {
-	st := NewStream()
-	go func() {
-		// Wait for Collect's subscription so no records are lost.
-		for st.NumSubscribers() == 0 {
-			runtime.Gosched()
-		}
-		for i := 0; i < 10; i++ {
-			st.Publish(rec("c", float64(i), 0, 1, time.Duration(i)*time.Second))
-		}
-		st.Close()
-	}()
-	ds := Collect(context.Background(), st, 0)
-	if ds.NumRecords() != 10 {
-		t.Errorf("collected %d", ds.NumRecords())
-	}
-
-	// Bounded collection: the publisher floods the stream; Collect stops
-	// at its cap and its cancel unblocks the publisher.
-	st2 := NewStream()
-	pubDone := make(chan struct{})
-	go func() {
-		defer close(pubDone)
-		for st2.NumSubscribers() == 0 {
-			runtime.Gosched()
-		}
-		for i := 0; i < 500; i++ {
-			st2.Publish(rec("c", float64(i), 0, 1, time.Duration(i)*time.Second))
-		}
-		st2.Close()
-	}()
-	got := Collect(context.Background(), st2, 3)
-	if got.NumRecords() != 3 {
-		t.Errorf("bounded collect = %d", got.NumRecords())
-	}
-	<-pubDone
-
-	// Context cancellation stops collection.
-	st3 := NewStream()
-	ctx, cancelCtx := context.WithCancel(context.Background())
-	cancelCtx()
-	if ds := Collect(ctx, st3, 0); ds.NumRecords() != 0 {
-		t.Error("canceled collect should be empty")
-	}
-	st3.Close()
 }
 
 func TestSequencePropertyAppendSorted(t *testing.T) {

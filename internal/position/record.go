@@ -4,7 +4,7 @@
 // records of the form (object, (x, y, floor), timestamp), grouped into
 // per-device sequences and datasets, with readers and writers for the
 // multi-source inputs the Data Selector accepts (CSV files, JSON lines,
-// and stream APIs).
+// and the streaming parsers a live feed is read with).
 package position
 
 import (

@@ -283,7 +283,8 @@ type ErrorModel struct {
 	DropoutMin, DropoutMax time.Duration
 }
 
-// DefaultErrorModel matches the DESIGN.md error-model defaults.
+// DefaultErrorModel is the error model the experiments (E4a's sweep
+// baseline) and the generated corpora default to.
 func DefaultErrorModel() ErrorModel {
 	return ErrorModel{
 		NoiseSigma:   2.5,

@@ -20,7 +20,7 @@ type LogOptions struct {
 	Collection string
 	// BatchSize is the number of buffered trips that triggers a segment
 	// write (default 256). Smaller batches tighten the durability window;
-	// larger ones amortize the fsync-ish rename cost.
+	// larger ones amortize the per-document temp-file + rename cost.
 	BatchSize int
 }
 

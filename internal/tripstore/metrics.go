@@ -6,11 +6,11 @@ import "trips/internal/obs"
 // in Options disables them; individual nil histograms are safe too (a nil
 // histogram discards observations).
 type Metrics struct {
-	// SegmentWriteSeconds times each batched segment write, fsync
-	// included — the durability cost one full ingest batch pays.
+	// SegmentWriteSeconds times each batched segment write (marshal, temp
+	// file, rename; nothing is synced) — what one full ingest batch pays.
 	SegmentWriteSeconds *obs.Histogram
-	// SnapshotWriteSeconds times full-state snapshot writes (dump, fsync,
-	// and covered-segment truncation).
+	// SnapshotWriteSeconds times full-state snapshot writes (dump, rename,
+	// and covered-segment truncation; nothing is synced).
 	SnapshotWriteSeconds *obs.Histogram
 	// QuerySeconds times Query end to end, including any index re-sort a
 	// dirty plan forces under the write lock.
@@ -22,9 +22,9 @@ type Metrics struct {
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
 		SegmentWriteSeconds: r.Histogram("trips_store_segment_write_seconds",
-			"Segment-log batch write latency, fsync included.", nil),
+			"Segment-log batch write latency: marshal, temp file and rename (no sync).", nil),
 		SnapshotWriteSeconds: r.Histogram("trips_store_snapshot_write_seconds",
-			"Full-state snapshot write latency, fsync and truncation included.", nil),
+			"Full-state snapshot write latency: dump, rename and segment truncation (no sync).", nil),
 		QuerySeconds: r.Histogram("trips_store_query_seconds",
 			"Warehouse query latency, index re-sorts included.", nil),
 	}

@@ -1,7 +1,10 @@
 package tripstore
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -62,6 +65,21 @@ func mustInsert(t *testing.T, w *Warehouse, trips ...Trip) {
 func memWarehouse(t *testing.T) *Warehouse {
 	t.Helper()
 	w, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// diskWarehouse opens (or reopens) a durable warehouse over dir with a
+// 4-trip segment batch.
+func diskWarehouse(t *testing.T, dir string) *Warehouse {
+	t.Helper()
+	st, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := New(Options{Log: &LogOptions{Store: st, BatchSize: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,17 +341,7 @@ func TestIngestSequence(t *testing.T) {
 
 func TestDurabilityReopen(t *testing.T) {
 	dir := t.TempDir()
-	open := func() *Warehouse {
-		st, err := storage.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := New(Options{Log: &LogOptions{Store: st, BatchSize: 4}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
+	open := func() *Warehouse { return diskWarehouse(t, dir) }
 
 	w := open()
 	var all []Trip
@@ -395,6 +403,104 @@ func TestDurabilityReopen(t *testing.T) {
 	if !reflect.DeepEqual(page3.Trips, page.Trips) {
 		t.Errorf("reopened warehouse answers differently:\nfirst:  %v\nsecond: %v",
 			keysOf(page), keysOf(page3))
+	}
+}
+
+// TestReplaysIndentedStore: documents are written compact, and a store whose
+// segment and snapshot documents are json.MarshalIndent output — what every
+// store written before Put went compact holds — replays to the same
+// warehouse as its compact-written twin.
+func TestReplaysIndentedStore(t *testing.T) {
+	compactDir, indentedDir := t.TempDir(), t.TempDir()
+	nth := func(i int) Trip {
+		return trip(fmt.Sprintf("dev-%d", i%3), i/3, []string{"nike", "adidas"}[i%2],
+			time.Duration(i)*time.Minute, 90*time.Second)
+	}
+
+	// A snapshot document, two sealed segments and a flushed short tail.
+	w := diskWarehouse(t, compactDir)
+	var first []Trip
+	for i := 0; i < 4; i++ {
+		first = append(first, nth(i))
+	}
+	mustInsert(t, w, first...)
+	want, err := json.Marshal(segmentDoc{Seq: 1, Trips: first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg1 := filepath.Join(compactDir, "warehouse-segments", segKey(1)+".json")
+	if fi, err := os.Stat(seg1); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() != int64(len(want)) {
+		t.Fatalf("segment 1 is %d bytes on disk, want the %d of json.Marshal", fi.Size(), len(want))
+	}
+	for i := 4; i < 9; i++ {
+		mustInsert(t, w, nth(i))
+	}
+	if err := w.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 9; i < 19; i++ {
+		mustInsert(t, w, nth(i))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The twin: every document re-encoded the way the indented Put wrote it.
+	src, err := storage.Open(compactDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reindent := func(col, key string, doc any) {
+		t.Helper()
+		if err := src.Get(col, key, doc); err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(indentedDir, col), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(indentedDir, col, key+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reindent("warehouse-snapshot", snapshotKey, &snapshotDoc{})
+	segs, err := src.List("warehouse-segments")
+	if err != nil || len(segs) != 3 {
+		t.Fatalf("segments on disk = %v, %v; want the 3 written after the snapshot", segs, err)
+	}
+	for _, key := range segs {
+		reindent("warehouse-segments", key, &segmentDoc{})
+	}
+
+	a, b := diskWarehouse(t, compactDir), diskWarehouse(t, indentedDir)
+	defer a.Close()
+	defer b.Close()
+	if sa, sb := a.Stats(), b.Stats(); sa != sb || sa.Trips != 19 || sa.Segments != 3 {
+		t.Fatalf("stats differ or are wrong:\ncompact:  %+v\nindented: %+v", sa, sb)
+	}
+	for _, spec := range []QuerySpec{
+		{},
+		{Device: "dev-1"},
+		{Region: "adidas", Since: t0.Add(5 * time.Minute), Until: t0.Add(15 * time.Minute)},
+		{Limit: 7},
+	} {
+		pa, err := a.Query(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := b.Query(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pa.Trips) == 0 || !reflect.DeepEqual(pa, pb) {
+			t.Errorf("query %+v: compact and indented stores answer differently (or not at all):\n%v\n%v",
+				spec, keysOf(pa), keysOf(pb))
+		}
 	}
 }
 

@@ -34,7 +34,6 @@
 package trips
 
 import (
-	"context"
 	"fmt"
 	"image"
 
@@ -80,8 +79,6 @@ type (
 	Dataset = position.Dataset
 	// DeviceID identifies a positioned object.
 	DeviceID = position.DeviceID
-	// Stream is a live feed of positioning records.
-	Stream = position.Stream
 
 	// OnlineEngine is the streaming translation engine: sharded
 	// per-device sessions running the three-layer pipeline incrementally.
@@ -219,13 +216,6 @@ func LoadDataset(path string) (*Dataset, error) { return position.LoadFile(path)
 
 // NewDataset returns an empty positioning dataset.
 func NewDataset() *Dataset { return position.NewDataset() }
-
-// NewStream returns an open live feed of positioning records.
-func NewStream() *Stream { return position.NewStream() }
-
-// NewOnlineChanEmitter returns a buffered channel sink for the online
-// engine; the engine closes the channel when it shuts down.
-func NewOnlineChanEmitter(buf int) *online.ChanEmitter { return online.NewChanEmitter(buf) }
 
 // OnlineEmitterFunc adapts a callback to the online engine's sink
 // interface.
@@ -410,38 +400,17 @@ func (s *System) Translate(ds *Dataset) ([]Result, error) {
 
 // NewOnline starts a streaming translation engine over the trained
 // pipeline. It requires a successful Train. Feed the engine with Ingest
-// (or attach a Stream via System.Stream) and Close it to seal every open
-// session. With a warehouse or analytics engine attached, sealed triplets
-// fan through them before reaching cfg.Emitter (which may then be nil:
-// the attached subsystems become the sink). The warehouse tee runs first
-// so the analytics fold always sees a trip its durable twin has stored.
+// (or TryIngest) and Close it to seal every open session. With a
+// warehouse or analytics engine attached, sealed triplets fan through them
+// before reaching cfg.Emitter (which may then be nil: the attached
+// subsystems become the sink). The warehouse tee runs first so the
+// analytics fold always sees a trip its durable twin has stored.
 func (s *System) NewOnline(cfg OnlineConfig) (*OnlineEngine, error) {
 	if s.tr == nil {
 		return nil, fmt.Errorf("trips: NewOnline before Train")
 	}
 	cfg.Emitter = pipeline.Tee(s.wh, s.an, cfg.Emitter)
 	return s.tr.NewOnline(cfg)
-}
-
-// Stream starts an online engine subscribed to a live feed: records
-// published on st translate incrementally until the stream closes or ctx
-// is canceled, at which point the engine closes itself (sealing every open
-// session; a channel emitter's channel closes last). The engine is
-// returned immediately for stats, snapshots, and additional Ingest calls.
-func (s *System) Stream(ctx context.Context, st *Stream, cfg OnlineConfig) (*OnlineEngine, error) {
-	eng, err := s.NewOnline(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Subscribe before returning so records published right after this
-	// call cannot be missed.
-	ch, cancel := st.Subscribe(256)
-	go func() {
-		defer cancel()
-		eng.ConsumeChan(ctx, ch)
-		eng.Close()
-	}()
-	return eng, nil
 }
 
 // TranslateSequence runs the pipeline on one sequence without cross-device

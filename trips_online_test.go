@@ -1,7 +1,6 @@
 package trips
 
 import (
-	"context"
 	"reflect"
 	"sort"
 	"sync"
@@ -115,61 +114,5 @@ func TestOnlineMatchesBatchPopulation(t *testing.T) {
 				break
 			}
 		}
-	}
-}
-
-// TestSystemStream drives the online engine through the live-feed
-// entrance: records published on a Stream translate incrementally, and
-// closing the stream seals every session and closes the channel sink.
-func TestSystemStream(t *testing.T) {
-	sys, ds := onlineTestSystem(t, 4, time.Hour)
-
-	batch, err := sys.Translate(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTotal := 0
-	for _, r := range batch {
-		wantTotal += r.Final.Len()
-	}
-
-	sink := NewOnlineChanEmitter(256)
-	st := NewStream()
-	eng, err := sys.Stream(context.Background(), st, OnlineConfig{
-		Shards:        2,
-		FlushInterval: -1,
-		IdleTimeout:   -1,
-		Emitter:       sink,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(map[DeviceID][]Triplet)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for e := range sink.Results() {
-			got[e.Device] = append(got[e.Device], e.Triplet)
-		}
-	}()
-	for _, r := range timeOrdered(ds) {
-		st.Publish(r)
-	}
-	st.Close()
-	<-done // engine closed itself once the stream drained
-
-	total := 0
-	for _, ts := range got {
-		total += len(ts)
-	}
-	if total != wantTotal {
-		t.Errorf("streamed %d triplets, batch produced %d", total, wantTotal)
-	}
-	if eng.Stats().Sessions != int64(ds.NumDevices()) {
-		t.Errorf("sessions = %d, want %d", eng.Stats().Sessions, ds.NumDevices())
-	}
-	fresh := NewSystem(sys.Model())
-	if _, err := fresh.NewOnline(OnlineConfig{Emitter: NewOnlineChanEmitter(1)}); err == nil {
-		t.Error("NewOnline before Train succeeded")
 	}
 }

@@ -108,6 +108,9 @@ func TestTranslateBeforeTrainFails(t *testing.T) {
 	if _, err := sys.TranslateSequence(&Sequence{}); err == nil {
 		t.Error("TranslateSequence before Train accepted")
 	}
+	if _, err := sys.NewOnline(OnlineConfig{Emitter: OnlineEmitterFunc(func(OnlineResult) {})}); err == nil {
+		t.Error("NewOnline before Train accepted")
+	}
 }
 
 func TestTranslateSequence(t *testing.T) {
