@@ -272,23 +272,12 @@ func TestSSESubscribersUnderIngest(t *testing.T) {
 	}
 }
 
-// smallBufferServer is demoServer with a two-delta subscriber buffer.
-func smallBufferServer(t *testing.T) *server {
-	t.Helper()
-	s, err := load(loadOptions{demo: true, analytics: analytics.Config{SubscriberBuffer: 2}})
-	if err != nil {
-		t.Fatalf("load demo: %v", err)
-	}
-	t.Cleanup(func() { s.p.Close() })
-	return s
-}
-
 // TestSSESlowConsumerEvicted connects a subscriber that never reads and
 // floods the views until the hub evicts it — the server-side protection
-// against a stalled client pinning ingest. The subscriber buffer is shrunk
-// so the kernel's socket buffering doesn't mask the eviction.
+// against a stalled client pinning ingest. The flood runs until the socket
+// buffers and then the hub's subscriber buffer are full.
 func TestSSESlowConsumerEvicted(t *testing.T) {
-	s := smallBufferServer(t)
+	s := demoServer(t)
 	srv := httptest.NewServer(s.mux())
 	defer srv.Close()
 
@@ -318,7 +307,7 @@ func TestSSESlowConsumerEvicted(t *testing.T) {
 	// hub evicts. Deltas flow directly into the views.
 	at := time.Date(2017, 1, 2, 10, 0, 0, 0, time.UTC)
 	for i := 0; i < 500_000 && s.p.Analytics.Stats().Evicted == 0; i++ {
-		an.Ingest("flood", semantics.Triplet{
+		an.IngestTrip("flood", semantics.Triplet{
 			Event:    semantics.EventStay,
 			Region:   "Flood",
 			RegionID: dsm.RegionID("flood-region"),
@@ -437,21 +426,21 @@ func TestAnalyticsSnapshotAcrossRestart(t *testing.T) {
 // trailer) is covered by the SSE test; this one pins the pipeline
 // contract on /metrics.
 func TestSlowSubscriberUnderSustainedIngest(t *testing.T) {
-	s := smallBufferServer(t) // a handful of folds evicts
+	s := demoServer(t)
 	mux := s.mux()
 
 	sub := s.p.Analytics.Subscribe(nil) // never drained: the slow consumer
 	defer sub.Close()
 
-	// Sustained load: three full demo journeys through the real ingest
-	// path. ingestDemoReplay fails the test on any non-200, so a stalled
-	// or pushed-back ingest (the failure eviction exists to prevent)
-	// cannot pass.
+	// Sustained load: full demo journeys through the real ingest path until
+	// the subscriber's buffer overflows. ingestDemoReplay fails the test on
+	// any non-200, so a stalled or pushed-back ingest (the failure eviction
+	// exists to prevent) cannot pass.
 	var total int
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 50 && s.p.Analytics.Stats().Evicted == 0; i++ {
 		total += ingestDemoReplay(t, s, mux, fmt.Sprintf("slow-sub-%d", i))
+		s.p.Engine.Flush() // seal with arrival stamps → folds → hub publishes
 	}
-	s.p.Engine.Flush() // seal with arrival stamps → folds → hub publishes
 
 	samples := scrape(t, mux)
 	if v := samples["trips_analytics_subscriber_evictions_total"]; v < 1 {

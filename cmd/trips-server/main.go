@@ -391,12 +391,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		n, err = position.StreamCSV(body, ingest)
 	}
 	s.obs.ingestRecords.Add(int64(n))
-	if recCtx.Sampled() {
-		//trips:allow wallclock: ingest request latency metric, not event-time logic
-		s.obs.ingestSeconds.ObserveTraced(time.Since(start), recCtx.Trace.String())
-	} else {
-		s.obs.ingestSeconds.ObserveSince(start)
-	}
+	s.obs.ingestSeconds.ObserveSince(start)
 	if err != nil {
 		rootSp.SetErr()
 		rootSp.End()

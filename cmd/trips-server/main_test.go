@@ -488,3 +488,29 @@ func TestDevicePageFloorAndHide(t *testing.T) {
 		t.Error("visible source not reflected in toggles")
 	}
 }
+
+// FuzzParseTripQuery: whatever query string a client sends, a spec that
+// parses carries a page size in [1, 1000].
+func FuzzParseTripQuery(f *testing.F) {
+	for _, q := range []string{
+		"",
+		"limit=5",
+		"limit=0",
+		"limit=-1",
+		"limit=1000",
+		"limit=1001",
+		"limit=99999999999999999999",
+		"limit=5&limit=0",
+		"since=2017-01-01T00:00:00Z&until=1483228800000&inferred=true&limit=2000",
+		"inferred=maybe",
+		"limit=%zz",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, rawQuery string) {
+		spec, err := parseTripQuery(&http.Request{URL: &url.URL{RawQuery: rawQuery}})
+		if err == nil && (spec.Limit < 1 || spec.Limit > 1000) {
+			t.Fatalf("parseTripQuery(%q).Limit = %d, want [1, 1000]", rawQuery, spec.Limit)
+		}
+	})
+}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -226,6 +228,46 @@ func TestConcurrentIngestAndScrape(t *testing.T) {
 	}
 }
 
+// TestMetricsPlainTextAfterTracedRequest: /metrics is Prometheus text
+// 0.0.4, which has no exemplar syntax, so a traced request must not change
+// the shape of any sample line. A forced trace runs through the request
+// middleware, POST /ingest and a sealing flush — the three places that
+// observe latency histograms — and every non-comment line must then be
+// `name[{labels}] value` with nothing after the value.
+func TestMetricsPlainTextAfterTracedRequest(t *testing.T) {
+	s := demoServer(t)
+	mux := s.mux()
+	req := httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(smokeTraceCSV))
+	req.Header.Set("Content-Type", "text/csv")
+	req.Header.Set("X-Trace-Id", "00112233445566778899aabbccddeeff")
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingest status = %d: %s", rec.Code, rec.Body.String())
+	}
+	s.p.Engine.Flush() // seals the first dwell under the forced trace
+
+	sample := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (\S+)$`)
+	samples := 0
+	for _, line := range strings.Split(strings.TrimSpace(scrapeRaw(t, mux)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		samples++
+		m := sample.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("not a 0.0.4 sample line: %q", line)
+			continue
+		}
+		if _, err := strconv.ParseFloat(m[2], 64); err != nil {
+			t.Errorf("sample value of %q: %v", line, err)
+		}
+	}
+	if samples == 0 {
+		t.Fatal("/metrics rendered no samples")
+	}
+}
+
 func scrapeRaw(t *testing.T, mux http.Handler) string {
 	t.Helper()
 	rec := httptest.NewRecorder()
@@ -251,8 +293,8 @@ func TestCheckRebuild(t *testing.T) {
 		return semantics.Triplet{Event: semantics.EventStay, Region: "Nike",
 			RegionID: "obs-test-region", From: at, To: at.Add(time.Minute)}
 	}
-	s.p.Analytics.Ingest("ooo-dev", mk(base.Add(time.Hour)))
-	s.p.Analytics.Ingest("ooo-dev", mk(base)) // behind the frontier: dropped
+	s.p.Analytics.IngestTrip("ooo-dev", mk(base.Add(time.Hour)))
+	s.p.Analytics.IngestTrip("ooo-dev", mk(base)) // behind the frontier: dropped
 	if st := s.p.Analytics.Stats(); !st.RebuildRecommended {
 		t.Fatal("out-of-order fold did not set RebuildRecommended")
 	}

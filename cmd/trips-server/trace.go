@@ -19,8 +19,8 @@ import (
 //	GET /debug/traces             kept traces, newest first
 //	                              (?min_ms=, ?device=, ?err=true, ?limit=)
 //	GET /debug/traces/{id}        one trace's full span tree
-//	GET /debug/device/{id}        pipeline lineage: live session state,
-//	                              last-flush breakdown, recent traces
+//	GET /debug/device/{id}        pipeline lineage: the live session
+//	                              snapshot, warehoused flag, recent traces
 //
 // They live on the public mux (unlike pprof) because they answer the
 // operational question "where did this request's time go" — the trace ID
@@ -91,13 +91,13 @@ func (s *server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 }
 
 // deviceLineageView is the GET /debug/device/{id} body: where one device's
-// data currently sits in the pipeline. Live is present while the online
-// engine holds a session for the device; Warehoused reports whether any
-// sealed trip reached the store; RecentTraces lists kept trace IDs
-// attributed to the device, newest first.
+// data currently sits in the pipeline. Live is the engine's Snapshot of the
+// device, present while the engine holds a session for it; Warehoused
+// reports whether any sealed trip reached the store; RecentTraces lists
+// kept trace IDs attributed to the device, newest first.
 type deviceLineageView struct {
 	Device       position.DeviceID `json:"device"`
-	Live         *online.Lineage   `json:"live,omitempty"`
+	Live         *online.Snapshot  `json:"live,omitempty"`
 	Warehoused   bool              `json:"warehoused"`
 	RecentTraces []string          `json:"recentTraces,omitempty"`
 }
@@ -110,8 +110,8 @@ func (s *server) handleDeviceLineage(w http.ResponseWriter, r *http.Request) {
 	}
 	dev := position.DeviceID(raw)
 	view := deviceLineageView{Device: dev}
-	if lin, ok := s.p.Engine.Lineage(dev); ok {
-		view.Live = &lin
+	if snap, ok := s.p.Engine.Snapshot(dev); ok {
+		view.Live = &snap
 	}
 	if page, err := s.p.Warehouse.Query(tripstore.QuerySpec{Device: dev, Limit: 1}); err == nil {
 		view.Warehoused = len(page.Trips) > 0

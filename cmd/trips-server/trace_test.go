@@ -166,6 +166,9 @@ func TestEndToEndTraceSpanTree(t *testing.T) {
 		if lineage.Live.LastFlush == nil || lineage.Live.LastFlush.Sealed == 0 {
 			t.Errorf("lineage last flush = %+v, want a sealing breakdown", lineage.Live.LastFlush)
 		}
+		if len(lineage.Live.Provisional) == 0 {
+			t.Error("lineage missing the open second dwell's provisional triplet")
+		}
 	}
 	foundTrace := false
 	for _, id := range lineage.RecentTraces {

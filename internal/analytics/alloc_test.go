@@ -29,7 +29,7 @@ func TestFoldSteadyStateZeroAlloc(t *testing.T) {
 	n := 0
 	fold := func() {
 		from := base.Add(time.Duration(n) * time.Second)
-		e.Ingest("dev-1", semantics.Triplet{
+		e.IngestTrip("dev-1", semantics.Triplet{
 			Event:    semantics.EventStay,
 			Region:   tags[n%2],
 			RegionID: regions[n%2],

@@ -22,7 +22,7 @@
 //
 // # Determinism
 //
-// Both producers feed the same Ingest path: the online engine's sealed
+// Both producers feed the same fold: the online engine's sealed
 // emissions (via the Emitter tee) and a warehouse replay (Bootstrap), so a
 // cold start over an existing store reaches the same state as live
 // ingestion. That equivalence is by construction: every view is a fold that
@@ -77,10 +77,6 @@ type Config struct {
 	// Default 360 (six hours at the default width).
 	Buckets int
 
-	// SubscriberBuffer is the per-subscriber delta channel depth before a
-	// slow consumer is evicted. Default 64.
-	SubscriberBuffer int
-
 	// Metrics receives fold-latency and freshness observations; nil
 	// disables them. Rebuild keeps it, so histograms accumulate over view
 	// generations.
@@ -103,13 +99,10 @@ func (c *Config) applyDefaults() {
 	if c.Buckets <= 0 {
 		c.Buckets = 360
 	}
-	if c.SubscriberBuffer <= 0 {
-		c.SubscriberBuffer = 64
-	}
 }
 
 // Engine maintains the materialized views. Create with New, feed it with
-// Ingest / the Emitter tee / Bootstrap, and read it with the query methods.
+// IngestTrip / the Emitter tee / Bootstrap, and read it with the query methods.
 // Safe for concurrent use.
 type Engine struct {
 	cfg Config
@@ -140,7 +133,7 @@ type Engine struct {
 // allocation) mid-ingest.
 func New(cfg Config) *Engine {
 	cfg.applyDefaults()
-	return &Engine{cfg: cfg, hub: newHub(cfg.SubscriberBuffer), views: viewState{
+	return &Engine{cfg: cfg, hub: newHub(), views: viewState{
 		devices:     make(map[position.DeviceID]*deviceState, 256),
 		occupancy:   make(map[dsm.RegionID]int, 64),
 		visits:      make(map[dsm.RegionID]int64, 64),
@@ -197,13 +190,13 @@ type flowKey struct {
 	from, to dsm.RegionID
 }
 
-// Ingest folds one sealed triplet into the views and publishes a delta to
-// matching subscribers. Triplets must arrive in per-device timeline order
+// IngestTrip folds one sealed triplet into the views and publishes a delta
+// to matching subscribers. Triplets must arrive in per-device timeline order
 // (both producers guarantee it) with strictly increasing start instants —
 // the same (device, From) identity the warehouse dedupes on — so an
 // out-of-order or duplicate delivery is counted and skipped, keeping the
 // fold deterministic and idempotent against at-least-once producers.
-func (e *Engine) Ingest(dev position.DeviceID, t semantics.Triplet) {
+func (e *Engine) IngestTrip(dev position.DeviceID, t semantics.Triplet) {
 	e.fold(dev, t, false, trace.Ctx{})
 }
 
@@ -362,13 +355,15 @@ func (v *viewState) bucket(idx int64) map[dsm.RegionID]int64 {
 // callers hold the write lock. Buckets below the previous frontier are
 // already gone, so only the newly crossed indexes need deleting; a frontier
 // jump wider than the ring itself (the first fold, or a watermark leap)
-// falls back to one map scan instead of walking the empty index range.
+// falls back to one map scan instead of walking the empty index range. The
+// jump test must not subtract the old frontier: a restored one can sit near
+// math.MinInt64, and the overflow would send the walk across 2^63 indexes.
 func (v *viewState) prune(watermarkBucket int64, ringLen int) {
 	min := watermarkBucket - int64(ringLen) + 1
 	if min <= v.minRetained {
 		return
 	}
-	if min-v.minRetained > int64(ringLen) {
+	if v.minRetained < min-int64(ringLen) {
 		//trips:commutative prune deletes by predicate; the surviving set is order-independent
 		for idx := range v.ring {
 			if idx < min {
@@ -396,11 +391,6 @@ func (e *Engine) bucketIndex(t time.Time) int64 {
 	return idx
 }
 
-// IngestTrip folds one warehoused trip — the Bootstrap unit.
-func (e *Engine) IngestTrip(dev position.DeviceID, t semantics.Triplet) {
-	e.Ingest(dev, t)
-}
-
 // IngestResult folds every triplet of a batch translation result,
 // implementing core.ResultSink so the batch Translator can feed the views
 // directly.
@@ -409,7 +399,7 @@ func (e *Engine) IngestResult(r core.Result) error {
 		return nil
 	}
 	for _, t := range r.Final.Triplets {
-		e.Ingest(r.Device, t)
+		e.IngestTrip(r.Device, t)
 	}
 	return nil
 }

@@ -30,9 +30,9 @@ func trip(r string, start time.Time, dur time.Duration) semantics.Triplet {
 
 func TestOccupancyMovesDevices(t *testing.T) {
 	e := New(Config{Shards: 4})
-	e.Ingest("a", trip("nike", t0, time.Minute))
-	e.Ingest("b", trip("nike", t0.Add(time.Minute), time.Minute))
-	e.Ingest("c", trip("hall", t0, 30*time.Second))
+	e.IngestTrip("a", trip("nike", t0, time.Minute))
+	e.IngestTrip("b", trip("nike", t0.Add(time.Minute), time.Minute))
+	e.IngestTrip("c", trip("hall", t0, 30*time.Second))
 
 	occ := e.Occupancy(0)
 	byID := map[dsm.RegionID]RegionOccupancy{}
@@ -50,7 +50,7 @@ func TestOccupancyMovesDevices(t *testing.T) {
 	}
 
 	// Device a moves on: occupancy shifts, visits accumulate.
-	e.Ingest("a", trip("hall", t0.Add(2*time.Minute), time.Minute))
+	e.IngestTrip("a", trip("hall", t0.Add(2*time.Minute), time.Minute))
 	occ = e.Occupancy(0)
 	byID = map[dsm.RegionID]RegionOccupancy{}
 	for _, o := range occ {
@@ -61,7 +61,7 @@ func TestOccupancyMovesDevices(t *testing.T) {
 	}
 
 	// A region-less triplet takes the device out of every region.
-	e.Ingest("a", semantics.Triplet{Event: semantics.EventUnknown,
+	e.IngestTrip("a", semantics.Triplet{Event: semantics.EventUnknown,
 		From: t0.Add(3 * time.Minute), To: t0.Add(4 * time.Minute)})
 	byID = map[dsm.RegionID]RegionOccupancy{}
 	for _, o := range e.Occupancy(0) {
@@ -77,8 +77,8 @@ func TestOccupancyMovesDevices(t *testing.T) {
 
 func TestOccupancyActiveWithin(t *testing.T) {
 	e := New(Config{Shards: 2})
-	e.Ingest("old", trip("nike", t0, time.Minute))
-	e.Ingest("new", trip("nike", t0.Add(time.Hour), time.Minute))
+	e.IngestTrip("old", trip("nike", t0, time.Minute))
+	e.IngestTrip("new", trip("nike", t0.Add(time.Hour), time.Minute))
 	if occ := e.Occupancy(0); occ[0].Occupancy != 2 {
 		t.Fatalf("unfiltered occupancy = %+v", occ)
 	}
@@ -94,15 +94,15 @@ func TestFlows(t *testing.T) {
 	at := t0
 	path := []string{"a", "b", "a", "b", "c"}
 	for _, r := range path {
-		e.Ingest("dev", trip(r, at, time.Minute))
+		e.IngestTrip("dev", trip(r, at, time.Minute))
 		at = at.Add(2 * time.Minute)
 	}
 	// A region-less triplet must not break the chain: c → d still counts.
-	e.Ingest("dev", semantics.Triplet{From: at, To: at.Add(time.Minute)})
+	e.IngestTrip("dev", semantics.Triplet{From: at, To: at.Add(time.Minute)})
 	at = at.Add(2 * time.Minute)
-	e.Ingest("dev", trip("d", at, time.Minute))
+	e.IngestTrip("dev", trip("d", at, time.Minute))
 	// Consecutive same-region triplets are not transitions.
-	e.Ingest("dev", trip("d", at.Add(2*time.Minute), time.Minute))
+	e.IngestTrip("dev", trip("d", at.Add(2*time.Minute), time.Minute))
 
 	flows := e.Flows("", 0)
 	got := map[string]int64{}
@@ -130,10 +130,10 @@ func TestDwellQuantiles(t *testing.T) {
 	// 100 stays of 10s and one 30-minute outlier, spread across devices.
 	for i := 0; i < 100; i++ {
 		dev := position.DeviceID(fmt.Sprintf("d%02d", i%8))
-		e.Ingest(dev, trip("nike", at, 10*time.Second))
+		e.IngestTrip(dev, trip("nike", at, 10*time.Second))
 		at = at.Add(time.Minute)
 	}
-	e.Ingest("outlier", trip("nike", at, 30*time.Minute))
+	e.IngestTrip("outlier", trip("nike", at, 30*time.Minute))
 
 	st, ok := e.Dwell("nike")
 	if !ok {
@@ -171,10 +171,10 @@ func TestTopKWindow(t *testing.T) {
 	e := New(Config{Shards: 2, BucketWidth: time.Minute, Buckets: 120})
 	// Hour one: region "early" is hot. Hour two: region "late".
 	for i := 0; i < 30; i++ {
-		e.Ingest(position.DeviceID(fmt.Sprintf("e%d", i)), trip("early", t0.Add(time.Duration(i)*time.Minute), 30*time.Second))
+		e.IngestTrip(position.DeviceID(fmt.Sprintf("e%d", i)), trip("early", t0.Add(time.Duration(i)*time.Minute), 30*time.Second))
 	}
 	for i := 0; i < 10; i++ {
-		e.Ingest(position.DeviceID(fmt.Sprintf("l%d", i)), trip("late", t0.Add(time.Hour+time.Duration(i)*time.Minute), 30*time.Second))
+		e.IngestTrip(position.DeviceID(fmt.Sprintf("l%d", i)), trip("late", t0.Add(time.Hour+time.Duration(i)*time.Minute), 30*time.Second))
 	}
 
 	// Whole retained span: both regions, "early" on top.
@@ -195,14 +195,14 @@ func TestTopKWindow(t *testing.T) {
 
 func TestRingPrunesBeyondRetention(t *testing.T) {
 	e := New(Config{Shards: 1, BucketWidth: time.Minute, Buckets: 10})
-	e.Ingest("a", trip("old", t0, 30*time.Second))
+	e.IngestTrip("a", trip("old", t0, 30*time.Second))
 	// Advance the watermark far past the ring span.
-	e.Ingest("a", trip("new", t0.Add(time.Hour), 30*time.Second))
+	e.IngestTrip("a", trip("new", t0.Add(time.Hour), 30*time.Second))
 	if all := e.TopK(0, 0); len(all) != 1 || all[0].RegionID != "new" {
 		t.Errorf("TopK after pruning = %+v, want only new", all)
 	}
 	// A triplet landing below the pruning frontier is dropped and counted.
-	e.Ingest("b", trip("old", t0, 30*time.Second))
+	e.IngestTrip("b", trip("old", t0, 30*time.Second))
 	if st := e.Stats(); st.LateBuckets != 1 {
 		t.Errorf("LateBuckets = %d, want 1", st.LateBuckets)
 	}
@@ -222,9 +222,9 @@ func TestRingPrunesBeyondRetention(t *testing.T) {
 
 func TestOutOfOrderAndDuplicatesSkipped(t *testing.T) {
 	e := New(Config{Shards: 1})
-	e.Ingest("a", trip("r2", t0.Add(time.Hour), time.Minute))
-	e.Ingest("a", trip("r1", t0, time.Minute))                // behind the device frontier
-	e.Ingest("a", trip("r2", t0.Add(time.Hour), time.Minute)) // duplicate (device, From)
+	e.IngestTrip("a", trip("r2", t0.Add(time.Hour), time.Minute))
+	e.IngestTrip("a", trip("r1", t0, time.Minute))                // behind the device frontier
+	e.IngestTrip("a", trip("r2", t0.Add(time.Hour), time.Minute)) // duplicate (device, From)
 	st := e.Stats()
 	if st.OutOfOrder != 2 || st.Trips != 1 {
 		t.Errorf("stats = %+v, want 2 dropped, 1 trip", st)
@@ -298,7 +298,7 @@ func TestBootstrapMatchesLive(t *testing.T) {
 	}
 	liveEng := New(Config{Shards: 4, BucketWidth: 30 * time.Second, Buckets: 100})
 	for _, a := range live {
-		liveEng.Ingest(a.dev, a.tr)
+		liveEng.IngestTrip(a.dev, a.tr)
 	}
 
 	// Bootstrap: warehouse replay, device by device.
@@ -341,14 +341,14 @@ func TestBootstrapMatchesLive(t *testing.T) {
 }
 
 func TestSubscriptionFilterAndDelta(t *testing.T) {
-	e := New(Config{Shards: 2, SubscriberBuffer: 16})
+	e := New(Config{Shards: 2})
 	all := e.Subscribe(nil)
 	nikeOnly := e.Subscribe([]dsm.RegionID{"nike"})
 	defer all.Close()
 	defer nikeOnly.Close()
 
-	e.Ingest("a", trip("nike", t0, time.Minute))
-	e.Ingest("a", trip("hall", t0.Add(2*time.Minute), time.Minute))
+	e.IngestTrip("a", trip("nike", t0, time.Minute))
+	e.IngestTrip("a", trip("hall", t0.Add(2*time.Minute), time.Minute))
 
 	d1 := <-all.C()
 	if d1.RegionID != "nike" || d1.Occupancy != 1 || d1.Device != "a" {
@@ -366,7 +366,7 @@ func TestSubscriptionFilterAndDelta(t *testing.T) {
 	if d.PrevRegionID != "nike" {
 		t.Errorf("filtered delta = %+v", d)
 	}
-	e.Ingest("b", trip("hall", t0.Add(5*time.Minute), time.Minute))
+	e.IngestTrip("b", trip("hall", t0.Add(5*time.Minute), time.Minute))
 	select {
 	case d := <-nikeOnly.C():
 		t.Errorf("filtered subscriber got foreign delta %+v", d)
@@ -375,19 +375,19 @@ func TestSubscriptionFilterAndDelta(t *testing.T) {
 }
 
 func TestSlowSubscriberEvicted(t *testing.T) {
-	e := New(Config{Shards: 1, SubscriberBuffer: 4})
+	e := New(Config{Shards: 1})
 	slow := e.Subscribe(nil)
-	for i := 0; i < 10; i++ {
-		e.Ingest("a", trip("nike", t0.Add(time.Duration(i)*time.Minute), 30*time.Second))
+	for i := 0; i < subscriberBuffer+6; i++ {
+		e.IngestTrip("a", trip("nike", t0.Add(time.Duration(i)*time.Minute), 30*time.Second))
 	}
-	// Buffer 4 < 10 deltas: the subscriber must have been evicted and its
-	// channel closed after the buffered prefix.
+	// More deltas than the buffer holds: the subscriber must have been
+	// evicted and its channel closed after the buffered prefix.
 	n := 0
 	for range slow.C() {
 		n++
 	}
-	if n != 4 {
-		t.Errorf("drained %d deltas before close, want the 4 buffered", n)
+	if n != subscriberBuffer {
+		t.Errorf("drained %d deltas before close, want the %d buffered", n, subscriberBuffer)
 	}
 	if !slow.Evicted() {
 		t.Error("Evicted() = false after forced close")
@@ -455,13 +455,13 @@ func TestRingPrunesAgainstGlobalWatermark(t *testing.T) {
 
 	// The lagging device folds one old bucket, then the other races three
 	// hours ahead — far beyond the 10-minute ring span.
-	e.Ingest(lagging, trip("old", t0, 30*time.Second))
-	e.Ingest(ahead, trip("new", t0.Add(3*time.Hour), 30*time.Second))
+	e.IngestTrip(lagging, trip("old", t0, 30*time.Second))
+	e.IngestTrip(ahead, trip("new", t0.Add(3*time.Hour), 30*time.Second))
 
 	// The lagging device's next fold is still near t0; the watermark says
 	// both of its buckets are ancient history: the retained one must be
 	// pruned and the new arrival dropped as a late bucket.
-	e.Ingest(lagging, trip("old", t0.Add(2*time.Minute), 30*time.Second))
+	e.IngestTrip(lagging, trip("old", t0.Add(2*time.Minute), 30*time.Second))
 
 	if st := e.Stats(); st.LateBuckets != 1 {
 		t.Errorf("LateBuckets = %d, want 1 (arrival below the global frontier)", st.LateBuckets)
@@ -480,14 +480,14 @@ func TestRingPrunesAgainstGlobalWatermark(t *testing.T) {
 // region's real device count — what Occupancy() reports — for entries and
 // for departures, not a share of it.
 func TestDeltaOccupancyIsRegionWide(t *testing.T) {
-	e := New(Config{Shards: 4, SubscriberBuffer: 32})
+	e := New(Config{Shards: 4})
 	sub := e.Subscribe(nil)
 	defer sub.Close()
 
 	const n = 8
 	dev := func(i int) position.DeviceID { return position.DeviceID(fmt.Sprintf("dev-%d", i)) }
 	for k := 1; k <= n; k++ {
-		e.Ingest(dev(k), trip("nike", t0.Add(time.Duration(k)*time.Second), time.Minute))
+		e.IngestTrip(dev(k), trip("nike", t0.Add(time.Duration(k)*time.Second), time.Minute))
 		if d := <-sub.C(); d.RegionID != "nike" || d.Occupancy != k {
 			t.Errorf("entry %d: delta %+v, want Occupancy %d", k, d, k)
 		}
@@ -510,8 +510,8 @@ func TestDeviceLeftDecaysOccupancy(t *testing.T) {
 	sub := e.Subscribe(nil)
 	defer sub.Close()
 
-	e.Ingest("a", trip("nike", t0, time.Minute))
-	e.Ingest("b", trip("hall", t0.Add(time.Minute), time.Minute))
+	e.IngestTrip("a", trip("nike", t0, time.Minute))
+	e.IngestTrip("b", trip("hall", t0.Add(time.Minute), time.Minute))
 	<-sub.C()
 	<-sub.C()
 
@@ -543,11 +543,11 @@ func TestDeviceLeftDecaysOccupancy(t *testing.T) {
 	// The sealed-trip fold stays idempotent around the signal: the same
 	// trip re-delivered is still a duplicate, and a genuinely new trip
 	// moves the device back in.
-	e.Ingest("a", trip("nike", t0, time.Minute))
+	e.IngestTrip("a", trip("nike", t0, time.Minute))
 	if st := e.Stats(); st.OutOfOrder != 1 {
 		t.Errorf("duplicate after leave not dropped: %+v", st)
 	}
-	e.Ingest("a", trip("hall", t0.Add(20*time.Minute), time.Minute))
+	e.IngestTrip("a", trip("hall", t0.Add(20*time.Minute), time.Minute))
 	byID = map[dsm.RegionID]RegionOccupancy{}
 	for _, o := range e.Occupancy(0) {
 		byID[o.RegionID] = o
@@ -561,14 +561,14 @@ func TestDeviceLeftDecaysOccupancy(t *testing.T) {
 // without raising OutOfOrder (and so without recommending a rebuild).
 func TestIngestReplaySkipsSilently(t *testing.T) {
 	e := New(Config{Shards: 1})
-	e.Ingest("a", trip("r1", t0, time.Minute))
+	e.IngestTrip("a", trip("r1", t0, time.Minute))
 	e.IngestReplay("a", trip("r1", t0, time.Minute))                 // duplicate
 	e.IngestReplay("a", trip("r0", t0.Add(-time.Hour), time.Minute)) // behind frontier
 	st := e.Stats()
 	if st.Trips != 1 || st.OutOfOrder != 0 || st.RebuildRecommended {
 		t.Errorf("stats = %+v, want 1 trip, no out-of-order", st)
 	}
-	e.Ingest("a", trip("r0", t0.Add(-time.Minute), time.Minute)) // live backfill
+	e.IngestTrip("a", trip("r0", t0.Add(-time.Minute), time.Minute)) // live backfill
 	if st := e.Stats(); st.OutOfOrder != 1 || !st.RebuildRecommended {
 		t.Errorf("live backfill not flagged: %+v", st)
 	}
@@ -593,8 +593,8 @@ func TestRebuildKeepsSubscribers(t *testing.T) {
 	e := New(Config{Shards: 2})
 	// Fold out of order so the engine drops a trip and recommends a
 	// rebuild — the situation Rebuild exists for.
-	e.Ingest("dev", trip("r2", t0.Add(2*time.Minute), time.Minute))
-	e.Ingest("dev", trip("r1", t0, time.Minute))
+	e.IngestTrip("dev", trip("r2", t0.Add(2*time.Minute), time.Minute))
+	e.IngestTrip("dev", trip("r1", t0, time.Minute))
 	if st := e.Stats(); !st.RebuildRecommended || st.Trips != 1 {
 		t.Fatalf("setup: %+v", st)
 	}
@@ -615,7 +615,7 @@ func TestRebuildKeepsSubscribers(t *testing.T) {
 	default:
 	}
 	// ...but a live fold after the rebuild reaches the subscriber.
-	e.Ingest("dev", trip("r3", t0.Add(10*time.Minute), time.Minute))
+	e.IngestTrip("dev", trip("r3", t0.Add(10*time.Minute), time.Minute))
 	select {
 	case d := <-sub.C():
 		if d.RegionID != "r3" {
@@ -643,15 +643,15 @@ func TestRebuildSkipsInFlightOverlap(t *testing.T) {
 		}
 	}
 	e := New(Config{Shards: 2})
-	e.Ingest("dev", stored)
+	e.IngestTrip("dev", stored)
 	if err := e.Rebuild(w); err != nil {
 		t.Fatal(err)
 	}
-	e.Ingest("dev", inFlight) // the tee's delivery, after the swap
+	e.IngestTrip("dev", inFlight) // the tee's delivery, after the swap
 	if st := e.Stats(); st.Trips != 2 || st.OutOfOrder != 0 || st.RebuildRecommended {
 		t.Errorf("in-flight delivery after rebuild: %+v, want 2 trips and nothing out of order", st)
 	}
-	e.Ingest("dev", inFlight)
+	e.IngestTrip("dev", inFlight)
 	if st := e.Stats(); st.OutOfOrder != 1 {
 		t.Errorf("second delivery of the same trip: OutOfOrder = %d, want 1", st.OutOfOrder)
 	}
@@ -671,7 +671,7 @@ func TestRebuildKeepsDepartures(t *testing.T) {
 		if err := w.Insert(tripstore.Trip{Device: dev, Seq: seq, Triplet: tr}); err != nil {
 			t.Fatal(err)
 		}
-		e.Ingest(dev, tr)
+		e.IngestTrip(dev, tr)
 	}
 	for _, dev := range []position.DeviceID{"gone", "back", "stays"} {
 		store(dev, 0, trip("nike", t0, time.Minute))

@@ -57,7 +57,7 @@ func TestMetricsFoldAndFreshness(t *testing.T) {
 	if err := e.Rebuild(wh); err != nil {
 		t.Fatal(err)
 	}
-	e.Ingest("d2", trip(2))
+	e.IngestTrip("d2", trip(2))
 	if got := m.FoldSeconds.Count(); got < 4 {
 		t.Errorf("FoldSeconds count after rebuild = %d, want >= 4", got)
 	}

@@ -17,7 +17,7 @@ import (
 // totals. Run under -race, this is the concurrency-safety proof for the
 // engine lock and the hub.
 func TestConcurrentIngestQuerySubscribe(t *testing.T) {
-	e := New(Config{Shards: 4, SubscriberBuffer: 8, BucketWidth: time.Second, Buckets: 3600})
+	e := New(Config{Shards: 4, BucketWidth: time.Second, Buckets: 3600})
 	const producers, perProducer = 8, 200
 
 	var wg sync.WaitGroup
@@ -29,7 +29,7 @@ func TestConcurrentIngestQuerySubscribe(t *testing.T) {
 			at := t0
 			for i := 0; i < perProducer; i++ {
 				r := fmt.Sprintf("r%d", (p+i)%5)
-				e.Ingest(dev, trip(r, at, 10*time.Second))
+				e.IngestTrip(dev, trip(r, at, 10*time.Second))
 				at = at.Add(15 * time.Second)
 			}
 		}(p)
@@ -143,7 +143,7 @@ func TestSnapshotIsOneConsistentCut(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					e.Ingest(dev, tr)
+					e.IngestTrip(dev, tr)
 				}
 			}
 		}(p)

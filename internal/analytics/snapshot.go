@@ -23,7 +23,7 @@ import (
 //
 // # Format
 //
-// One JSON document (collection "<Collection>-snapshot", key "latest",
+// One JSON document (collection "analytics-snapshot", key "latest",
 // written atomically by internal/storage's temp-file + rename) holding a
 // versioned header — format version, the ring geometry the bucket indexes
 // were computed under, the save wall time — and one section per view, each
@@ -66,11 +66,9 @@ var ErrEngineNotEmpty = errors.New("analytics: snapshot load into non-empty engi
 
 // StoreOptions locates the durable snapshot on a backend store.
 type StoreOptions struct {
-	// Store is the backend document store. Required.
+	// Store is the backend document store; the snapshot is its
+	// "analytics-snapshot" / "latest" document. Required.
 	Store *storage.Store
-	// Collection prefixes the snapshot collection (default "analytics"):
-	// the document goes to "<Collection>-snapshot" / "latest".
-	Collection string
 	// Sync, when set, runs after the in-memory state capture and before
 	// the disk write. Pass the warehouse's Flush here: it pins the
 	// invariant that every trip the snapshot covers is already durable in
@@ -79,15 +77,10 @@ type StoreOptions struct {
 	Sync func() error
 }
 
-func (o *StoreOptions) collection() string {
-	c := o.Collection
-	if c == "" {
-		c = "analytics"
-	}
-	return c + "-snapshot"
-}
-
-const snapshotDocKey = "latest"
+const (
+	snapshotCollection = "analytics-snapshot"
+	snapshotDocKey     = "latest"
+)
 
 // snapshotDoc is the on-disk form.
 type snapshotDoc struct {
@@ -288,7 +281,7 @@ func (e *Engine) SaveSnapshot(opts StoreOptions) (err error) {
 			return fmt.Errorf("analytics: snapshot sync: %w", err)
 		}
 	}
-	if err := opts.Store.Put(opts.collection(), snapshotDocKey, doc); err != nil {
+	if err := opts.Store.Put(snapshotCollection, snapshotDocKey, doc); err != nil {
 		return fmt.Errorf("analytics: write snapshot: %w", err)
 	}
 	e.lastSnapshot.Store(doc.SavedAt.UnixMilli())
@@ -306,7 +299,7 @@ func (e *Engine) LoadSnapshot(opts StoreOptions) (bool, error) {
 		return false, errors.New("analytics: StoreOptions.Store is required")
 	}
 	var doc snapshotDoc
-	err := opts.Store.Get(opts.collection(), snapshotDocKey, &doc)
+	err := opts.Store.Get(snapshotCollection, snapshotDocKey, &doc)
 	switch {
 	case err == nil:
 	case os.IsNotExist(err):
@@ -350,6 +343,11 @@ func (e *Engine) restore(doc *snapshotDoc) error {
 		if len(d.Buckets) != len(dwellBounds)+1 {
 			return fmt.Errorf("%w: dwell row %s has %d buckets", ErrIncompatibleSnapshot, d.Region, len(d.Buckets))
 		}
+	}
+	// A frontier past the watermark's own bucket would drop every later
+	// popularity fold as late.
+	if wb := e.bucketIndex(doc.Watermark); doc.Ring.MinRetained > wb {
+		return fmt.Errorf("%w: ring frontier %d above the watermark's bucket %d", ErrIncompatibleSnapshot, doc.Ring.MinRetained, wb)
 	}
 
 	for _, d := range doc.Devices.States {

@@ -47,13 +47,13 @@ func TestSnapshotFormatPinned(t *testing.T) {
 	})
 	e := New(snapCfg)
 	for _, a := range deliveries {
-		e.Ingest(a.dev, a.tr)
+		e.IngestTrip(a.dev, a.tr)
 	}
 	// Every counter the document carries is non-zero: a departure, a
 	// duplicate delivery, and a first trip far below the ring frontier.
 	e.DeviceLeft("dev-03", e.Watermark())
-	e.Ingest(deliveries[0].dev, deliveries[0].tr)
-	e.Ingest("dev-late", trip("r0", t0.Add(-24*time.Hour), time.Minute))
+	e.IngestTrip(deliveries[0].dev, deliveries[0].tr)
+	e.IngestTrip("dev-late", trip("r0", t0.Add(-24*time.Hour), time.Minute))
 	if c := e.capture().Counters; c.Leaves != 1 || c.OutOfOrder != 1 || c.LateBuckets != 1 || c.Inferred == 0 || c.Regionless == 0 {
 		t.Fatalf("fixture sequence leaves a counter at zero: %+v", c)
 	}

@@ -3,6 +3,7 @@ package analytics
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -57,7 +58,7 @@ func TestSnapshotSaveLoadRoundTrip(t *testing.T) {
 	st := testStore(t)
 	e := New(snapCfg)
 	for _, a := range arrivalOrder(synthTrips(12, 40)) {
-		e.Ingest(a.dev, a.tr)
+		e.IngestTrip(a.dev, a.tr)
 	}
 	e.DeviceLeft("dev-03", e.Watermark()) // leaves must survive the round trip
 	if err := e.SaveSnapshot(StoreOptions{Store: st}); err != nil {
@@ -119,7 +120,9 @@ func TestSnapshotBootMatchesFullRebuild(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			whStore, anStore := testStore(t), testStore(t)
-			w, err := tripstore.New(tripstore.Options{Log: &tripstore.LogOptions{Store: whStore, BatchSize: 1 << 20}})
+			// 200 trips before the snapshot and 100 after: neither side fills
+			// a 256-trip segment, so only Sync and the explicit Flush write one.
+			w, err := tripstore.New(tripstore.Options{Log: &tripstore.LogOptions{Store: whStore}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,14 +139,14 @@ func TestSnapshotBootMatchesFullRebuild(t *testing.T) {
 			cut := 2 * len(deliveries) / 3
 			for _, a := range deliveries[:cut] {
 				insert(a)
-				live.Ingest(a.dev, a.tr)
+				live.IngestTrip(a.dev, a.tr)
 			}
 			if err := live.SaveSnapshot(StoreOptions{Store: anStore, Sync: w.Flush}); err != nil {
 				t.Fatal(err)
 			}
 			for _, a := range deliveries[cut:] {
 				insert(a)
-				live.Ingest(a.dev, a.tr)
+				live.IngestTrip(a.dev, a.tr)
 			}
 			if tc.flushTail {
 				if err := w.Flush(); err != nil {
@@ -153,7 +156,7 @@ func TestSnapshotBootMatchesFullRebuild(t *testing.T) {
 			// Crash: no Close, no final snapshot — w and live are abandoned
 			// with the tail either flushed or lost.
 
-			reopened, err := tripstore.New(tripstore.Options{Log: &tripstore.LogOptions{Store: whStore, BatchSize: 1 << 20}})
+			reopened, err := tripstore.New(tripstore.Options{Log: &tripstore.LogOptions{Store: whStore}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +210,7 @@ func TestSnapshotUnderConcurrentIngest(t *testing.T) {
 			dev := position.DeviceID(fmt.Sprintf("dev-%d", p))
 			at := t0
 			for i := 0; i < perProducer; i++ {
-				e.Ingest(dev, trip(fmt.Sprintf("r%d", (p+i)%5), at, 10*time.Second))
+				e.IngestTrip(dev, trip(fmt.Sprintf("r%d", (p+i)%5), at, 10*time.Second))
 				at = at.Add(15 * time.Second)
 			}
 		}(p)
@@ -236,7 +239,7 @@ func TestSnapshotUnderConcurrentIngest(t *testing.T) {
 func TestAutoSnapshot(t *testing.T) {
 	st := testStore(t)
 	e := New(snapCfg)
-	e.Ingest("dev", trip("r1", t0, time.Minute))
+	e.IngestTrip("dev", trip("r1", t0, time.Minute))
 	stop := e.StartAutoSnapshot(StoreOptions{Store: st}, 5*time.Millisecond)
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -246,7 +249,7 @@ func TestAutoSnapshot(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	e.Ingest("dev", trip("r2", t0.Add(2*time.Minute), time.Minute))
+	e.IngestTrip("dev", trip("r2", t0.Add(2*time.Minute), time.Minute))
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,6 +265,60 @@ func TestAutoSnapshot(t *testing.T) {
 	}
 }
 
+// TestRestoredRingFrontierBounds: the ring frontier arrives from disk. One
+// near math.MinInt64 (only a corrupt or hand-edited file carries it) must
+// not hang the next fold in prune, and one above the watermark's bucket —
+// which would drop every later popularity fold as late — is an incompatible
+// snapshot that leaves the engine untouched.
+func TestRestoredRingFrontierBounds(t *testing.T) {
+	src := New(snapCfg)
+	for _, a := range arrivalOrder(synthTrips(4, 10)) {
+		src.IngestTrip(a.dev, a.tr)
+	}
+	doc := src.capture()
+	load := func(minRetained int64) (*Engine, error) {
+		st := testStore(t)
+		doc.Ring.MinRetained = minRetained
+		if err := st.Put(snapshotCollection, snapshotDocKey, doc); err != nil {
+			t.Fatal(err)
+		}
+		e := New(snapCfg)
+		_, err := e.LoadSnapshot(StoreOptions{Store: st})
+		return e, err
+	}
+
+	e, err := load(math.MinInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := make(chan struct{})
+	go func() {
+		e.IngestTrip("newcomer", trip("r1", doc.Watermark.Add(time.Hour), time.Minute))
+		close(folded)
+	}()
+	select {
+	case <-folded:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first fold after restoring minRetained = MinInt64 did not return")
+	}
+	// The hour's leap is wider than the 50-minute ring: only the new bucket
+	// survives, and the new trip is not late.
+	if snap := e.Snapshot(); len(snap.Ring) != 1 || snap.Ring[0].Regions[0].RegionID != "r1" {
+		t.Errorf("ring after the leap = %+v, want only the newcomer's bucket", snap.Ring)
+	}
+	if got, want := e.Stats().LateBuckets, doc.Counters.LateBuckets; got != want {
+		t.Errorf("LateBuckets = %d, want the restored %d", got, want)
+	}
+
+	ahead, err := load(src.bucketIndex(doc.Watermark) + 1)
+	if !errors.Is(err, ErrIncompatibleSnapshot) {
+		t.Fatalf("frontier above the watermark's bucket: load = %v, want ErrIncompatibleSnapshot", err)
+	}
+	if st := ahead.Stats(); st.Trips != 0 || st.Devices != 0 {
+		t.Errorf("rejected load mutated the engine: %+v", st)
+	}
+}
+
 // TestCorruptSectionLeavesEngineUntouched: a snapshot that passes the
 // header check but fails section validation (a dwell row with the wrong
 // bucket count) must not half-restore — in particular it must not install
@@ -271,7 +328,7 @@ func TestCorruptSectionLeavesEngineUntouched(t *testing.T) {
 	st := testStore(t)
 	e := New(snapCfg)
 	for _, a := range arrivalOrder(synthTrips(4, 10)) {
-		e.Ingest(a.dev, a.tr)
+		e.IngestTrip(a.dev, a.tr)
 	}
 	if err := e.SaveSnapshot(StoreOptions{Store: st}); err != nil {
 		t.Fatal(err)

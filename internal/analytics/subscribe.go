@@ -59,13 +59,15 @@ func (d Delta) matches(regions map[dsm.RegionID]bool) bool {
 type Hub struct {
 	mu      sync.RWMutex
 	subs    map[*Subscription]bool
-	buf     int
-	nextID  int64
 	evicted int64
 }
 
-func newHub(buf int) *Hub {
-	return &Hub{subs: make(map[*Subscription]bool), buf: buf}
+// subscriberBuffer is the per-subscriber delta channel depth before a slow
+// consumer is evicted.
+const subscriberBuffer = 64
+
+func newHub() *Hub {
+	return &Hub{subs: make(map[*Subscription]bool)}
 }
 
 // Subscription is one live subscriber. Receive deltas from C; the channel
@@ -73,7 +75,6 @@ func newHub(buf int) *Hub {
 // (idempotent, safe concurrently with eviction).
 type Subscription struct {
 	hub     *Hub
-	id      int64
 	regions map[dsm.RegionID]bool
 	ch      chan Delta
 	once    sync.Once
@@ -110,7 +111,7 @@ func (s *Subscription) detachLocked() {
 // subscribe attaches a subscriber filtered to the given regions (empty =
 // every region).
 func (h *Hub) subscribe(regions []dsm.RegionID) *Subscription {
-	s := &Subscription{hub: h, ch: make(chan Delta, h.buf)}
+	s := &Subscription{hub: h, ch: make(chan Delta, subscriberBuffer)}
 	if len(regions) > 0 {
 		s.regions = make(map[dsm.RegionID]bool, len(regions))
 		for _, r := range regions {
@@ -118,8 +119,6 @@ func (h *Hub) subscribe(regions []dsm.RegionID) *Subscription {
 		}
 	}
 	h.mu.Lock()
-	h.nextID++
-	s.id = h.nextID
 	h.subs[s] = true
 	h.mu.Unlock()
 	return s

@@ -44,10 +44,6 @@ type Cleaner struct {
 	// distance under-detects wall-crossing errors; production use keeps
 	// it false.
 	UseEuclidean bool
-
-	// DisableSnap keeps out-of-walkable records in place instead of
-	// snapping them to the nearest partition. Ablation switch.
-	DisableSnap bool
 }
 
 // New returns a Cleaner with the default speed constraint.
@@ -167,16 +163,14 @@ func (c *Cleaner) cleanPass(out *position.Sequence, maxSpeed float64, rep *Repor
 	// Step 0: snap every record into walkable space. Positioning noise
 	// routinely places points inside walls; all later geometry assumes
 	// walkable coordinates.
-	if !c.DisableSnap {
-		for i := range out.Records {
-			r := &out.Records[i]
-			p, _, ok := c.Model.SnapToWalkable(r.P, r.Floor)
-			if ok && !p.Eq(r.P) {
-				before := *r
-				r.P = p
-				rep.Snapped++
-				rep.Changes = append(rep.Changes, Change{i, RepairSnap, before, *r})
-			}
+	for i := range out.Records {
+		r := &out.Records[i]
+		p, _, ok := c.Model.SnapToWalkable(r.P, r.Floor)
+		if ok && !p.Eq(r.P) {
+			before := *r
+			r.P = p
+			rep.Snapped++
+			rep.Changes = append(rep.Changes, Change{i, RepairSnap, before, *r})
 		}
 	}
 
@@ -197,10 +191,8 @@ func (c *Cleaner) cleanPass(out *position.Sequence, maxSpeed float64, rep *Repor
 			before := out.Records[i]
 			out.Records[i].Floor = nf
 			// Re-snap on the corrected floor.
-			if !c.DisableSnap {
-				if p, _, ok := c.Model.SnapToWalkable(out.Records[i].P, nf); ok {
-					out.Records[i].P = p
-				}
+			if p, _, ok := c.Model.SnapToWalkable(out.Records[i].P, nf); ok {
+				out.Records[i].P = p
 			}
 			valid[i] = true
 			floorFixed++
@@ -397,10 +389,8 @@ func (c *Cleaner) interpolateOne(s *position.Sequence, prev, next, k int, sc *cl
 		// Path legs pass through door centers inside wall bands; the
 		// derived location must itself be walkable or a second cleaning
 		// pass would re-touch it.
-		if !c.DisableSnap {
-			if sp, _, ok := c.Model.SnapToWalkable(r.P, r.Floor); ok {
-				r.P = sp
-			}
+		if sp, _, ok := c.Model.SnapToWalkable(r.P, r.Floor); ok {
+			r.P = sp
 		}
 	case prev >= 0:
 		a := s.Records[prev]

@@ -73,9 +73,8 @@ func (sw *statusWriter) Flush() {
 // decision: an inbound well-formed X-Trace-Id header forces the trace
 // (sampled and pinned), otherwise Tracer.Sample rolls. The resulting
 // context rides in the request context (trace.FromContext) for handlers to
-// start spans under, the trace ID is echoed in the X-Trace-Id response
-// header and on the access-log line, and sampled requests stamp the
-// latency histogram's exemplar.
+// start spans under, and the trace ID is echoed in the X-Trace-Id response
+// header and on the access-log line.
 func Middleware(m *HTTPMetrics, logger *slog.Logger, tracer *trace.Tracer, next http.Handler) http.Handler {
 	if m == nil && logger == nil && tracer == nil {
 		return next
@@ -99,11 +98,7 @@ func Middleware(m *HTTPMetrics, logger *slog.Logger, tracer *trace.Tracer, next 
 			sw.status = http.StatusOK
 		}
 		if m != nil {
-			if tc.Sampled() {
-				m.Latency.ObserveTraced(elapsed, tc.Trace.String())
-			} else {
-				m.Latency.Observe(elapsed)
-			}
+			m.Latency.Observe(elapsed)
 			class := sw.status / 100
 			if class < 1 || class > 5 {
 				class = 0

@@ -127,55 +127,6 @@ type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds
 	max     atomic.Int64 // nanoseconds, CAS-max
-	ex      atomic.Pointer[Exemplar]
-}
-
-// Exemplar links a histogram to the trace behind one of its recent extreme
-// observations, so a latency spike on /metrics resolves to a concrete
-// /debug/traces/{id} span tree. The slowest traced observation wins until
-// it ages out (exemplarTTL), at which point any traced observation may
-// replace it — keeping the exemplar both extreme and fresh.
-type Exemplar struct {
-	TraceID string
-	Value   time.Duration
-	At      time.Time
-}
-
-// exemplarTTL bounds how long a historical maximum can pin the exemplar.
-const exemplarTTL = time.Minute
-
-// ObserveTraced is Observe plus an exemplar-candidate update. Only traced
-// (sampled) observations should pass a non-empty traceID; the update path
-// allocates one small Exemplar, which is fine because sampled requests
-// allocate anyway — the untraced path must keep calling Observe.
-func (h *Histogram) ObserveTraced(d time.Duration, traceID string) {
-	h.Observe(d)
-	if h == nil || traceID == "" {
-		return
-	}
-	now := time.Now()
-	e := &Exemplar{TraceID: traceID, Value: d, At: now}
-	for {
-		cur := h.ex.Load()
-		if cur != nil && d < cur.Value && now.Sub(cur.At) < exemplarTTL {
-			return
-		}
-		if h.ex.CompareAndSwap(cur, e) {
-			return
-		}
-	}
-}
-
-// Exemplar returns the current exemplar, if any traced observation set one.
-func (h *Histogram) Exemplar() (Exemplar, bool) {
-	if h == nil {
-		return Exemplar{}, false
-	}
-	e := h.ex.Load()
-	if e == nil {
-		return Exemplar{}, false
-	}
-	return *e, true
 }
 
 // newHistogram validates the bounds (ascending, positive) and builds the

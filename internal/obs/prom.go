@@ -11,8 +11,9 @@ import (
 
 // WritePrometheus renders every registered family in the Prometheus text
 // exposition format (version 0.0.4): one HELP and TYPE line per family,
-// then each series' samples. Histograms render cumulative le-buckets plus
-// _sum and _count, with bucket bounds in seconds. Rendering takes the
+// then each series' samples, each line ending at its value (the format has
+// no exemplar syntax). Histograms render cumulative le-buckets plus _sum and
+// _count, with bucket bounds in seconds. Rendering takes the
 // registry read lock (registration is wiring-time only, so contention is
 // nil) and reads each atomic exactly once per sample; a histogram scraped
 // mid-Observe may transiently show count ahead of its +Inf bucket by the
@@ -47,37 +48,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // writeHistogram renders one histogram series: cumulative buckets in
 // ascending le order, the +Inf bucket, then _sum (seconds) and _count.
-// When a traced observation set an exemplar, the covering bucket line
-// carries an OpenMetrics-style exemplar suffix — `# {trace_id="..."} v` —
-// linking the histogram's extreme to a /debug/traces entry.
 func writeHistogram(w io.Writer, name string, s *series) {
 	h := s.h
-	ex, exOK := h.Exemplar()
-	exBucket := -1
-	if exOK {
-		exBucket = len(h.bounds) // open +Inf bucket unless a bound covers it
-		for i, b := range h.bounds {
-			if ex.Value <= b {
-				exBucket = i
-				break
-			}
-		}
-	}
-	exSuffix := func(i int) string {
-		if i != exBucket {
-			return ""
-		}
-		return ` # {trace_id="` + ex.TraceID + `"} ` + formatFloat(ex.Value.Seconds())
-	}
 	var cum int64
 	for i, b := range h.bounds {
 		cum += h.buckets[i].Load()
-		writeSampleExemplar(w, name+"_bucket", s.labels,
-			`le="`+formatFloat(b.Seconds())+`"`, float64(cum), exSuffix(i))
+		writeSample(w, name+"_bucket", s.labels, `le="`+formatFloat(b.Seconds())+`"`, float64(cum))
 	}
 	cum += h.buckets[len(h.bounds)].Load()
-	writeSampleExemplar(w, name+"_bucket", s.labels, `le="+Inf"`, float64(cum),
-		exSuffix(len(h.bounds)))
+	writeSample(w, name+"_bucket", s.labels, `le="+Inf"`, float64(cum))
 	writeSample(w, name+"_sum", s.labels, "", h.Sum().Seconds())
 	writeSample(w, name+"_count", s.labels, "", float64(cum))
 }
@@ -86,12 +65,6 @@ func writeHistogram(w io.Writer, name string, s *series) {
 // fragments. Counters and bucket counts format without an exponent so
 // grep-based CI assertions read them naturally.
 func writeSample(w io.Writer, name, l1, l2 string, v float64) {
-	writeSampleExemplar(w, name, l1, l2, v, "")
-}
-
-// writeSampleExemplar is writeSample with an optional pre-rendered exemplar
-// suffix appended after the value.
-func writeSampleExemplar(w io.Writer, name, l1, l2 string, v float64, ex string) {
 	labels := l1
 	if l2 != "" {
 		if labels != "" {
@@ -100,10 +73,10 @@ func writeSampleExemplar(w io.Writer, name, l1, l2 string, v float64, ex string)
 		labels += l2
 	}
 	if labels != "" {
-		fmt.Fprintf(w, "%s{%s} %s%s\n", name, labels, formatFloat(v), ex)
+		fmt.Fprintf(w, "%s{%s} %s\n", name, labels, formatFloat(v))
 		return
 	}
-	fmt.Fprintf(w, "%s %s%s\n", name, formatFloat(v), ex)
+	fmt.Fprintf(w, "%s %s\n", name, formatFloat(v))
 }
 
 // formatFloat renders a value the shortest way that round-trips; integral
@@ -214,28 +187,6 @@ func parseComment(text string) (kind, name, rest string, err error) {
 
 func parseSample(text string) (name, labels string, value float64, err error) {
 	rest := text
-	// An OpenMetrics-style exemplar suffix (` # {labels} value`) must be
-	// cut before label extraction — its braces would otherwise corrupt the
-	// first-{ / last-} scan below. The suffix itself is validated: braced
-	// well-formed labels followed by a parseable value. (Our label values
-	// never contain " # ", so the first occurrence is the boundary.)
-	if i := strings.Index(rest, " # "); i >= 0 {
-		ex := strings.TrimSpace(rest[i+3:])
-		if !strings.HasPrefix(ex, "{") {
-			return "", "", 0, fmt.Errorf("bad exemplar in %q", text)
-		}
-		j := strings.IndexByte(ex, '}')
-		if j < 0 {
-			return "", "", 0, fmt.Errorf("unterminated exemplar in %q", text)
-		}
-		if err := checkLabelSyntax(ex[1:j]); err != nil {
-			return "", "", 0, fmt.Errorf("bad exemplar labels: %w in %q", err, text)
-		}
-		if _, perr := strconv.ParseFloat(strings.TrimSpace(ex[j+1:]), 64); perr != nil {
-			return "", "", 0, fmt.Errorf("bad exemplar value in %q: %v", text, perr)
-		}
-		rest = rest[:i]
-	}
 	if i := strings.IndexByte(rest, '{'); i >= 0 {
 		name = rest[:i]
 		j := strings.LastIndexByte(rest, '}')

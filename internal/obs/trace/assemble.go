@@ -64,7 +64,7 @@ func (t *Tracer) addSpanLocked(s Span, now time.Time) {
 	}
 	p.spans = append(p.spans, s)
 	p.last = now
-	if s.Name == t.cfg.Terminal {
+	if s.Name == terminalSpan {
 		t.completeLocked(s.Trace, p, true)
 	}
 }

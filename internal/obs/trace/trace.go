@@ -153,12 +153,12 @@ type Config struct {
 	// finalized as-is (its terminal span never arrived — a record that
 	// sealed nothing, a fold that never happened). Default 5s.
 	Linger time.Duration
-
-	// Terminal is the span name whose completion finalizes a trace
-	// immediately. Default "analytics_fold", the last synchronous stage of
-	// the ingest pipeline.
-	Terminal string
 }
+
+// terminalSpan is the span name whose completion finalizes a trace
+// immediately: analytics_fold, the last synchronous stage of the ingest
+// pipeline.
+const terminalSpan = "analytics_fold"
 
 func (c *Config) applyDefaults() {
 	if c.RingSize <= 0 {
@@ -169,9 +169,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Linger <= 0 {
 		c.Linger = 5 * time.Second
-	}
-	if c.Terminal == "" {
-		c.Terminal = "analytics_fold"
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,6 +28,33 @@ func TestTraceIDParseFormat(t *testing.T) {
 			t.Errorf("ParseTraceID(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseTraceID: an inbound X-Trace-Id is accepted exactly when it is
+// 32 hex digits, not all zero, and an accepted ID renders back as the same
+// digits in lower case.
+func FuzzParseTraceID(f *testing.F) {
+	for _, s := range []string{
+		"00112233445566778899aabbccddeeff",
+		"00112233445566778899AABBCCDDEEFF",
+		"00000000000000000000000000000000",
+		"00000000000000000000000000000001",
+		"00112233445566778899aabbccddeefg",
+		"0011",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		id, ok := ParseTraceID(s)
+		hexDigits := len(s) == 32 && strings.Trim(s, "0123456789abcdefABCDEF") == ""
+		if want := hexDigits && strings.Trim(s, "0") != ""; ok != want {
+			t.Fatalf("ParseTraceID(%q) ok = %v, want %v", s, ok, want)
+		}
+		if ok && id.String() != strings.ToLower(s) {
+			t.Fatalf("ParseTraceID(%q).String() = %q", s, id.String())
+		}
+	})
 }
 
 func TestSamplingRates(t *testing.T) {
@@ -88,12 +116,12 @@ func TestSamplingRates(t *testing.T) {
 
 // endTrace records a terminal span, which finalizes the trace.
 func endTrace(tr *Tracer, c Ctx) {
-	sp := tr.Start(c, tr.cfg.Terminal)
+	sp := tr.Start(c, terminalSpan)
 	sp.End()
 }
 
 func TestRingEvictionOrder(t *testing.T) {
-	tr := New(Config{SampleRate: 1, RingSize: 4, Terminal: "done"})
+	tr := New(Config{SampleRate: 1, RingSize: 4})
 	mkTrace := func(dev string, pin bool) TraceID {
 		c := tr.Sample()
 		sp := tr.Start(c, "work")
@@ -102,7 +130,7 @@ func TestRingEvictionOrder(t *testing.T) {
 			sp.SetErr()
 		}
 		sp.End()
-		done := tr.Start(c, "done")
+		done := tr.Start(c, terminalSpan)
 		done.End()
 		return c.Trace
 	}
@@ -141,7 +169,7 @@ func TestRingEvictionOrder(t *testing.T) {
 	}
 
 	// All pinned: the oldest pinned is evicted.
-	small := New(Config{SampleRate: 1, RingSize: 2, Terminal: "done"})
+	small := New(Config{SampleRate: 1, RingSize: 2})
 	var pinnedIDs []TraceID
 	for i := 0; i < 3; i++ {
 		c := small.Sample()
@@ -160,7 +188,7 @@ func TestRingEvictionOrder(t *testing.T) {
 }
 
 func TestTailKeepDecisions(t *testing.T) {
-	tr := New(Config{SampleRate: 1, KeepOver: 10 * time.Millisecond, Terminal: "done"})
+	tr := New(Config{SampleRate: 1, KeepOver: 10 * time.Millisecond})
 	now := time.Now()
 
 	// Fast, clean, unforced: not pinned.
@@ -168,7 +196,7 @@ func TestTailKeepDecisions(t *testing.T) {
 	sp := tr.Start(fast, "work")
 	sp.SetStart(now)
 	sp.EndAt(now.Add(time.Millisecond))
-	done := tr.Start(fast, "done")
+	done := tr.Start(fast, terminalSpan)
 	done.SetStart(now.Add(time.Millisecond))
 	done.EndAt(now.Add(2 * time.Millisecond))
 	if got, ok := tr.Get(fast.Trace); !ok || got.Pinned {
@@ -180,7 +208,7 @@ func TestTailKeepDecisions(t *testing.T) {
 	sp = tr.Start(slow, "work")
 	sp.SetStart(now)
 	sp.EndAt(now.Add(50 * time.Millisecond))
-	done = tr.Start(slow, "done")
+	done = tr.Start(slow, terminalSpan)
 	done.SetStart(now.Add(50 * time.Millisecond))
 	done.EndAt(now.Add(51 * time.Millisecond))
 	if got, ok := tr.Get(slow.Trace); !ok || !got.Pinned {
@@ -211,7 +239,7 @@ func TestTailKeepDecisions(t *testing.T) {
 }
 
 func TestLingerFinalizesIncompleteTraces(t *testing.T) {
-	tr := New(Config{SampleRate: 1, Linger: 5 * time.Millisecond, Terminal: "done"})
+	tr := New(Config{SampleRate: 1, Linger: 5 * time.Millisecond})
 	c := tr.Sample()
 	sp := tr.Start(c, "orphan")
 	sp.End()
@@ -234,7 +262,7 @@ func TestLingerFinalizesIncompleteTraces(t *testing.T) {
 // TestLateSpanJoinsCompletedTrace: a span recorded after its trace finalized
 // (SSE delivery after the fold) is appended to the completed entry.
 func TestLateSpanJoinsCompletedTrace(t *testing.T) {
-	tr := New(Config{SampleRate: 1, Terminal: "done"})
+	tr := New(Config{SampleRate: 1})
 	c := tr.Sample()
 	root := tr.Start(c, "work")
 	root.End()
@@ -259,7 +287,7 @@ func TestLateSpanJoinsCompletedTrace(t *testing.T) {
 // span completes its trace on the spot, and a later span of any trace runs
 // the linger sweep — with no query in between (Stats does not sweep).
 func TestCompletesWithoutQuery(t *testing.T) {
-	tr := New(Config{SampleRate: 1, Linger: 5 * time.Millisecond, Terminal: "done"})
+	tr := New(Config{SampleRate: 1, Linger: 5 * time.Millisecond})
 	c := tr.Sample()
 	sp := tr.Start(c, "work")
 	sp.End()
@@ -293,7 +321,7 @@ func TestConcurrentRecordDrain(t *testing.T) {
 	const writers = 8
 	const perWriter = 200
 	// Nothing lingers out or is evicted, so every trace stays inspectable.
-	tr := New(Config{SampleRate: 1, RingSize: writers * perWriter, Linger: time.Hour, Terminal: "done"})
+	tr := New(Config{SampleRate: 1, RingSize: writers * perWriter, Linger: time.Hour})
 
 	// Every fourth trace never sees its terminal span and stays pending.
 	terminated := func(i int) bool { return i%4 != 3 }
@@ -362,10 +390,10 @@ func TestConcurrentRecordDrain(t *testing.T) {
 }
 
 func TestViewStages(t *testing.T) {
-	tr := New(Config{SampleRate: 1, Terminal: "done"})
+	tr := New(Config{SampleRate: 1})
 	c := tr.Sample()
 	now := time.Now()
-	for i, name := range []string{"clean", "clean", "done"} {
+	for i, name := range []string{"clean", "clean", terminalSpan} {
 		sp := tr.Start(c, name)
 		sp.SetStart(now.Add(time.Duration(i) * 10 * time.Millisecond))
 		sp.EndAt(now.Add(time.Duration(i)*10*time.Millisecond + 5*time.Millisecond))

@@ -30,10 +30,8 @@ type Engine struct {
 	cfg       Config
 	horizon   time.Duration
 	freezeGap time.Duration
-	emitter   Emitter
 	know      *knowledgeStore
 	anTail    annotation.Annotator // head-merge-suppressed copy for trimmed tails
-	tracer    *trace.Tracer        // nil disables span recording
 
 	shards []*shard
 	wg     sync.WaitGroup
@@ -76,12 +74,10 @@ const (
 	msgFlush
 )
 
-// queryMsg is a per-device query: exactly one of reply (Snapshot) or
-// lineage (Lineage) is non-nil and selects the view.
+// queryMsg is a per-device Snapshot query.
 type queryMsg struct {
-	dev     position.DeviceID
-	reply   chan Snapshot
-	lineage chan Lineage
+	dev   position.DeviceID
+	reply chan Snapshot
 }
 
 // NewEngine validates the pipeline and starts the shard pool.
@@ -93,12 +89,6 @@ func NewEngine(pl Pipeline, cfg Config) (*Engine, error) {
 		return nil, errors.New("online: Config.Emitter is required")
 	}
 	horizon, freezeGap := deriveWindows(pl.Annotator.Cfg)
-	if cfg.Horizon > 0 {
-		horizon = cfg.Horizon
-		if freezeGap > horizon {
-			freezeGap = horizon
-		}
-	}
 	cfg.applyDefaults(horizon)
 
 	e := &Engine{
@@ -106,10 +96,8 @@ func NewEngine(pl Pipeline, cfg Config) (*Engine, error) {
 		cfg:       cfg,
 		horizon:   horizon,
 		freezeGap: freezeGap,
-		emitter:   cfg.Emitter,
-		know:      newKnowledgeStore(pl.Model, pl.KnowledgeJoinGap, cfg.MinKnowledge),
+		know:      newKnowledgeStore(pl.Model, pl.KnowledgeJoinGap),
 		anTail:    *pl.Annotator,
-		tracer:    cfg.Tracer,
 		now:       time.Now,
 	}
 	e.anTail.Cfg.Split.DisableHeadMerge = true
@@ -127,7 +115,8 @@ func NewEngine(pl Pipeline, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Horizon returns the effective seal horizon.
+// Horizon returns the seal horizon derived from the annotator's
+// configuration.
 func (e *Engine) Horizon() time.Duration { return e.horizon }
 
 // annotatorFor returns the annotator variant for a session: the configured
@@ -162,7 +151,7 @@ func (e *Engine) shardOf(dev position.DeviceID) *shard {
 }
 
 func (e *Engine) send(em Emission) {
-	e.emitter.Emit(em)
+	e.cfg.Emitter.Emit(em)
 	e.stats.Triplets.Add(1)
 }
 
@@ -250,27 +239,53 @@ func (e *Engine) Close() {
 		close(sh.ch)
 	}
 	e.wg.Wait()
-	if c, ok := e.emitter.(io.Closer); ok {
+	if c, ok := e.cfg.Emitter.(io.Closer); ok {
 		c.Close()
 	}
 }
 
-// Snapshot is the live view of one device: what has been emitted and what
-// the open window currently looks like.
+// Snapshot is the live view of one device: what has been emitted, what the
+// open window currently looks like, and where the session sits in the
+// pipeline — tail and admission state, the owning shard and its inbox
+// depth, the stage breakdown of the most recent instrumented flush, and the
+// trace (if any) waiting for its sealing flush. GET /live/{device} and
+// GET /debug/device/{id} both serve it.
 type Snapshot struct {
 	Device position.DeviceID `json:"device"`
+	Shard  int               `json:"shard"`
 	// Emitted is the number of emissions so far (Seq of the next one).
-	Emitted       int       `json:"emitted"`
-	SealedThrough time.Time `json:"sealedThrough,omitzero"`
-	Watermark     time.Time `json:"watermark,omitzero"`
-	TailRecords   int       `json:"tailRecords"`
+	Emitted        int       `json:"emitted"`
+	SealedThrough  time.Time `json:"sealedThrough,omitzero"`
+	Watermark      time.Time `json:"watermark,omitzero"`
+	TailRecords    int       `json:"tailRecords"`
+	PendingRecords int       `json:"pendingRecords"`
+	AdmissionFloor time.Time `json:"admissionFloor,omitzero"`
+	// BacklogDepth is the owning shard's inbox depth when the query was
+	// served: records admitted by ingest but not yet applied.
+	BacklogDepth int `json:"backlogDepth"`
+	// ActiveTrace is the sampled trace adopted by the session and awaiting
+	// the flush that seals it, empty when none.
+	ActiveTrace string          `json:"activeTrace,omitempty"`
+	LastFlush   *FlushBreakdown `json:"lastFlush,omitempty"`
 	// Provisional is the annotation of the open window: triplets that
 	// exist now but may still change before sealing.
 	Provisional []semantics.Triplet `json:"provisional,omitempty"`
 }
 
+// FlushBreakdown is the stage timing of a session's most recent
+// instrumented flush. Stage timing runs when the engine has Metrics or the
+// session carries a sampled trace; engines with neither never populate it.
+type FlushBreakdown struct {
+	At         time.Time `json:"at"`
+	CleanMs    float64   `json:"clean_ms"`
+	AnnotateMs float64   `json:"annotate_ms"`
+	SealMs     float64   `json:"seal_ms"`
+	// Sealed is how many emissions that flush produced.
+	Sealed int `json:"sealed"`
+}
+
 // Snapshot queries a device's session on its owning shard. ok is false for
-// a device the engine has never seen or after Close.
+// a device with no live session or after Close.
 func (e *Engine) Snapshot(dev position.DeviceID) (Snapshot, bool) {
 	e.mu.RLock()
 	if e.closed {
@@ -310,11 +325,7 @@ func (e *Engine) runShard(sh *shard) {
 			case msgRecord:
 				sh.ingest(e, m.rec, m.tc)
 			case msgQuery:
-				if m.query.lineage != nil {
-					m.query.lineage <- sh.lineage(e, m.query.dev)
-				} else {
-					m.query.reply <- sh.snapshot(e, m.query.dev)
-				}
+				m.query.reply <- sh.snapshot(e, m.query.dev)
 			case msgFlush:
 				//trips:commutative sessions are per-device; flushes land in per-device partitions and commutative folds
 				for _, ss := range sh.sessions {
@@ -344,7 +355,7 @@ func (e *Engine) runShard(sh *shard) {
 					// The eviction is positive evidence the device is gone;
 					// tell a finalizer-aware sink (the analytics tee uses it
 					// to decay occupancy) after the final triplets emitted.
-					if f, ok := e.emitter.(SessionFinalizer); ok && !ss.sealedThrough.IsZero() {
+					if f, ok := e.cfg.Emitter.(SessionFinalizer); ok && !ss.sealedThrough.IsZero() {
 						f.FinalizeSession(ss.dev, ss.sealedThrough)
 					}
 				}
@@ -362,7 +373,7 @@ func (sh *shard) ingest(e *Engine, r position.Record, tc trace.Ctx) {
 		e.stats.Sessions.Add(1)
 	}
 	outcome := ss.ingest(e, r)
-	if tc.Sampled() && e.tracer != nil {
+	if tc.Sampled() && e.cfg.Tracer != nil {
 		sh.traceAdmit(e, ss, tc, outcome)
 	}
 	switch outcome {
@@ -392,7 +403,7 @@ func (sh *shard) traceAdmit(e *Engine, ss *session, tc trace.Ctx, outcome admit)
 			return
 		}
 		ss.trace = tc
-		sp := e.tracer.Start(tc, "enqueue")
+		sp := e.cfg.Tracer.Start(tc, "enqueue")
 		sp.SetDevice(string(ss.dev))
 		sp.SetShard(sh.id)
 		if tc.Enq > 0 {
@@ -413,7 +424,7 @@ func (sh *shard) traceAdmit(e *Engine, ss *session, tc trace.Ctx, outcome admit)
 	if outcome == admitLate {
 		name = "drop_late"
 	}
-	sp := e.tracer.Start(tc, name)
+	sp := e.cfg.Tracer.Start(tc, name)
 	sp.SetDevice(string(ss.dev))
 	sp.SetShard(sh.id)
 	if outcome == admitLate {
@@ -429,87 +440,23 @@ func (sh *shard) snapshot(e *Engine, dev position.DeviceID) Snapshot {
 	if ss == nil {
 		return Snapshot{}
 	}
-	return Snapshot{
-		Device:        dev,
-		Emitted:       ss.seq,
-		SealedThrough: ss.sealedThrough,
-		Watermark:     ss.tail.End(),
-		TailRecords:   ss.tail.Len(),
-		Provisional:   ss.provisional(e),
-	}
-}
-
-// Lineage is the per-device debugging view behind GET /debug/device/{id}:
-// where the device's live session sits in the pipeline right now — tail and
-// admission state, the owning shard and its inbox depth, the stage
-// breakdown of the most recent instrumented flush, and the trace (if any)
-// waiting for its sealing flush.
-type Lineage struct {
-	Device         position.DeviceID `json:"device"`
-	Shard          int               `json:"shard"`
-	TailRecords    int               `json:"tailRecords"`
-	PendingRecords int               `json:"pendingRecords"`
-	Emitted        int               `json:"emitted"`
-	SealedThrough  time.Time         `json:"sealedThrough,omitzero"`
-	Watermark      time.Time         `json:"watermark,omitzero"`
-	AdmissionFloor time.Time         `json:"admissionFloor,omitzero"`
-	// BacklogDepth is the owning shard's inbox depth when the query was
-	// served: records admitted by ingest but not yet applied.
-	BacklogDepth int `json:"backlogDepth"`
-	// ActiveTrace is the sampled trace adopted by the session and awaiting
-	// the flush that seals it, empty when none.
-	ActiveTrace string          `json:"activeTrace,omitempty"`
-	LastFlush   *FlushBreakdown `json:"lastFlush,omitempty"`
-}
-
-// FlushBreakdown is the stage timing of a session's most recent
-// instrumented flush. Stage timing runs when the engine has Metrics or the
-// session carries a sampled trace; engines with neither never populate it.
-type FlushBreakdown struct {
-	At         time.Time `json:"at"`
-	CleanMs    float64   `json:"clean_ms"`
-	AnnotateMs float64   `json:"annotate_ms"`
-	SealMs     float64   `json:"seal_ms"`
-	// Sealed is how many emissions that flush produced.
-	Sealed int `json:"sealed"`
-}
-
-// Lineage queries a device's pipeline lineage on its owning shard. ok is
-// false for a device with no live session or after Close.
-func (e *Engine) Lineage(dev position.DeviceID) (Lineage, bool) {
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return Lineage{}, false
-	}
-	q := &queryMsg{dev: dev, lineage: make(chan Lineage, 1)}
-	e.shardOf(dev).ch <- shardMsg{kind: msgQuery, query: q}
-	e.mu.RUnlock()
-	l := <-q.lineage
-	return l, l.Device != ""
-}
-
-func (sh *shard) lineage(e *Engine, dev position.DeviceID) Lineage {
-	ss := sh.sessions[dev]
-	if ss == nil {
-		return Lineage{}
-	}
-	l := Lineage{
+	snap := Snapshot{
 		Device:         dev,
 		Shard:          sh.id,
-		TailRecords:    ss.tail.Len(),
-		PendingRecords: ss.pending,
 		Emitted:        ss.seq,
 		SealedThrough:  ss.sealedThrough,
 		Watermark:      ss.tail.End(),
+		TailRecords:    ss.tail.Len(),
+		PendingRecords: ss.pending,
 		AdmissionFloor: ss.admissionFloor(e),
 		BacklogDepth:   len(sh.ch),
+		Provisional:    ss.provisional(e),
 	}
 	if ss.trace.Sampled() {
-		l.ActiveTrace = ss.trace.Trace.String()
+		snap.ActiveTrace = ss.trace.Trace.String()
 	}
 	if !ss.lastFlushAt.IsZero() {
-		l.LastFlush = &FlushBreakdown{
+		snap.LastFlush = &FlushBreakdown{
 			At:         ss.lastFlushAt,
 			CleanMs:    float64(ss.lastClean) / float64(time.Millisecond),
 			AnnotateMs: float64(ss.lastAnnotate) / float64(time.Millisecond),
@@ -517,5 +464,5 @@ func (sh *shard) lineage(e *Engine, dev position.DeviceID) Lineage {
 			Sealed:     ss.lastSealed,
 		}
 	}
-	return l
+	return snap
 }

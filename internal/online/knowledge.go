@@ -10,6 +10,11 @@ import (
 	"trips/internal/semantics"
 )
 
+// minKnowledge is the number of aggregated transitions required before gap
+// inference switches from the uniform topology prior to the learned
+// knowledge.
+const minKnowledge = 8
+
 // knowledgeStore is the engine-wide mobility knowledge, grown incrementally
 // from emitted triplets. All shards feed it, so access is lock-guarded —
 // the online substitute for the batch Translator's phase-two
@@ -18,14 +23,13 @@ type knowledgeStore struct {
 	mu      sync.RWMutex
 	know    *complement.Knowledge
 	joinGap time.Duration
-	minObs  int
 }
 
-func newKnowledgeStore(m *dsm.Model, joinGap time.Duration, minObs int) *knowledgeStore {
+func newKnowledgeStore(m *dsm.Model, joinGap time.Duration) *knowledgeStore {
 	if joinGap <= 0 {
 		joinGap = 2 * time.Minute
 	}
-	return &knowledgeStore{know: complement.NewKnowledge(m), joinGap: joinGap, minObs: minObs}
+	return &knowledgeStore{know: complement.NewKnowledge(m), joinGap: joinGap}
 }
 
 // observe aggregates the transition between two consecutively emitted
@@ -44,7 +48,7 @@ func (ks *knowledgeStore) observations() int {
 }
 
 // inferGap runs the MAP gap inference between two emitted triplets under
-// the current knowledge (uniform prior until minObs transitions have
+// the current knowledge (uniform prior until minKnowledge transitions have
 // accumulated) and returns the inferred interior triplets.
 func (ks *knowledgeStore) inferGap(comp *complement.Complementor, dev position.DeviceID, a, b semantics.Triplet) []semantics.Triplet {
 	maxGap := comp.MaxGap
@@ -57,7 +61,7 @@ func (ks *knowledgeStore) inferGap(comp *complement.Complementor, dev position.D
 	c := *comp
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
-	if ks.know.Observations() >= ks.minObs {
+	if ks.know.Observations() >= minKnowledge {
 		c.Know = ks.know
 	} else {
 		c.Know = nil

@@ -98,7 +98,10 @@ func (p Pipeline) validate() error {
 }
 
 // Config parameterizes the engine. The zero value of every field selects a
-// sensible default; only Emitter is required.
+// sensible default; only Emitter is required. The seal horizon is not a
+// setting: it is derived from the annotator's configuration (see the package
+// comment), because any shorter horizon emits triplets a later record could
+// still change.
 type Config struct {
 	// Shards is the number of worker goroutines devices are hashed
 	// across. Default min(NumCPU, 8).
@@ -120,10 +123,6 @@ type Config struct {
 	// disables.
 	IdleTimeout time.Duration
 
-	// Horizon overrides the derived seal horizon. Shortening it below the
-	// derived value trades exactness for latency.
-	Horizon time.Duration
-
 	// MaxTail force-trims a session tail that exceeds this many records
 	// even without a hard break (sacrificing bit-exactness for bounded
 	// memory). A session that has sealed nothing — a stationary device
@@ -136,11 +135,6 @@ type Config struct {
 
 	// QueueLen is the per-shard inbox buffer. Default 1024.
 	QueueLen int
-
-	// MinKnowledge is the number of aggregated transitions required
-	// before gap inference switches from the uniform topology prior to
-	// the learned knowledge. Default 8.
-	MinKnowledge int
 
 	// Emitter receives every finalized triplet. Required.
 	Emitter Emitter
@@ -182,9 +176,6 @@ func (c *Config) applyDefaults(horizon time.Duration) {
 	}
 	if c.QueueLen <= 0 {
 		c.QueueLen = 1024
-	}
-	if c.MinKnowledge <= 0 {
-		c.MinKnowledge = 8
 	}
 }
 

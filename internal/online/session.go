@@ -88,7 +88,7 @@ type session struct {
 	emitTC trace.Ctx
 
 	// lastFlush* hold the stage breakdown of the most recent instrumented
-	// flush, served by Engine.Lineage. Populated only when stage timing ran
+	// flush, served by Engine.Snapshot. Populated only when stage timing ran
 	// (engine Metrics configured or the session traced).
 	lastFlushAt  time.Time
 	lastClean    time.Duration
@@ -170,9 +170,9 @@ func (ss *session) admissionFloor(e *Engine) time.Time {
 
 // stageStamps captures the clock reads bracketing the clean and annotate
 // stages of one flush; the flush turns them into histogram observations,
-// trace spans, and the lineage breakdown. A nil *stageStamps (provisional
-// snapshot queries, instrumentation fully disabled) keeps the path free of
-// clock reads.
+// trace spans, and the snapshot's last-flush breakdown. A nil *stageStamps
+// (provisional snapshot queries, instrumentation fully disabled) keeps the
+// path free of clock reads.
 type stageStamps struct {
 	start, afterClean, afterAnnotate time.Time
 }
@@ -256,7 +256,7 @@ func (ss *session) flush(e *Engine, sealAll bool) {
 	e.stats.Flushes.Add(1)
 
 	m := e.cfg.Metrics
-	traced := e.tracer != nil && ss.trace.Sampled()
+	traced := e.cfg.Tracer != nil && ss.trace.Sampled()
 	var stamps stageStamps
 	var st *stageStamps
 	if m != nil || traced {
@@ -275,7 +275,7 @@ func (ss *session) flush(e *Engine, sealAll bool) {
 		// can nest under it via the Emission's trace context. If this flush
 		// ends up sealing nothing the span is discarded unended (inert) and
 		// the session keeps its trace for the flush that does seal.
-		sealSp = e.tracer.Start(ss.trace, "seal")
+		sealSp = e.cfg.Tracer.Start(ss.trace, "seal")
 		sealSp.SetDevice(string(ss.dev))
 		ss.emitTC = sealSp.Ctx()
 	}
@@ -335,16 +335,9 @@ func (ss *session) flush(e *Engine, sealAll bool) {
 		dAnnotate := stamps.afterAnnotate.Sub(stamps.afterClean)
 		dSeal := sealEnd.Sub(stamps.afterAnnotate)
 		if m != nil {
-			if traced {
-				tid := ss.trace.Trace.String()
-				m.CleanSeconds.ObserveTraced(dClean, tid)
-				m.AnnotateSeconds.ObserveTraced(dAnnotate, tid)
-				m.SealSeconds.ObserveTraced(dSeal, tid)
-			} else {
-				m.CleanSeconds.Observe(dClean)
-				m.AnnotateSeconds.Observe(dAnnotate)
-				m.SealSeconds.Observe(dSeal)
-			}
+			m.CleanSeconds.Observe(dClean)
+			m.AnnotateSeconds.Observe(dAnnotate)
+			m.SealSeconds.Observe(dSeal)
 		}
 		ss.lastFlushAt = sealEnd
 		ss.lastClean = dClean
@@ -358,11 +351,11 @@ func (ss *session) flush(e *Engine, sealAll bool) {
 			// This flush finalized the traced request's data: commit the
 			// stage spans, close the seal span, and release the session's
 			// trace so the next sampled request can adopt it.
-			cl := e.tracer.Start(ss.trace, "clean")
+			cl := e.cfg.Tracer.Start(ss.trace, "clean")
 			cl.SetDevice(string(ss.dev))
 			cl.SetStart(stamps.start)
 			cl.EndAt(stamps.afterClean)
-			an := e.tracer.Start(ss.trace, "annotate")
+			an := e.cfg.Tracer.Start(ss.trace, "annotate")
 			an.SetDevice(string(ss.dev))
 			an.SetStart(stamps.afterClean)
 			an.EndAt(stamps.afterAnnotate)
@@ -491,10 +484,10 @@ func (ss *session) forceSeal(e *Engine, sem *semantics.Sequence) {
 	rest := ss.tail.Records[:copy(ss.tail.Records, ss.tail.Records[cut:])]
 	ss.restartTail(rest, cut)
 	e.stats.ForcedSeals.Add(1)
-	if e.tracer != nil && ss.emitTC.Sampled() {
+	if e.cfg.Tracer != nil && ss.emitTC.Sampled() {
 		// A forced seal truncated the traced request's dwell: mark the trace
 		// kept so the exactness loss is inspectable after the fact.
-		sp := e.tracer.Start(ss.emitTC, "force_seal")
+		sp := e.cfg.Tracer.Start(ss.emitTC, "force_seal")
 		sp.SetDevice(string(ss.dev))
 		sp.SetKeep()
 		sp.End()

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"encoding/json"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,14 +83,24 @@ func viewsJSON(t *testing.T, an *analytics.Engine) string {
 // rebuilds must survive them, and the subscriber must outlive them all.
 func TestRebuildUnderLiveIngest(t *testing.T) {
 	tr, feeds := fleet(t, 10)
-	p, err := Open(tr, Options{Analytics: analytics.Config{Shards: 4, SubscriberBuffer: 1024}, Online: manual()})
+	// The subscriber keeps up: each emission, once folded, waits until the
+	// subscriber has drained every delta published so far, so its buffer
+	// never overflows however the scheduler treats the draining goroutine.
+	var sub *analytics.Subscription
+	cfg := manual()
+	cfg.Emitter = online.EmitterFunc(func(online.Emission) {
+		for len(sub.C()) > 0 {
+			runtime.Gosched()
+		}
+	})
+	p, err := Open(tr, Options{Analytics: analytics.Config{Shards: 4}, Online: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
 	var deltas atomic.Int64
-	sub := p.Analytics.Subscribe(nil)
+	sub = p.Analytics.Subscribe(nil)
 	subDone := make(chan struct{})
 	go func() {
 		defer close(subDone)

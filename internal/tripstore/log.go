@@ -10,19 +10,22 @@ import (
 	"trips/internal/storage"
 )
 
-// LogOptions configures the durability layer.
+// LogOptions configures the durability layer. The log writes its segments
+// to the store's "warehouse-segments" collection and its snapshot to
+// "warehouse-snapshot", one segment per 256 buffered trips (Flush, Snapshot
+// and Close cut a shorter one).
 type LogOptions struct {
 	// Store is the backend document store the log rides on. Required.
 	Store *storage.Store
-	// Collection prefixes the log's collections (default "warehouse"):
-	// segments go to "<Collection>-segments", the snapshot to
-	// "<Collection>-snapshot".
-	Collection string
-	// BatchSize is the number of buffered trips that triggers a segment
-	// write (default 256). Smaller batches tighten the durability window;
-	// larger ones amortize the per-document temp-file + rename cost.
-	BatchSize int
 }
+
+// A segment of segmentBatch trips amortizes the per-document temp-file +
+// rename cost; a smaller batch would tighten the durability window.
+const (
+	segmentCollection  = "warehouse-segments"
+	snapshotCollection = "warehouse-snapshot"
+	segmentBatch       = 256
+)
 
 // segmentDoc is one append-only log segment on disk.
 type segmentDoc struct {
@@ -45,10 +48,7 @@ const snapshotKey = "latest"
 // detaches full batches; the actual document writes run outside that lock,
 // serialized by io. Replay happens before the warehouse is shared.
 type segmentLog struct {
-	store   *storage.Store
-	segCol  string
-	snapCol string
-	batch   int
+	store *storage.Store
 
 	// Guarded by the owning Warehouse's mutex.
 	pending  []Trip
@@ -58,25 +58,11 @@ type segmentLog struct {
 	io sync.Mutex // serializes segment/snapshot writes and truncation
 }
 
-func openSegmentLog(opts LogOptions) (*segmentLog, error) {
-	if opts.Store == nil {
+func openSegmentLog(st *storage.Store) (*segmentLog, error) {
+	if st == nil {
 		return nil, errors.New("tripstore: LogOptions.Store is required")
 	}
-	col := opts.Collection
-	if col == "" {
-		col = "warehouse"
-	}
-	batch := opts.BatchSize
-	if batch <= 0 {
-		batch = 256
-	}
-	return &segmentLog{
-		store:   opts.Store,
-		segCol:  col + "-segments",
-		snapCol: col + "-snapshot",
-		batch:   batch,
-		next:    1,
-	}, nil
+	return &segmentLog{store: st, next: 1}, nil
 }
 
 func segKey(n int) string { return fmt.Sprintf("seg-%08d", n) }
@@ -97,7 +83,7 @@ func parseSegKey(k string) (int, bool) {
 // after the highest segment seen.
 func (l *segmentLog) replay(insert func(Trip)) error {
 	var snap snapshotDoc
-	err := l.store.Get(l.snapCol, snapshotKey, &snap)
+	err := l.store.Get(snapshotCollection, snapshotKey, &snap)
 	switch {
 	case err == nil:
 		for _, t := range snap.Trips {
@@ -107,7 +93,7 @@ func (l *segmentLog) replay(insert func(Trip)) error {
 	default:
 		return fmt.Errorf("tripstore: read snapshot: %w", err)
 	}
-	keys, err := l.store.List(l.segCol)
+	keys, err := l.store.List(segmentCollection)
 	if err != nil {
 		return fmt.Errorf("tripstore: list segments: %w", err)
 	}
@@ -127,7 +113,7 @@ func (l *segmentLog) replay(insert func(Trip)) error {
 			continue
 		}
 		var seg segmentDoc
-		if err := l.store.Get(l.segCol, k, &seg); err != nil {
+		if err := l.store.Get(segmentCollection, k, &seg); err != nil {
 			return fmt.Errorf("tripstore: read segment %s: %w", k, err)
 		}
 		for _, t := range seg.Trips {
@@ -165,7 +151,7 @@ func (l *segmentLog) requeue(batch []Trip) {
 func (l *segmentLog) writeSegment(seq int, batch []Trip) error {
 	l.io.Lock()
 	defer l.io.Unlock()
-	if err := l.store.Put(l.segCol, segKey(seq), segmentDoc{Seq: seq, Trips: batch}); err != nil {
+	if err := l.store.Put(segmentCollection, segKey(seq), segmentDoc{Seq: seq, Trips: batch}); err != nil {
 		return fmt.Errorf("tripstore: write segment %d: %w", seq, err)
 	}
 	return nil
@@ -178,17 +164,17 @@ func (l *segmentLog) writeSegment(seq int, batch []Trip) error {
 func (l *segmentLog) writeSnapshot(covered int, dump []Trip) (int, error) {
 	l.io.Lock()
 	defer l.io.Unlock()
-	if err := l.store.Put(l.snapCol, snapshotKey, snapshotDoc{Covered: covered, Trips: dump}); err != nil {
+	if err := l.store.Put(snapshotCollection, snapshotKey, snapshotDoc{Covered: covered, Trips: dump}); err != nil {
 		return 0, fmt.Errorf("tripstore: write snapshot: %w", err)
 	}
-	keys, err := l.store.List(l.segCol)
+	keys, err := l.store.List(segmentCollection)
 	if err != nil {
 		return 0, err
 	}
 	deleted := 0
 	for _, k := range keys {
 		if n, ok := parseSegKey(k); ok && n <= covered {
-			if err := l.store.Delete(l.segCol, k); err != nil {
+			if err := l.store.Delete(segmentCollection, k); err != nil {
 				return deleted, err
 			}
 			deleted++

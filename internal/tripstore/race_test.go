@@ -22,7 +22,7 @@ func TestWarehouseConcurrentIngestQuerySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := New(Options{Log: &LogOptions{Store: st, BatchSize: 32}})
+	w, err := New(Options{Log: &LogOptions{Store: st}})
 	if err != nil {
 		t.Fatal(err)
 	}

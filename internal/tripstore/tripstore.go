@@ -142,7 +142,7 @@ func New(opts Options) (*Warehouse, error) {
 		tracer:  opts.Tracer,
 	}
 	if opts.Log != nil {
-		log, err := openSegmentLog(*opts.Log)
+		log, err := openSegmentLog(opts.Log.Store)
 		if err != nil {
 			return nil, err
 		}
@@ -187,7 +187,7 @@ func (w *Warehouse) Insert(t Trip) error {
 	w.log.pending = append(w.log.pending, t)
 	var batch []Trip
 	var seq int
-	if len(w.log.pending) >= w.log.batch {
+	if len(w.log.pending) >= segmentBatch {
 		batch, seq = w.log.detach()
 		w.inflight.Add(1)
 	}

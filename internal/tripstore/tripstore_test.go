@@ -62,7 +62,14 @@ func mustInsert(t *testing.T, w *Warehouse, trips ...Trip) {
 	}
 }
 
-func memWarehouse(t *testing.T) *Warehouse {
+func mustFlush(t *testing.T, w *Warehouse) {
+	t.Helper()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func memWarehouse(t testing.TB) *Warehouse {
 	t.Helper()
 	w, err := New(Options{})
 	if err != nil {
@@ -71,15 +78,14 @@ func memWarehouse(t *testing.T) *Warehouse {
 	return w
 }
 
-// diskWarehouse opens (or reopens) a durable warehouse over dir with a
-// 4-trip segment batch.
+// diskWarehouse opens (or reopens) a durable warehouse over dir.
 func diskWarehouse(t *testing.T, dir string) *Warehouse {
 	t.Helper()
 	st, err := storage.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := New(Options{Log: &LogOptions{Store: st, BatchSize: 4}})
+	w, err := New(Options{Log: &LogOptions{Store: st}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,10 +351,13 @@ func TestDurabilityReopen(t *testing.T) {
 
 	w := open()
 	var all []Trip
-	for s := 0; s < 10; s++ { // 10 trips, batch 4 → 2 sealed segments + 2 pending
+	for s := 0; s < 10; s++ { // 10 trips, a flush every 4 → 2 sealed segments + 2 pending
 		tr := trip("a", s, "nike", time.Duration(s)*time.Minute, time.Minute)
 		all = append(all, tr)
 		mustInsert(t, w, tr)
+		if s%4 == 3 {
+			mustFlush(t, w)
+		}
 	}
 	if st := w.Stats(); st.Segments != 2 || st.PendingLog != 2 {
 		t.Fatalf("stats = %+v, want 2 segments + 2 pending", st)
@@ -424,6 +433,7 @@ func TestReplaysIndentedStore(t *testing.T) {
 		first = append(first, nth(i))
 	}
 	mustInsert(t, w, first...)
+	mustFlush(t, w)
 	want, err := json.Marshal(segmentDoc{Seq: 1, Trips: first})
 	if err != nil {
 		t.Fatal(err)
@@ -442,6 +452,9 @@ func TestReplaysIndentedStore(t *testing.T) {
 	}
 	for i := 9; i < 19; i++ {
 		mustInsert(t, w, nth(i))
+		if i == 12 || i == 16 {
+			mustFlush(t, w)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
