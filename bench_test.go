@@ -190,7 +190,7 @@ func trainBenchModel(b *testing.B, e *experiments.Env, name string) *annotation.
 	default:
 		clf = annotation.NewDecisionTree()
 	}
-	em, err := annotation.TrainEventModel(e.Editor.TrainingSet(), clf)
+	em, err := annotation.TrainEventModel(e.Editor.TrainingSet(), clf, e.Trans.Annotator.Cfg.Split)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,8 +24,10 @@ type EventModel struct {
 
 // TrainEventModel fits the classifier on the training set. The classifier
 // choice is the caller's (Gaussian NB by default elsewhere); every defined
-// event needs at least one designated segment.
-func TrainEventModel(ts events.TrainingSet, clf Classifier) (*EventModel, error) {
+// event needs at least one designated segment. split is the splitting the
+// model will be served under: each segment's density feature is derived
+// with it, so the feature means at training what it means at annotation.
+func TrainEventModel(ts events.TrainingSet, clf Classifier, split SplitConfig) (*EventModel, error) {
 	if len(ts.Segments) == 0 {
 		return nil, errNoData
 	}
@@ -44,10 +46,11 @@ func TrainEventModel(ts events.TrainingSet, clf Classifier) (*EventModel, error)
 		index[ev] = i
 	}
 
+	split = split.resolved()
 	var X [][]float64
 	var y []int
 	for _, seg := range ts.Segments {
-		X = append(X, FeaturizeRecords(seg.Records, segmentDense(seg.Records)))
+		X = append(X, FeaturizeRecords(seg.Records, segmentDense(seg.Records, split)))
 		y = append(y, index[seg.Event])
 	}
 	scaler := FitScaler(X)
@@ -58,14 +61,16 @@ func TrainEventModel(ts events.TrainingSet, clf Classifier) (*EventModel, error)
 }
 
 // segmentDense derives the density flag for a training segment by running
-// the same density mask the splitter uses and taking the majority.
-func segmentDense(recs []position.Record) bool {
+// the splitter's density mask under split (resolved) and taking the
+// majority.
+func segmentDense(recs []position.Record, split SplitConfig) bool {
 	if len(recs) == 0 {
 		return false
 	}
 	var cols position.Columns
 	cols.Sync(recs, 0)
-	mask := denseMask(&cols, DefaultSplitConfig())
+	mask := make([]bool, len(recs))
+	denseMaskRange(&cols, split, mask, 0)
 	cnt := 0
 	for _, d := range mask {
 		if d {
@@ -78,12 +83,11 @@ func segmentDense(recs []position.Record) bool {
 // Identify classifies a snippet, returning the event and the model's
 // confidence (the winning class probability).
 func (m *EventModel) Identify(sn Snippet) (semantics.Event, float64) {
-	return m.IdentifyWith(nil, sn)
+	return m.identify(new(Scratch), sn)
 }
 
 // Scratch holds reusable buffers for repeated identification calls — one
-// per caller, not safe for concurrent use. A nil *Scratch is valid and
-// allocates per call.
+// per caller, not safe for concurrent use.
 type Scratch struct {
 	feat   []float64
 	scaled []float64
@@ -91,20 +95,14 @@ type Scratch struct {
 	scores []float64
 }
 
-// IdentifyWith is Identify with caller-owned scratch buffers, so a caller
-// classifying snippets in a loop (the online engine's flush path) does not
+// identify is Identify with caller-owned scratch buffers, so a caller
+// classifying snippets in a loop (the annotator's triplet stage) does not
 // reallocate feature vectors on every call.
-func (m *EventModel) IdentifyWith(sc *Scratch, sn Snippet) (semantics.Event, float64) {
-	var x []float64
-	if sc == nil {
-		x = m.scaler.Transform(Featurize(sn))
-	} else {
-		sc.feat = zeroed(sc.feat, NumFeatures)
-		featurizeInto(sc.feat, &sc.pts, sn.Records, sn.Dense)
-		sc.scaled = zeroed(sc.scaled, NumFeatures)
-		x = m.scaler.transformInto(sc.scaled, sc.feat)
-	}
-	label, probs := m.predict(sc, x)
+func (m *EventModel) identify(sc *Scratch, sn Snippet) (semantics.Event, float64) {
+	sc.feat = zeroed(sc.feat, NumFeatures)
+	featurizeInto(sc.feat, &sc.pts, sn.Records, sn.Dense)
+	sc.scaled = zeroed(sc.scaled, NumFeatures)
+	label, probs := m.predict(sc, m.scaler.transformInto(sc.scaled, sc.feat))
 	conf := 0.0
 	if label < len(probs) {
 		conf = probs[label]
@@ -112,14 +110,13 @@ func (m *EventModel) IdentifyWith(sc *Scratch, sn Snippet) (semantics.Event, flo
 	return m.labels[label], conf
 }
 
-// predict routes through the classifier's scratch-buffer fast path when the
-// caller brought one: the probability vector then aliases sc.scores instead
-// of being allocated per snippet.
+// predict routes through the classifier's scratch-buffer fast path when it
+// has one: the probability vector then aliases sc.scores instead of being
+// allocated per snippet. Logistic regression and the decision tree have
+// none and allocate.
 func (m *EventModel) predict(sc *Scratch, x []float64) (int, []float64) {
-	if sc != nil {
-		if sp, ok := m.clf.(scratchPredictor); ok {
-			return sp.predictScratch(x, &sc.scores)
-		}
+	if sp, ok := m.clf.(scratchPredictor); ok {
+		return sp.predictScratch(x, &sc.scores)
 	}
 	return m.clf.Predict(x)
 }
@@ -184,10 +181,10 @@ type Annotator struct {
 }
 
 // NewAnnotator builds an annotator over a frozen DSM and a trained model.
+// An unusable split configuration is replaced by the defaults, so Cfg.Split
+// is the splitting every annotation runs.
 func NewAnnotator(m *dsm.Model, em *EventModel, cfg Config) *Annotator {
-	if cfg.Split.EpsSpace == 0 {
-		cfg.Split = DefaultSplitConfig()
-	}
+	cfg.Split = cfg.Split.resolved()
 	if cfg.Display == "" {
 		cfg.Display = DisplayTemporalMiddle
 	}
@@ -202,23 +199,16 @@ type regionSnippet struct {
 }
 
 // Annotate translates a cleaned sequence into its original (pre-complement)
-// mobility semantics sequence: split, spatially match, consolidate
-// same-region fragments, then identify one event per consolidated snippet.
-//
-// Consolidation happens BEFORE event identification on purpose: positioning
-// dropouts fragment one long dwell into several snippets, and duration-
-// sensitive event patterns (a one-hour meeting vs a five-minute errand)
-// can only be recognized on the whole dwell.
+// mobility semantics sequence by running a fresh Incremental cold (see
+// Incremental.Annotate for the stages). The result is the caller's: an
+// exact-size copy that shares no buffer with the discarded cache.
 //
 // For re-annotating a sequence that grows between calls, NewIncremental
 // produces identical output in time proportional to the new suffix.
 func (a *Annotator) Annotate(s *position.Sequence) *semantics.Sequence {
 	out := semantics.NewSequence(string(s.Device))
-	labels := a.labelRecords(s, nil, 0)
-	var rs refineScratch
-	refined := a.refineAndMatch(s, Split(s, a.Cfg.Split), labels, nil, &rs)
-	for _, g := range a.consolidate(s, refined) {
-		out.Append(a.annotateSnippet(g, nil))
+	if ts := a.NewIncremental().Annotate(s, 0).Triplets; len(ts) > 0 {
+		out.Triplets = append(make([]semantics.Triplet, 0, len(ts)), ts...)
 	}
 	return out
 }
@@ -259,15 +249,6 @@ type refineScratch struct {
 
 // labelRun is a half-open run [start, end) of identical smoothed labels.
 type labelRun struct{ start, end int }
-
-// refineAndMatch refines every snippet at persistent region changes and
-// resolves each refined snippet's spatial annotation, appending to out.
-func (a *Annotator) refineAndMatch(s *position.Sequence, sns []Snippet, labels []intern.ID, out []regionSnippet, rs *refineScratch) []regionSnippet {
-	for _, sn := range sns {
-		out = a.refineSnippet(s, sn, labels, out, rs)
-	}
-	return out
-}
 
 // refineSnippet splits one snippet at persistent semantic-region changes:
 // two adjacent dwells can share one density cluster (noise bridges
@@ -377,15 +358,10 @@ func (a *Annotator) refineSnippet(s *position.Sequence, sn Snippet, labels []int
 	return out
 }
 
-// consolidate merges consecutive refined snippets that share the event-
+// consolidateInto merges consecutive refined snippets that share the event-
 // relevant identity (tag, region, density) and sit within MergeGap of each
-// other — the same-region consolidation of the Annotate pipeline.
-func (a *Annotator) consolidate(s *position.Sequence, refined []regionSnippet) []regionSnippet {
-	return a.consolidateInto(s, refined, nil)
-}
-
-// consolidateInto is consolidate appending into groups, so the incremental
-// annotator can reuse one buffer across flushes.
+// other, appending into groups so the incremental annotator can reuse one
+// buffer across flushes.
 func (a *Annotator) consolidateInto(s *position.Sequence, refined, groups []regionSnippet) []regionSnippet {
 	for _, g := range refined {
 		if n := len(groups); a.Cfg.MergeGap > 0 && n > 0 {
@@ -401,11 +377,11 @@ func (a *Annotator) consolidateInto(s *position.Sequence, refined, groups []regi
 	return groups
 }
 
-// annotateSnippet builds one triplet from a region-resolved snippet. sc,
-// when non-nil, provides reusable buffers for the feature extraction.
+// annotateSnippet builds one triplet from a region-resolved snippet, with
+// sc's reusable buffers for the feature extraction.
 func (a *Annotator) annotateSnippet(g regionSnippet, sc *Scratch) semantics.Triplet {
 	sn := g.sn
-	ev, conf := a.Events.IdentifyWith(sc, sn)
+	ev, conf := a.Events.identify(sc, sn)
 	if a.Cfg.MinConfidence > 0 && conf < a.Cfg.MinConfidence {
 		ev = semantics.EventUnknown
 	}
@@ -474,10 +450,7 @@ func (a *Annotator) matchRegion(sn Snippet, labels []intern.ID, rs *refineScratc
 func (a *Annotator) displayPoint(sn Snippet, sc *Scratch) (geom.Point, dsm.FloorID) {
 	switch a.Cfg.Display {
 	case DisplaySpatialCentral:
-		if sc != nil {
-			return a.medoid(sn, &sc.pts)
-		}
-		return a.medoid(sn, nil)
+		return a.medoid(sn, &sc.pts)
 	default:
 		r := sn.Records[len(sn.Records)/2]
 		return r.P, r.Floor

@@ -311,7 +311,7 @@ func TestCrossValidate(t *testing.T) {
 
 func TestTrainEventModel(t *testing.T) {
 	ts := trainingSet(t)
-	em, err := TrainEventModel(ts, NewGaussianNB())
+	em, err := TrainEventModel(ts, NewGaussianNB(), DefaultSplitConfig())
 	if err != nil {
 		t.Fatalf("TrainEventModel: %v", err)
 	}
@@ -337,17 +337,17 @@ func TestTrainEventModel(t *testing.T) {
 
 	// Single-event training set fails.
 	one := events.TrainingSet{Segments: ts.Segments[:1]}
-	if _, err := TrainEventModel(one, NewGaussianNB()); err == nil {
+	if _, err := TrainEventModel(one, NewGaussianNB(), DefaultSplitConfig()); err == nil {
 		t.Error("single-event training set accepted")
 	}
-	if _, err := TrainEventModel(events.TrainingSet{}, NewGaussianNB()); err == nil {
+	if _, err := TrainEventModel(events.TrainingSet{}, NewGaussianNB(), DefaultSplitConfig()); err == nil {
 		t.Error("empty training set accepted")
 	}
 }
 
 func TestAnnotateEndToEnd(t *testing.T) {
 	m := testvenue.MustTwoFloor()
-	em, err := TrainEventModel(trainingSet(t), NewGaussianNB())
+	em, err := TrainEventModel(trainingSet(t), NewGaussianNB(), DefaultSplitConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestAnnotateEndToEnd(t *testing.T) {
 
 func TestAnnotateDisplayPolicies(t *testing.T) {
 	m := testvenue.MustTwoFloor()
-	em, err := TrainEventModel(trainingSet(t), NewGaussianNB())
+	em, err := TrainEventModel(trainingSet(t), NewGaussianNB(), DefaultSplitConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestAnnotateDisplayPolicies(t *testing.T) {
 
 func TestAnnotateMinConfidence(t *testing.T) {
 	m := testvenue.MustTwoFloor()
-	em, err := TrainEventModel(trainingSet(t), NewGaussianNB())
+	em, err := TrainEventModel(trainingSet(t), NewGaussianNB(), DefaultSplitConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestAnnotateMinConfidence(t *testing.T) {
 
 func TestMatchRegionFallback(t *testing.T) {
 	m := testvenue.MustTwoFloor()
-	em, err := TrainEventModel(trainingSet(t), NewGaussianNB())
+	em, err := TrainEventModel(trainingSet(t), NewGaussianNB(), DefaultSplitConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

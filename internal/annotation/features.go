@@ -28,11 +28,6 @@ var FeatureNames = []string{
 // NumFeatures is the feature vector length.
 var NumFeatures = len(FeatureNames)
 
-// Featurize converts a snippet into its feature vector.
-func Featurize(sn Snippet) []float64 {
-	return FeaturizeRecords(sn.Records, sn.Dense)
-}
-
 // FeaturizeRecords computes the feature vector of a record run. dense is the
 // density flag from the splitter (or a best guess for training segments).
 func FeaturizeRecords(recs []position.Record, dense bool) []float64 {
@@ -42,8 +37,8 @@ func FeaturizeRecords(recs []position.Record, dense bool) []float64 {
 
 // featurizeInto computes the feature vector into f (len NumFeatures, zeroed
 // by the caller), borrowing *pts as point scratch — the allocation-free
-// inner loop behind FeaturizeRecords that the online engine's per-session
-// scratch reuses across flushes.
+// inner loop behind FeaturizeRecords that the annotator's scratch reuses
+// across snippets and flushes.
 func featurizeInto(f []float64, ptsBuf *[]geom.Point, recs []position.Record, dense bool) []float64 {
 	n := len(recs)
 	if n == 0 {

@@ -8,9 +8,10 @@ import (
 	"trips/internal/semantics"
 )
 
-// Incremental re-annotates a cleaned sequence that grows between calls in
-// time proportional to the new suffix, producing exactly what
-// Annotator.Annotate would. Create one per growing sequence with
+// Incremental is the staged annotator: it re-annotates a cleaned sequence
+// that grows between calls in time proportional to the new suffix. It is
+// the only implementation of splitting and annotation — Split and
+// Annotator.Annotate run it cold. Create one per growing sequence with
 // NewIncremental; not safe for concurrent use.
 //
 // Every stage caches what a new suffix provably cannot have changed:
@@ -34,19 +35,20 @@ import (
 // neighborhoods, region point location, cut detection, feature extraction,
 // classification — is confined to the suffix.
 type Incremental struct {
-	a   *Annotator
-	cfg SplitConfig // resolved, like Split resolves it
+	a      *Annotator
+	cfg    SplitConfig // resolved, like Split resolves it
+	suffix bool        // sequences are trimmed suffixes: no tiny-head merge
 
 	n       int              // records covered by the last call
 	cols    position.Columns // struct-of-arrays projection of the records
 	raw     []bool           // pre-smooth density flags
-	sm      []bool // smoothed density flags
-	densePS []int  // prefix sums of sm, len n+1
+	sm      []bool           // smoothed density flags
+	densePS []int            // prefix sums of sm, len n+1
 	labels  []intern.ID
 
 	snips             []Snippet       // pre-merge snippet list of the last call
 	snipsScratch      []Snippet       // double buffer for snips
-	merged            []Snippet       // post-mergeTiny snippets of the last call
+	merged            []Snippet       // post-merge snippets of the last call
 	mergedScratch     []Snippet       // double buffer for merged
 	refined           []regionSnippet // refined+matched snippets of the last call
 	refinedScratch    []regionSnippet
@@ -68,41 +70,117 @@ func (a *Annotator) NewIncremental() *Incremental {
 	return &Incremental{a: a, cfg: a.Cfg.Split.resolved()}
 }
 
-// BoundTo reports whether inc was created by a. The online engine swaps
-// annotator variants when a session's tail becomes a trimmed suffix; a cache
-// bound to the old configuration must be rebuilt, not merely Reset.
-func (inc *Incremental) BoundTo(a *Annotator) bool { return inc.a == a }
+// Reset drops every cache and its buffers; the next Annotate recomputes
+// from scratch. The buffers go too because the sequence that follows is
+// usually much shorter — a tail after a MaxTail trim — and doubled capacity
+// sized to the old one would stay pinned for the cache's life. suffix
+// records whether the sequences that follow are trimmed suffixes of a
+// longer stream (the online engine's tail after a trim): their first
+// snippet is not the true sequence head, so the tiny-head forward merge
+// does not apply to it. The sequence the last Annotate returned is
+// invalid after Reset.
+func (inc *Incremental) Reset(suffix bool) {
+	*inc = Incremental{a: inc.a, cfg: inc.cfg, suffix: suffix}
+}
 
-// Reset clears every cache, keeping allocated buffers; the next Annotate
-// recomputes from scratch.
-func (inc *Incremental) Reset() { inc.n = 0 }
-
-// Annotate returns the annotation of s, identical to inc's Annotator
-// running Annotate(s) from scratch. stable is the caller's frozen-prefix
-// hint: records with index below it are unchanged — same values, same
-// positions — since the previous call on this Incremental (0 forces a full
-// recompute). The returned sequence is owned by the cache and reused: it and
-// its triplet slice are valid only until the next Annotate or Reset call.
+// Annotate returns the annotation of s: split, spatially match, consolidate
+// same-region fragments, then identify one event per consolidated snippet.
+// stable is the caller's frozen-prefix hint: records with index below it
+// are unchanged — same values, same positions — since the previous call on
+// this Incremental (0 forces a full recompute). The returned sequence is
+// owned by the cache and reused: it and its triplet slice are valid only
+// until the next Annotate or Reset call.
+//
+// Consolidation happens BEFORE event identification on purpose: positioning
+// dropouts fragment one long dwell into several snippets, and duration-
+// sensitive event patterns (a one-hour meeting vs a five-minute errand) can
+// only be recognized on the whole dwell.
 func (inc *Incremental) Annotate(s *position.Sequence, stable int) *semantics.Sequence {
 	out := &inc.out
 	out.Device = string(s.Device)
 	out.Triplets = out.Triplets[:0]
 	n := s.Len()
 	if n == 0 {
-		inc.Reset()
+		inc.n = 0
 		return out
 	}
 	if n < inc.n || stable > inc.n {
 		stable = 0 // shrunk or inconsistent hint: recompute everything
 	}
+	merged := inc.split(s, stable)
+
+	// Per-record region labels (point location); value-local, so only the
+	// suffix re-resolves. The split does not read them.
+	inc.labels = inc.a.labelRecords(s, inc.labels, stable)
+
+	// Refine + spatial match, reusing the aligned cached prefix. A merged
+	// snippet with the same extent and density class, fully below the
+	// stable index, refines and matches to the identical sub-snippets.
+	keep := 0
+	for keep < len(merged) && keep < len(inc.merged) && keep < len(inc.refinedEnd) {
+		a, b := merged[keep], inc.merged[keep]
+		if a.First != b.First || a.Last != b.Last || a.Dense != b.Dense || a.Last >= stable {
+			break
+		}
+		keep++
+	}
+	refined := inc.refinedScratch[:0]
+	refinedEnd := inc.refinedEndScratch[:0]
+	if keep > 0 {
+		refined = append(refined, inc.refined[:inc.refinedEnd[keep-1]]...)
+		refinedEnd = append(refinedEnd, inc.refinedEnd[:keep]...)
+	}
+	for _, sn := range merged[keep:] {
+		refined = inc.a.refineSnippet(s, sn, inc.labels, refined, &inc.rs)
+		refinedEnd = append(refinedEnd, len(refined))
+	}
+
+	// Same-region consolidation (cheap scan), then the triplets, reusing
+	// the aligned cached prefix of unchanged groups.
+	groups := inc.a.consolidateInto(s, refined, inc.groupsScratch[:0])
+	keepG := 0
+	for keepG < len(groups) && keepG < len(inc.groups) && keepG < len(inc.trips) {
+		a, b := groups[keepG], inc.groups[keepG]
+		if a.sn.First != b.sn.First || a.sn.Last != b.sn.Last || a.sn.Dense != b.sn.Dense ||
+			a.tag != b.tag || a.rid != b.rid || a.sn.Last >= stable {
+			break
+		}
+		keepG++
+	}
+	trips := append(inc.tripsScratch[:0], inc.trips[:keepG]...)
+	for _, g := range groups[keepG:] {
+		trips = append(trips, inc.a.annotateSnippet(g, &inc.sc))
+	}
+
+	// Swap the double buffers and publish the caches.
+	inc.refinedScratch, inc.refined = inc.refined, refined
+	inc.refinedEndScratch, inc.refinedEnd = inc.refinedEnd, refinedEnd
+	inc.merged, inc.mergedScratch = merged, inc.merged
+	inc.tripsScratch, inc.trips = inc.trips, trips
+	inc.groups, inc.groupsScratch = groups, inc.groups
+	inc.n = n
+
+	for _, t := range inc.trips {
+		out.Append(t)
+	}
+	return out
+}
+
+// split is the density-based splitting of a non-empty s: density flags,
+// cuts at density-class, floor and long-gap changes, then the tiny-snippet
+// merge. It refreshes the flags and cuts only from where records at or
+// after stable can have moved them, and returns the merged snippets in
+// inc.mergedScratch, which Annotate publishes as the next call's cache.
+func (inc *Incremental) split(s *position.Sequence, stable int) []Snippet {
+	n := s.Len()
 	// Refresh the column projection for the changed suffix; the per-record
 	// scans below read it instead of the full Record rows.
 	inc.cols.Sync(s.Records, stable)
 
-	// Stage 1: density flags. A changed or new record sits at index ≥
-	// stable, hence (time-sorted) at or after At(stable); raw flags of
-	// records more than EpsTime before that instant keep their
-	// neighborhoods. The smoothing window adds one record of slack.
+	// Density flags. A changed or new record sits at index ≥ stable, hence
+	// (time-sorted) at or after At(stable); raw flags of records more than
+	// EpsTime before that instant keep their neighborhoods. The smoothing
+	// window adds one record of slack.
 	f0 := n
 	if stable < n {
 		limit := inc.cols.At[stable].Add(-inc.cfg.EpsTime)
@@ -139,16 +217,12 @@ func (inc *Incremental) Annotate(s *position.Sequence, stable int) *semantics.Se
 		inc.densePS[i+1] = inc.densePS[i] + d
 	}
 
-	// Stage 2: per-record region labels (point location); value-local, so
-	// only the suffix re-resolves.
-	inc.labels = inc.a.labelRecords(s, inc.labels, stable)
-
-	// Stage 3: split cuts and the pre-merge snippet list. A cut at index i
-	// reads records i-1 and i and their smoothed flags, all unchanged below
-	// s0 (s0 < stable whenever stable > 0), so every cached snippet whose
-	// closing cut sits below s0 is reused verbatim — except the final one,
-	// whose end was the end of the sequence rather than a cut — and the
-	// per-record scan resumes at the first boundary that may have moved.
+	// Cuts and the pre-merge snippet list. A cut at index i reads records
+	// i-1 and i and their smoothed flags, all unchanged below s0 (s0 <
+	// stable whenever stable > 0), so every cached snippet whose closing cut
+	// sits below s0 is reused verbatim — except the final one, whose end was
+	// the end of the sequence rather than a cut — and the per-record scan
+	// resumes at the first boundary that may have moved.
 	snips := inc.snipsScratch[:0]
 	start := 0
 	keepS := 0
@@ -161,73 +235,19 @@ func (inc *Incremental) Annotate(s *position.Sequence, stable int) *semantics.Se
 	}
 	for i := start + 1; i < n; i++ {
 		if cutAt(&inc.cols, inc.sm, inc.cfg.MaxGap, i) {
-			snips = append(snips, inc.makeSnippetPS(s, start, i-1))
+			snips = append(snips, inc.makeSnippet(s, start, i-1))
 			start = i
 		}
 	}
-	snips = append(snips, inc.makeSnippetPS(s, start, n-1))
+	snips = append(snips, inc.makeSnippet(s, start, n-1))
 	inc.snips, inc.snipsScratch = snips, inc.snips
 
-	// The tiny-snippet merge writes into its own buffer so the pre-merge
-	// list above survives as next call's cut cache.
-	merged := mergeTinyInto(s, snips, inc.cfg, inc.mergedScratch[:0])
-
-	// Stage 4: refine + spatial match, reusing the aligned cached prefix.
-	// A merged snippet with the same extent and density class, fully below
-	// the stable index, refines and matches to the identical sub-snippets.
-	keep := 0
-	for keep < len(merged) && keep < len(inc.merged) && keep < len(inc.refinedEnd) {
-		a, b := merged[keep], inc.merged[keep]
-		if a.First != b.First || a.Last != b.Last || a.Dense != b.Dense || a.Last >= stable {
-			break
-		}
-		keep++
-	}
-	refined := inc.refinedScratch[:0]
-	refinedEnd := inc.refinedEndScratch[:0]
-	if keep > 0 {
-		refined = append(refined, inc.refined[:inc.refinedEnd[keep-1]]...)
-		refinedEnd = append(refinedEnd, inc.refinedEnd[:keep]...)
-	}
-	for _, sn := range merged[keep:] {
-		refined = inc.a.refineSnippet(s, sn, inc.labels, refined, &inc.rs)
-		refinedEnd = append(refinedEnd, len(refined))
-	}
-
-	// Stage 5: same-region consolidation (cheap scan), then the triplets,
-	// reusing the aligned cached prefix of unchanged groups.
-	groups := inc.a.consolidateInto(s, refined, inc.groupsScratch[:0])
-	keepG := 0
-	for keepG < len(groups) && keepG < len(inc.groups) && keepG < len(inc.trips) {
-		a, b := groups[keepG], inc.groups[keepG]
-		if a.sn.First != b.sn.First || a.sn.Last != b.sn.Last || a.sn.Dense != b.sn.Dense ||
-			a.tag != b.tag || a.rid != b.rid || a.sn.Last >= stable {
-			break
-		}
-		keepG++
-	}
-	trips := append(inc.tripsScratch[:0], inc.trips[:keepG]...)
-	for _, g := range groups[keepG:] {
-		trips = append(trips, inc.a.annotateSnippet(g, &inc.sc))
-	}
-
-	// Swap the double buffers and publish the caches.
-	inc.refinedScratch, inc.refined = inc.refined, refined
-	inc.refinedEndScratch, inc.refinedEnd = inc.refinedEnd, refinedEnd
-	inc.merged, inc.mergedScratch = merged, inc.merged
-	inc.tripsScratch, inc.trips = inc.trips, trips
-	inc.groups, inc.groupsScratch = groups, inc.groups
-	inc.n = n
-
-	for _, t := range inc.trips {
-		out.Append(t)
-	}
-	return out
+	return mergeTinyInto(s, snips, inc.cfg, inc.mergedScratch[:0], !inc.suffix)
 }
 
-// makeSnippetPS is makeSnippet with the density majority answered by the
-// smoothed-flag prefix sums.
-func (inc *Incremental) makeSnippetPS(s *position.Sequence, first, last int) Snippet {
+// makeSnippet builds the snippet of records [first, last], its density
+// majority answered by the smoothed-flag prefix sums.
+func (inc *Incremental) makeSnippet(s *position.Sequence, first, last int) Snippet {
 	cnt := inc.densePS[last+1] - inc.densePS[first]
 	return Snippet{
 		First:   first,

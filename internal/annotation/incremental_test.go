@@ -17,11 +17,23 @@ import (
 func growAnnotator(t *testing.T, cfg Config) *Annotator {
 	t.Helper()
 	m := testvenue.MustTwoFloor()
-	em, err := TrainEventModel(trainingSet(t), NewGaussianNB())
+	em, err := TrainEventModel(trainingSet(t), NewGaussianNB(), cfg.Split)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return NewAnnotator(m, em, cfg)
+}
+
+// coldAnnotate is the reference the warm annotator must reproduce: a fresh
+// cache run over the whole sequence. For a pristine sequence that is the
+// batch Annotate; for a trimmed suffix it is a fresh Incremental told so.
+func coldAnnotate(a *Annotator, s *position.Sequence, suffix bool) *semantics.Sequence {
+	if !suffix {
+		return a.Annotate(s)
+	}
+	cold := a.NewIncremental()
+	cold.Reset(true)
+	return cold.Annotate(s, 0)
 }
 
 func assertSameAnnotation(t *testing.T, seed uint32, step int, inc, full []semantics.Triplet) {
@@ -39,19 +51,22 @@ func assertSameAnnotation(t *testing.T, seed uint32, step int, inc, full []seman
 // TestIncrementalAnnotateMatchesFull drives randomized growing sequences —
 // dwells, hall walks, floor flips, dropout gaps, and bounded out-of-order
 // inserts — through Incremental.Annotate with a trailing-lag stable hint
-// and asserts the output equals a from-scratch Annotate after every step.
+// and asserts the output equals a from-scratch (cold) annotation after
+// every step. The second variant is the trimmed tail the engine annotates
+// after a hard break: Reset(true) on both the warm annotator and the cold
+// reference, with consolidation off.
 func TestIncrementalAnnotateMatchesFull(t *testing.T) {
-	for _, cfg := range []Config{DefaultConfig(), func() Config {
-		c := DefaultConfig()
-		c.Split.DisableHeadMerge = true // the trimmed-tail variant the engine uses
-		c.MergeGap = 0
-		return c
-	}()} {
+	for _, suffix := range []bool{false, true} {
+		cfg := DefaultConfig()
+		if suffix {
+			cfg.MergeGap = 0
+		}
 		a := growAnnotator(t, cfg)
 		for seed := uint32(1); seed <= 8; seed++ {
 			st := seed
 			next := func(mod uint32) uint32 { st = st*1664525 + 1013904223; return (st >> 8) % mod }
 			inc := a.NewIncremental()
+			inc.Reset(suffix)
 			s := position.NewSequence("d")
 			at := t0
 			const lag = 3 * time.Minute
@@ -88,7 +103,7 @@ func TestIncrementalAnnotateMatchesFull(t *testing.T) {
 					at = at.Add(step)
 				}
 				got := inc.Annotate(s, stable)
-				want := a.Annotate(s)
+				want := coldAnnotate(a, s, suffix)
 				assertSameAnnotation(t, seed, step, got.Triplets, want.Triplets)
 				if stable > 0 {
 					reused = true
@@ -145,8 +160,17 @@ func TestIncrementalAnnotateReset(t *testing.T) {
 	want = a.Annotate(trimmed)
 	assertSameAnnotation(t, 0, 1, got.Triplets, want.Triplets)
 
-	inc.Reset()
+	inc.Reset(false)
 	got = inc.Annotate(s, 0)
 	want = a.Annotate(s)
 	assertSameAnnotation(t, 0, 2, got.Triplets, want.Triplets)
+
+	// Reset releases the buffers sized to the long sequence: the short
+	// tail that follows a MaxTail trim must not pin them.
+	inc.Reset(true)
+	short := &position.Sequence{Device: "d", Records: s.Records[s.Len()-20:]}
+	inc.Annotate(short, 0)
+	if c := cap(inc.cols.At); c >= s.Len() {
+		t.Errorf("after Reset the column projection keeps capacity %d, sized to the %d-record sequence before it", c, s.Len())
+	}
 }

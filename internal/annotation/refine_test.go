@@ -15,7 +15,7 @@ import (
 // two distinct spatial annotations.
 func TestRefineSplitsAdjacentDwells(t *testing.T) {
 	m := testvenue.MustTwoFloor()
-	em, err := TrainEventModel(trainingSet(t), NewGaussianNB())
+	em, err := TrainEventModel(trainingSet(t), NewGaussianNB(), DefaultSplitConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRefineSplitsAdjacentDwells(t *testing.T) {
 // density flicker and short gaps comes out as a single triplet.
 func TestConsolidationMergesFragments(t *testing.T) {
 	m := testvenue.MustTwoFloor()
-	em, err := TrainEventModel(trainingSet(t), NewGaussianNB())
+	em, err := TrainEventModel(trainingSet(t), NewGaussianNB(), DefaultSplitConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestConsolidationMergesFragments(t *testing.T) {
 // still tile the record range exactly.
 func TestRefineKeepsIndexLinkage(t *testing.T) {
 	m := testvenue.MustTwoFloor()
-	em, err := TrainEventModel(trainingSet(t), NewGaussianNB())
+	em, err := TrainEventModel(trainingSet(t), NewGaussianNB(), DefaultSplitConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,11 @@
 // learning models (model.go: Gaussian naive Bayes, multinomial logistic
 // regression, CART decision tree), and the Annotator that combines event
 // identification with semantic-region matching (annotate.go).
+//
+// Every step has one implementation, the staged Incremental annotator
+// (incremental.go). The batch entry points, Split and Annotator.Annotate,
+// run it cold on a fresh cache; the online engine keeps one per session and
+// runs it warm, recomputing only what a new suffix can have changed.
 package annotation
 
 import (
@@ -40,11 +45,6 @@ type SplitConfig struct {
 	// MinSnippet merges runs shorter than this many records into their
 	// predecessor, suppressing classification jitter.
 	MinSnippet int
-	// DisableHeadMerge keeps a tiny head snippet separate instead of
-	// merging it forward. The online engine sets it when splitting a
-	// trimmed session tail: the tail's first snippet is not the true
-	// sequence head, so the head-merge rule must not apply.
-	DisableHeadMerge bool
 }
 
 // DefaultSplitConfig matches Wi-Fi indoor sampling (3–10 s period,
@@ -90,30 +90,12 @@ func (cfg SplitConfig) resolved() SplitConfig {
 }
 
 // Split performs the density-based spatio-temporal splitting of a cleaned
-// sequence into snippets.
+// sequence into snippets: the incremental annotator's splitter run cold.
 func Split(s *position.Sequence, cfg SplitConfig) []Snippet {
-	n := s.Len()
-	if n == 0 {
+	if s.Len() == 0 {
 		return nil
 	}
-	cfg = cfg.resolved()
-
-	var cols position.Columns
-	cols.Sync(s.Records, 0)
-	dense := denseMask(&cols, cfg)
-	smooth(dense)
-
-	// Cut points: density class change, floor change, or a long time gap.
-	var snippets []Snippet
-	start := 0
-	for i := 1; i < n; i++ {
-		if cutAt(&cols, dense, cfg.MaxGap, i) {
-			snippets = append(snippets, makeSnippet(s, dense, start, i-1))
-			start = i
-		}
-	}
-	snippets = append(snippets, makeSnippet(s, dense, start, n-1))
-	return mergeTiny(s, snippets, cfg)
+	return (&Incremental{cfg: cfg.resolved()}).split(s, 0)
 }
 
 // cutAt reports whether the splitter cuts between records i-1 and i:
@@ -126,21 +108,14 @@ func cutAt(c *position.Columns, dense []bool, maxGap time.Duration, i int) bool 
 		c.At[i].Sub(c.At[i-1]) > maxGap
 }
 
-// denseMask marks each record that has at least MinPts spatio-temporal
-// neighbors. The scan window exploits time ordering: only records within
-// EpsTime can be neighbors.
-func denseMask(c *position.Columns, cfg SplitConfig) []bool {
-	dense := make([]bool, c.Len())
-	denseMaskRange(c, cfg, dense, 0)
-	return dense
-}
-
-// denseMaskRange computes the density flags for records [from, n) into
-// dense (which spans the whole run): the windowed form the incremental
-// annotator uses to refresh only the flags a new suffix can have touched.
-// from == n is a valid empty window (an unchanged sequence re-annotated).
-// It reads the struct-of-arrays projection: the O(n·window) neighborhood
-// scan touches timestamps and points only, at column stride.
+// denseMaskRange marks each record in [from, n) that has at least MinPts
+// spatio-temporal neighbors, writing into dense (which spans the whole
+// run): the windowed form lets the incremental annotator refresh only the
+// flags a new suffix can have touched. from == n is a valid empty window
+// (an unchanged sequence re-annotated). The scan window exploits time
+// ordering — only records within EpsTime can be neighbors — and reads the
+// struct-of-arrays projection, so the O(n·window) neighborhood scan touches
+// timestamps and points only, at column stride.
 func denseMaskRange(c *position.Columns, cfg SplitConfig, dense []bool, from int) {
 	n := c.Len()
 	if from >= n {
@@ -175,23 +150,8 @@ func denseMaskRange(c *position.Columns, cfg SplitConfig, dense []bool, from int
 	}
 }
 
-// smooth applies a 3-wide majority filter to suppress single-record flips.
-func smooth(mask []bool) {
-	n := len(mask)
-	if n < 3 {
-		return
-	}
-	prev := mask[0]
-	for i := 1; i < n-1; i++ {
-		cur := mask[i]
-		if prev == mask[i+1] && cur != prev {
-			mask[i] = prev
-		}
-		prev = cur
-	}
-}
-
-// smoothedAt is the indexwise form of smooth over the unfiltered flags: the
+// smoothedAt is the 3-wide majority filter that suppresses single-record
+// density flips, evaluated at index i over the unfiltered flags: the
 // incremental annotator keeps raw and smoothed flags separate so it can
 // refresh a window without replaying the whole filter.
 //
@@ -206,40 +166,21 @@ func smoothedAt(raw []bool, i int) bool {
 	return raw[i]
 }
 
-func makeSnippet(s *position.Sequence, dense []bool, first, last int) Snippet {
-	cnt := 0
-	for i := first; i <= last; i++ {
-		if dense[i] {
-			cnt++
-		}
-	}
-	return Snippet{
-		First:   first,
-		Last:    last,
-		Records: s.Records[first : last+1],
-		Dense:   cnt*2 >= last-first+1,
-	}
-}
-
 // TinyJoinGap is the maximum hand-off gap for folding a tiny snippet into a
 // neighbor. Exported so the online engine can size its seal horizon: once a
 // snippet's end is further than this behind the watermark, no future record
 // can merge backward into it.
 const TinyJoinGap = 5 * time.Minute
 
-// mergeTiny folds runs shorter than minLen records or 10 seconds into their
-// predecessor (or successor for a tiny head), re-deriving the density
-// majority. Floor-change and gap cuts are preserved: a tiny run is only
-// merged into a neighbor on the same floor with a small join gap.
-func mergeTiny(s *position.Sequence, sn []Snippet, cfg SplitConfig) []Snippet {
-	return mergeTinyInto(s, sn, cfg, sn[:0])
-}
-
-// mergeTinyInto is mergeTiny appending into dst. The batch path passes
-// sn[:0], folding in place (the write index never passes the read index);
-// the incremental annotator passes a separate buffer so the pre-merge list
-// survives as its cut cache.
-func mergeTinyInto(s *position.Sequence, sn []Snippet, cfg SplitConfig, dst []Snippet) []Snippet {
+// mergeTinyInto folds runs shorter than MinSnippet records or 10 seconds
+// into their predecessor, re-deriving the density majority, and appends the
+// result to dst — a buffer separate from sn, so the pre-merge list survives
+// as the incremental annotator's cut cache. Floor-change and gap cuts are
+// preserved: a tiny run is only merged into a neighbor on the same floor
+// with a small join gap. With headMerge a tiny head merges forward into its
+// successor; a trimmed suffix passes false, because its first snippet is
+// not the true sequence head.
+func mergeTinyInto(s *position.Sequence, sn []Snippet, cfg SplitConfig, dst []Snippet, headMerge bool) []Snippet {
 	minLen := cfg.MinSnippet
 	if minLen <= 1 || len(sn) <= 1 {
 		return append(dst, sn...)
@@ -256,7 +197,7 @@ func mergeTinyInto(s *position.Sequence, sn []Snippet, cfg SplitConfig, dst []Sn
 		out = append(out, cur)
 	}
 	// A tiny head merges forward.
-	if !cfg.DisableHeadMerge && len(out) > 1 && tiny(out[0]) && joinable(out[0], out[1]) {
+	if headMerge && len(out) > 1 && tiny(out[0]) && joinable(out[0], out[1]) {
 		out[1] = joinSnippets(s, out[0], out[1])
 		out = out[1:]
 	}

@@ -42,29 +42,21 @@ type Knowledge struct {
 // inferred) triplets of the given semantics sequences. Consecutive triplets
 // count as a transition when both carry a region ID and the hand-off gap is
 // at most joinGap (transitions across long dropouts are exactly what we must
-// NOT learn as direct).
+// NOT learn as direct). It is Observe folded over each sequence's
+// region-carrying observed triplets.
 func BuildKnowledge(m *dsm.Model, seqs []*semantics.Sequence, joinGap time.Duration) *Knowledge {
-	k := &Knowledge{
-		model:  m,
-		counts: make(map[dsm.RegionID]map[dsm.RegionID]float64),
-		totals: make(map[dsm.RegionID]float64),
-	}
-	if joinGap <= 0 {
-		joinGap = 2 * time.Minute
-	}
+	k := NewKnowledge(m)
 	for _, s := range seqs {
-		prev := -1
-		for i, tr := range s.Triplets {
+		var prev *semantics.Triplet
+		for i := range s.Triplets {
+			tr := &s.Triplets[i]
 			if tr.Inferred || tr.RegionID == "" {
 				continue
 			}
-			if prev >= 0 {
-				pt := s.Triplets[prev]
-				if tr.From.Sub(pt.To) <= joinGap && pt.RegionID != tr.RegionID {
-					k.add(pt.RegionID, tr.RegionID)
-				}
+			if prev != nil {
+				k.Observe(*prev, *tr, joinGap)
 			}
-			prev = i
+			prev = tr
 		}
 	}
 	return k
@@ -81,13 +73,10 @@ func NewKnowledge(m *dsm.Model) *Knowledge {
 	}
 }
 
-// Add records one observed direct transition a→b. Callers own any
-// synchronization; Knowledge itself is not safe for concurrent mutation.
-func (k *Knowledge) Add(a, b dsm.RegionID) { k.add(a, b) }
-
 // Observe records the transition between two consecutive observed triplets
-// when both carry a region and the hand-off gap is at most joinGap — the
-// same admission rule BuildKnowledge applies.
+// when both carry a region and the hand-off gap is at most joinGap (default
+// 2 minutes) — the one admission rule of knowledge aggregation. Callers own
+// any synchronization; Knowledge is not safe for concurrent mutation.
 func (k *Knowledge) Observe(prev, next semantics.Triplet, joinGap time.Duration) {
 	if joinGap <= 0 {
 		joinGap = 2 * time.Minute
@@ -141,19 +130,6 @@ func (k *Knowledge) TransitionProb(a, b dsm.RegionID) float64 {
 	return num / (k.totals[a] + alpha*float64(len(neighbors)))
 }
 
-// MostLikelyNext returns b's neighbor with the highest transition
-// probability, for diagnostics and the viewer's "likely destination" tip.
-func (k *Knowledge) MostLikelyNext(a dsm.RegionID) (dsm.RegionID, float64) {
-	var best dsm.RegionID
-	bestP := 0.0
-	for _, n := range k.model.AdjacentRegions(a) {
-		if p := k.TransitionProb(a, n); p > bestP {
-			best, bestP = n, p
-		}
-	}
-	return best, bestP
-}
-
 // Complementor fills the gaps of annotated semantics sequences.
 type Complementor struct {
 	Model *dsm.Model
@@ -182,19 +158,12 @@ func NewComplementor(m *dsm.Model, k *Knowledge) *Complementor {
 // qualifying gap, plus the number of triplets inserted.
 func (c *Complementor) Complement(s *semantics.Sequence) (*semantics.Sequence, int) {
 	out := semantics.NewSequence(s.Device)
-	maxGap := c.MaxGap
-	if maxGap <= 0 {
-		maxGap = 3 * time.Minute
-	}
 	inserted := 0
 	for i, tr := range s.Triplets {
 		if i > 0 {
-			prev := s.Triplets[i-1]
-			if tr.From.Sub(prev.To) > maxGap && prev.RegionID != "" && tr.RegionID != "" {
-				for _, inf := range c.inferGap(prev, tr) {
-					out.Append(inf)
-					inserted++
-				}
+			for _, inf := range c.Fill(s.Triplets[i-1], tr) {
+				out.Append(inf)
+				inserted++
 			}
 		}
 		out.Append(tr)
@@ -202,9 +171,18 @@ func (c *Complementor) Complement(s *semantics.Sequence) (*semantics.Sequence, i
 	return out, inserted
 }
 
-// inferGap produces the inferred triplets between a and b: the interior
+// Fill returns the inferred triplets for the gap between consecutive
+// triplets a and b. A gap qualifies when both carry a region and it is
+// longer than MaxGap (default 3 minutes); its triplets are then the interior
 // regions of the MAP path, with the gap time split evenly across them.
-func (c *Complementor) inferGap(a, b semantics.Triplet) []semantics.Triplet {
+func (c *Complementor) Fill(a, b semantics.Triplet) []semantics.Triplet {
+	maxGap := c.MaxGap
+	if maxGap <= 0 {
+		maxGap = 3 * time.Minute
+	}
+	if a.RegionID == "" || b.RegionID == "" || b.From.Sub(a.To) <= maxGap {
+		return nil
+	}
 	path, prob := c.mapPath(a.RegionID, b.RegionID)
 	if len(path) <= 2 {
 		return nil // adjacent or unreachable: nothing to insert

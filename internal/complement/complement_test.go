@@ -1,6 +1,7 @@
 package complement
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -72,15 +73,6 @@ func TestKnowledgeIgnoresLongGapsAndInferred(t *testing.T) {
 	}
 }
 
-func TestMostLikelyNext(t *testing.T) {
-	m := testvenue.MustTwoFloor()
-	k := BuildKnowledge(m, observedSeqs(), 2*time.Minute)
-	next, p := k.MostLikelyNext("rg-hall")
-	if next != "rg-nike" || p <= 0 {
-		t.Errorf("MostLikelyNext(hall) = %v, %v", next, p)
-	}
-}
-
 func TestComplementFillsGap(t *testing.T) {
 	m := testvenue.MustTwoFloor()
 	k := BuildKnowledge(m, observedSeqs(), 2*time.Minute)
@@ -123,6 +115,10 @@ func TestComplementFillsGap(t *testing.T) {
 	// The original triplets survive unmodified.
 	if out.Triplets[0].Region != "Adidas" || out.Triplets[out.Len()-1].Region != "Cashier" {
 		t.Errorf("original triplets disturbed: %v", out.Triplets)
+	}
+	// Fill is the per-gap step Complement loops over.
+	if got := c.Fill(s.Triplets[0], s.Triplets[1]); !reflect.DeepEqual(got, out.Triplets[1:out.Len()-1]) {
+		t.Errorf("Fill = %v, Complement inserted %v", got, out.Triplets[1:out.Len()-1])
 	}
 }
 

@@ -75,27 +75,19 @@ func NewClassifier(name string) (annotation.Classifier, error) {
 }
 
 // TrainEventModel trains the identification model from Event Editor state
-// using the configured classifier.
+// using the configured classifier, deriving each segment's density feature
+// under the configured splitting — the one the Translator annotates with.
 func TrainEventModel(ts events.TrainingSet, ac config.AnnotatorConfig) (*annotation.EventModel, error) {
 	clf, err := NewClassifier(ac.Classifier)
 	if err != nil {
 		return nil, err
 	}
-	return annotation.TrainEventModel(ts, clf)
+	return annotation.TrainEventModel(ts, clf, annotatorConfig(ac).Split)
 }
 
-// NewTranslator builds the pipeline from the declarative configs.
-func NewTranslator(m *dsm.Model, em *annotation.EventModel,
-	cc config.CleanerConfig, ac config.AnnotatorConfig, xc config.ComplementorConfig) (*Translator, error) {
-	if m == nil || !m.Frozen() {
-		return nil, fmt.Errorf("core: translator needs a frozen DSM")
-	}
-	cl := cleaning.New(m)
-	if cc.MaxSpeedMPS > 0 {
-		cl.MaxSpeed = cc.MaxSpeedMPS
-	}
-	cl.UseEuclidean = cc.UseEuclidean
-
+// annotatorConfig maps the Configurator's annotator section onto the
+// annotation layer's configuration; zero fields keep the defaults.
+func annotatorConfig(ac config.AnnotatorConfig) annotation.Config {
 	cfg := annotation.DefaultConfig()
 	if ac.EpsSpaceM > 0 {
 		cfg.Split.EpsSpace = ac.EpsSpaceM
@@ -122,12 +114,25 @@ func NewTranslator(m *dsm.Model, em *annotation.EventModel,
 	case ac.MergeGapS < 0:
 		cfg.MergeGap = 0
 	}
-	an := annotation.NewAnnotator(m, em, cfg)
+	return cfg
+}
+
+// NewTranslator builds the pipeline from the declarative configs.
+func NewTranslator(m *dsm.Model, em *annotation.EventModel,
+	cc config.CleanerConfig, ac config.AnnotatorConfig, xc config.ComplementorConfig) (*Translator, error) {
+	if m == nil || !m.Frozen() {
+		return nil, fmt.Errorf("core: translator needs a frozen DSM")
+	}
+	cl := cleaning.New(m)
+	if cc.MaxSpeedMPS > 0 {
+		cl.MaxSpeed = cc.MaxSpeedMPS
+	}
+	cl.UseEuclidean = cc.UseEuclidean
 
 	tr := &Translator{
 		Model:            m,
 		Cleaner:          cl,
-		Annotator:        an,
+		Annotator:        annotation.NewAnnotator(m, em, annotatorConfig(ac)),
 		KnowledgeJoinGap: 2 * time.Minute,
 	}
 	if !xc.Disabled {
@@ -145,23 +150,33 @@ func NewTranslator(m *dsm.Model, em *annotation.EventModel,
 }
 
 // TranslateOne runs the pipeline on a single sequence using the given
-// knowledge (nil knowledge still cleans and annotates; complementing then
-// uses the uniform prior only if the Complementor is configured so).
+// knowledge: the same per-sequence steps as Translate's two phases. Nil
+// knowledge complements under the uniform topology prior.
 func (t *Translator) TranslateOne(s *position.Sequence, know *complement.Knowledge) Result {
-	res := Result{Device: s.Device, Raw: s}
-	res.Cleaned, res.Clean = t.Cleaner.Clean(s)
-	res.Original = t.Annotator.Annotate(res.Cleaned)
-	res.Final = res.Original
+	r := t.annotate(s)
+	t.complement(&r, know)
+	return r
+}
+
+// annotate is phase one for one sequence: clean, then annotate.
+func (t *Translator) annotate(s *position.Sequence) Result {
+	r := Result{Device: s.Device, Raw: s}
+	r.Cleaned, r.Clean = t.Cleaner.Clean(s)
+	r.Original = t.Annotator.Annotate(r.Cleaned)
+	return r
+}
+
+// complement is phase two for one result: fill its gaps under know (nil
+// selects the uniform prior) when complementing is enabled, then measure
+// the conciseness of the final sequence.
+func (t *Translator) complement(r *Result, know *complement.Knowledge) {
+	r.Final = r.Original
 	if t.Complementor != nil {
 		comp := *t.Complementor // copy so Know can vary per call
 		comp.Know = know
-		if know == nil {
-			comp.UniformPrior = true
-		}
-		res.Final, res.Inserted = comp.Complement(res.Original)
+		r.Final, r.Inserted = comp.Complement(r.Original)
 	}
-	res.Conciseness = measure(res.Raw, res.Final)
-	return res
+	r.Conciseness = measure(r.Raw, r.Final)
 }
 
 // Translate runs the full two-phase pipeline over a dataset and returns one
@@ -188,11 +203,7 @@ func (t *Translator) Translate(ds *position.Dataset) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				s := seqs[i]
-				r := Result{Device: s.Device, Raw: s}
-				r.Cleaned, r.Clean = t.Cleaner.Clean(s)
-				r.Original = t.Annotator.Annotate(r.Cleaned)
-				results[i] = r
+				results[i] = t.annotate(seqs[i])
 			}
 		}()
 	}
@@ -213,14 +224,7 @@ func (t *Translator) Translate(ds *position.Dataset) []Result {
 		know = complement.BuildKnowledge(t.Model, all, t.KnowledgeJoinGap)
 	}
 	for i := range results {
-		r := &results[i]
-		r.Final = r.Original
-		if t.Complementor != nil {
-			comp := *t.Complementor
-			comp.Know = know
-			r.Final, r.Inserted = comp.Complement(r.Original)
-		}
-		r.Conciseness = measure(r.Raw, r.Final)
+		t.complement(&results[i], know)
 	}
 	return results
 }

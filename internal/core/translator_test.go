@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"trips/internal/annotation"
 	"trips/internal/config"
 	"trips/internal/events"
 	"trips/internal/position"
@@ -19,6 +21,7 @@ type fixture struct {
 	sim    *simul.Sim
 	ds     *position.Dataset
 	truths map[position.DeviceID]simul.Truth
+	ts     events.TrainingSet
 	tr     *Translator
 }
 
@@ -51,7 +54,42 @@ func newFixture(t testing.TB, devices int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{sim: sim, ds: ds, truths: truths, tr: tr}
+	return &fixture{sim: sim, ds: ds, truths: truths, ts: ed.TrainingSet(), tr: tr}
+}
+
+// TestTrainEventModelUsesConfiguredSplit: the Configurator's density
+// parameters reach training, so the dense_frac feature is learned under the
+// splitting the Translator annotates with — not under the defaults.
+func TestTrainEventModelUsesConfiguredSplit(t *testing.T) {
+	f := newFixture(t, 12)
+	ac := config.AnnotatorConfig{EpsSpaceM: 1.5, MinPts: 6}
+	custom, err := TrainEventModel(f.ts, ac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := TrainEventModel(f.ts, config.AnnotatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(custom, def) {
+		t.Error("a custom density configuration trained the default-configuration model")
+	}
+	split := annotation.DefaultSplitConfig()
+	split.EpsSpace, split.MinPts = 1.5, 6
+	explicit, err := annotation.TrainEventModel(f.ts, annotation.NewGaussianNB(), split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(custom, explicit) {
+		t.Error("the configured model differs from one trained with the same split passed explicitly")
+	}
+	same, err := annotation.TrainEventModel(f.ts, annotation.NewGaussianNB(), annotation.DefaultSplitConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(def, same) {
+		t.Error("the default configuration no longer trains the default-split model")
+	}
 }
 
 func TestNewTranslatorValidation(t *testing.T) {

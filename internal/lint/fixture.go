@@ -59,7 +59,7 @@ func checkWant(t *testing.T, prog *Program, diags []Diagnostic) {
 				}
 				pos := fset.Position(c.Pos())
 				key := wantKey{file: filename, line: pos.Line}
-					rest := strings.TrimSpace(strings.TrimPrefix(text, "want"))
+				rest := strings.TrimSpace(strings.TrimPrefix(text, "want"))
 				for rest != "" {
 					q, err := strconv.QuotedPrefix(rest)
 					if err != nil {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"trips/internal/annotation"
 	"trips/internal/obs/trace"
 	"trips/internal/position"
 	"trips/internal/semantics"
@@ -31,7 +30,6 @@ type Engine struct {
 	horizon   time.Duration
 	freezeGap time.Duration
 	know      *knowledgeStore
-	anTail    annotation.Annotator // head-merge-suppressed copy for trimmed tails
 
 	shards []*shard
 	wg     sync.WaitGroup
@@ -97,10 +95,8 @@ func NewEngine(pl Pipeline, cfg Config) (*Engine, error) {
 		horizon:   horizon,
 		freezeGap: freezeGap,
 		know:      newKnowledgeStore(pl.Model, pl.KnowledgeJoinGap),
-		anTail:    *pl.Annotator,
 		now:       time.Now,
 	}
-	e.anTail.Cfg.Split.DisableHeadMerge = true
 
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
@@ -118,16 +114,6 @@ func NewEngine(pl Pipeline, cfg Config) (*Engine, error) {
 // Horizon returns the seal horizon derived from the annotator's
 // configuration.
 func (e *Engine) Horizon() time.Duration { return e.horizon }
-
-// annotatorFor returns the annotator variant for a session: the configured
-// one for a pristine tail, the head-merge-suppressed copy once the tail is
-// a trimmed suffix.
-func (e *Engine) annotatorFor(ss *session) *annotation.Annotator {
-	if ss.base == 0 {
-		return e.pl.Annotator
-	}
-	return &e.anTail
-}
 
 // shardOf routes a device to its shard by FNV-1a over the ID bytes,
 // inlined: hash.Hash32 plus io.WriteString on this path cost two heap

@@ -6,7 +6,6 @@ import (
 
 	"trips/internal/complement"
 	"trips/internal/dsm"
-	"trips/internal/position"
 	"trips/internal/semantics"
 )
 
@@ -26,9 +25,6 @@ type knowledgeStore struct {
 }
 
 func newKnowledgeStore(m *dsm.Model, joinGap time.Duration) *knowledgeStore {
-	if joinGap <= 0 {
-		joinGap = 2 * time.Minute
-	}
 	return &knowledgeStore{know: complement.NewKnowledge(m), joinGap: joinGap}
 }
 
@@ -47,32 +43,16 @@ func (ks *knowledgeStore) observations() int {
 	return ks.know.Observations()
 }
 
-// inferGap runs the MAP gap inference between two emitted triplets under
-// the current knowledge (uniform prior until minKnowledge transitions have
-// accumulated) and returns the inferred interior triplets.
-func (ks *knowledgeStore) inferGap(comp *complement.Complementor, dev position.DeviceID, a, b semantics.Triplet) []semantics.Triplet {
-	maxGap := comp.MaxGap
-	if maxGap <= 0 {
-		maxGap = 3 * time.Minute
-	}
-	if a.RegionID == "" || b.RegionID == "" || b.From.Sub(a.To) <= maxGap {
-		return nil
-	}
+// inferGap fills the gap between two emitted triplets with the
+// complementor's per-gap step under the current knowledge — none, so the
+// prior is uniform, until minKnowledge transitions have accumulated.
+func (ks *knowledgeStore) inferGap(comp *complement.Complementor, a, b semantics.Triplet) []semantics.Triplet {
 	c := *comp
+	c.Know = nil
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
 	if ks.know.Observations() >= minKnowledge {
 		c.Know = ks.know
-	} else {
-		c.Know = nil
-		c.UniformPrior = true
 	}
-	tmp := semantics.NewSequence(string(dev))
-	tmp.Append(a)
-	tmp.Append(b)
-	out, inserted := c.Complement(tmp)
-	if inserted == 0 {
-		return nil
-	}
-	return out.Triplets[1 : out.Len()-1]
+	return c.Fill(a, b)
 }

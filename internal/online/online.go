@@ -42,9 +42,10 @@
 // anchor. The suffix then recomputes identically to the batch suffix (the
 // cleaner re-anchors on a record that was genuinely valid, and no density,
 // merge, or consolidation rule reaches across a gap that wide), except that
-// the tiny-head forward-merge rule is suppressed via
-// SplitConfig.DisableHeadMerge because the trimmed tail's first snippet is
-// not the true sequence head. One theoretical divergence remains: the
+// the tiny-head forward-merge rule must not apply, because the trimmed
+// tail's first snippet is not the true sequence head. The session keeps one
+// annotation.Incremental for its lifetime and says so with Reset(true) on
+// every epoch that follows a trim. One theoretical divergence remains: the
 // density smoothing filter is time-blind, so the smoothed class of the
 // single record adjacent to a trim point can differ from the batch value.
 // Sessions that never see a hard break keep their whole tail (bounded by
@@ -186,10 +187,7 @@ func (c *Config) applyDefaults(horizon time.Duration) {
 // (MaxGap continuity) or flip a member's density class (EpsTime
 // neighborhood, twice for the majority smoothing).
 func deriveWindows(cfg annotation.Config) (horizon, freezeGap time.Duration) {
-	split := cfg.Split
-	if split.EpsSpace <= 0 || split.MinPts <= 0 {
-		split = annotation.DefaultSplitConfig() // Split falls back the same way
-	}
+	split := cfg.Split // resolved by NewAnnotator
 	h := annotation.TinyJoinGap
 	if split.MaxGap > h {
 		h = split.MaxGap

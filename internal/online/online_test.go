@@ -71,7 +71,7 @@ func testPipeline(t testing.TB) Pipeline {
 		}
 		base = base.Add(time.Hour)
 	}
-	em, err := annotation.TrainEventModel(ed.TrainingSet(), annotation.NewGaussianNB())
+	em, err := annotation.TrainEventModel(ed.TrainingSet(), annotation.NewGaussianNB(), annotation.DefaultSplitConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +235,52 @@ func TestHardBreakTrimsAndComplements(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Inferred != int64(inferred) {
 		t.Errorf("Inferred stat = %d, emitted %d inferred triplets", st.Inferred, inferred)
+	}
+}
+
+// TestHardBreakTinyHeadMatchesBatch: after a hard break the trimmed tail
+// starts with a tiny snippet — two hall records, then a second visit. In
+// the batch sequence that snippet is not the head, so it stands alone; the
+// online session must not merge it forward into the following stay as the
+// tiny-head rule would for a true sequence head.
+func TestHardBreakTinyHeadMatchesBatch(t *testing.T) {
+	pl := testPipeline(t)
+	g := lcg(9)
+	recs := journey(&g, "dev-1", t0)
+	back := recs[len(recs)-1].At.Add(30 * time.Minute)
+	recs = append(recs,
+		position.Record{Device: "dev-1", P: geom.Pt(15, 5), Floor: 1, At: back},
+		position.Record{Device: "dev-1", P: geom.Pt(18, 5), Floor: 1, At: back.Add(2 * time.Second)})
+	recs = append(recs, journey(&g, "dev-1", back.Add(7*time.Second))...)
+	want := batchTranslate(pl, recs)
+	standsAlone := false
+	for _, tr := range want {
+		if tr.From.Equal(back) && tr.Event == semantics.EventPassBy {
+			standsAlone = true
+		}
+	}
+	if !standsAlone {
+		t.Fatalf("batch has no pass-by starting at the hall records; the scenario no longer tests the head rule: %v", want)
+	}
+
+	sink := newCollect()
+	eng, err := NewEngine(pl, manualConfig(sink, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := eng.Ingest(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Flush()
+	if st := eng.Stats(); st.Trims == 0 {
+		t.Error("no trim across a 30-minute break")
+	}
+	eng.Close()
+
+	if got := sink.byDev["dev-1"]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("online/batch mismatch after a tiny post-break head:\nonline: %v\nbatch:  %v", got, want)
 	}
 }
 

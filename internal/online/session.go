@@ -200,8 +200,8 @@ func (ss *session) translateTail(e *Engine, st *stageStamps) *semantics.Sequence
 		//trips:allow wallclock: stage latency stamp, operational telemetry
 		st.afterClean = time.Now()
 	}
-	if a := e.annotatorFor(ss); ss.ann == nil || !ss.ann.BoundTo(a) {
-		ss.ann = a.NewIncremental()
+	if ss.ann == nil {
+		ss.ann = e.pl.Annotator.NewIncremental()
 	}
 	sem := ss.ann.Annotate(cleaned, ss.clean.StableSince())
 	if st != nil {
@@ -217,11 +217,10 @@ func (ss *session) translateTail(e *Engine, st *stageStamps) *semantics.Sequence
 func (ss *session) resetTranslation() {
 	ss.clean.Reset()
 	if ss.ann != nil {
-		// Keep the annotator cache's buffers across tail epochs; Reset makes
-		// the next Annotate a full recompute over the new record indexes.
-		// translateTail still swaps the cache out wholesale when the session
-		// graduates to the trimmed-tail annotator variant.
-		ss.ann.Reset()
+		// Reset makes the next Annotate a full recompute over the new record
+		// indexes. A tail that follows trimmed records (base > 0) is a
+		// suffix whose first snippet is not the device's true sequence head.
+		ss.ann.Reset(ss.base > 0)
 	}
 }
 
@@ -375,7 +374,7 @@ func (ss *session) emit(e *Engine, t semantics.Triplet, watermark time.Time) {
 	t.FirstIdx += ss.base
 	t.LastIdx += ss.base
 	if ss.hasLast && e.pl.Complementor != nil {
-		for _, inf := range e.know.inferGap(e.pl.Complementor, ss.dev, ss.last, t) {
+		for _, inf := range e.know.inferGap(e.pl.Complementor, ss.last, t) {
 			e.send(Emission{Device: ss.dev, Seq: ss.seq, Triplet: inf, Watermark: watermark, ArrivedAt: ss.emitArrival, Trace: ss.emitTC})
 			ss.seq++
 			e.stats.Inferred.Add(1)
