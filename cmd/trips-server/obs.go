@@ -136,8 +136,14 @@ func (s *server) registerBridges() {
 		"Sessions finalized and evicted by the idle timeout.",
 		func() int64 { return eng.Stats().IdleFinalized })
 	r.CounterFunc("trips_online_sessions_total",
-		"Device sessions ever created.",
+		"Device sessions opened; a device returning after an idle eviction opens another.",
 		func() int64 { return eng.Stats().Sessions })
+	r.GaugeFunc("trips_online_open_sessions",
+		"Device sessions open now: opened minus idle-evicted minus closed.",
+		func() float64 { return float64(eng.Stats().OpenSessions) })
+	r.GaugeFunc("trips_online_tail_records",
+		"Records held in open sessions' tails; the engine heap scales with it.",
+		func() float64 { return float64(eng.Stats().TailRecords) })
 	r.GaugeFunc("trips_online_shard_backlog_records",
 		"Records queued in shard inboxes, summed — the ingest lag proxy.",
 		func() float64 {

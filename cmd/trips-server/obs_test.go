@@ -80,6 +80,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"trips_online_triplets_total",
 		"trips_online_flushes_total",
 		"trips_online_sessions_total",
+		"trips_online_open_sessions",
+		"trips_online_tail_records",
 		"trips_online_flush_stage_seconds_count{stage=\"clean\"}",
 		"trips_online_flush_stage_seconds_count{stage=\"annotate\"}",
 		"trips_online_flush_stage_seconds_count{stage=\"seal\"}",

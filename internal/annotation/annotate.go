@@ -68,7 +68,7 @@ func segmentDense(recs []position.Record, split SplitConfig) bool {
 		return false
 	}
 	var cols position.Columns
-	cols.Sync(recs, 0)
+	cols.Sync(recs, 0, split.clockWindow())
 	mask := make([]bool, len(recs))
 	denseMaskRange(&cols, split, mask, 0)
 	cnt := 0

@@ -34,10 +34,18 @@ import (
 // comparison) over per-snippet lists; every per-record pass — density
 // neighborhoods, region point location, cut detection, feature extraction,
 // classification — is confined to the suffix.
+//
+// The Incremental holds one copy of each cache and nothing else: what a
+// call only needs while it runs lives in its Work.
 type Incremental struct {
 	a      *Annotator
 	cfg    SplitConfig // resolved, like Split resolves it
 	suffix bool        // sequences are trimmed suffixes: no tiny-head merge
+
+	// Work is the scratch Annotate builds in. Incrementals whose calls
+	// never overlap may share one; nil means a private one, allocated on
+	// first use.
+	Work *Work
 
 	n       int              // records covered by the last call
 	cols    position.Columns // struct-of-arrays projection of the records
@@ -46,22 +54,33 @@ type Incremental struct {
 	densePS []int            // prefix sums of sm, len n+1
 	labels  []intern.ID
 
-	snips             []Snippet       // pre-merge snippet list of the last call
-	snipsScratch      []Snippet       // double buffer for snips
-	merged            []Snippet       // post-merge snippets of the last call
-	mergedScratch     []Snippet       // double buffer for merged
-	refined           []regionSnippet // refined+matched snippets of the last call
-	refinedScratch    []regionSnippet
-	refinedEnd        []int // per merged snippet, end index into refined
-	refinedEndScratch []int
-	groups            []regionSnippet // consolidated groups of the last call
-	groupsScratch     []regionSnippet
-	trips             []semantics.Triplet
-	tripsScratch      []semantics.Triplet
+	// The snippet caches of the last call. snips, refined, refinedEnd and
+	// trips are rebuilt in place — a call keeps a prefix of each and
+	// appends after it — while merged and groups are rebuilt whole in the
+	// Work and copied in, because the call compares the new list with the
+	// cached one. Every cached snippet aliases the record array the last
+	// call was given, never an older one.
+	snips      []Snippet       // pre-merge snippets
+	merged     []Snippet       // post-merge snippets
+	refined    []regionSnippet // refined+matched snippets
+	refinedEnd []int           // per merged snippet, end index into refined
+	groups     []regionSnippet // consolidated groups
+	trips      []semantics.Triplet
 
-	rs  refineScratch      // refine/match buffers
-	sc  Scratch            // classifier buffers
-	out semantics.Sequence // reused output sequence
+	out semantics.Sequence // the returned sequence; its Triplets alias trips
+}
+
+// Work is the scratch of one Annotate call: the merged and consolidated
+// snippet lists it builds before publishing them to the cache, and the
+// refine and classifier buffers. Nothing in it is read across calls and it
+// is left holding no records, so every Incremental whose calls never
+// overlap can share one — the online engine gives each shard a single Work
+// for all its sessions.
+type Work struct {
+	merged []Snippet
+	groups []regionSnippet
+	rs     refineScratch
+	sc     Scratch
 }
 
 // NewIncremental returns an incremental annotator bound to a's
@@ -73,22 +92,23 @@ func (a *Annotator) NewIncremental() *Incremental {
 // Reset drops every cache and its buffers; the next Annotate recomputes
 // from scratch. The buffers go too because the sequence that follows is
 // usually much shorter — a tail after a MaxTail trim — and doubled capacity
-// sized to the old one would stay pinned for the cache's life. suffix
-// records whether the sequences that follow are trimmed suffixes of a
-// longer stream (the online engine's tail after a trim): their first
-// snippet is not the true sequence head, so the tiny-head forward merge
-// does not apply to it. The sequence the last Annotate returned is
-// invalid after Reset.
+// sized to the old one would stay pinned for the cache's life. The Work is
+// kept: it is scratch, possibly shared. suffix records whether the
+// sequences that follow are trimmed suffixes of a longer stream (the online
+// engine's tail after a trim): their first snippet is not the true sequence
+// head, so the tiny-head forward merge does not apply to it. The sequence
+// the last Annotate returned is invalid after Reset.
 func (inc *Incremental) Reset(suffix bool) {
-	*inc = Incremental{a: inc.a, cfg: inc.cfg, suffix: suffix}
+	*inc = Incremental{a: inc.a, cfg: inc.cfg, suffix: suffix, Work: inc.Work}
 }
 
 // Annotate returns the annotation of s: split, spatially match, consolidate
 // same-region fragments, then identify one event per consolidated snippet.
 // stable is the caller's frozen-prefix hint: records with index below it
 // are unchanged — same values, same positions — since the previous call on
-// this Incremental (0 forces a full recompute). The returned sequence is
-// owned by the cache and reused: it and its triplet slice are valid only
+// this Incremental (0 forces a full recompute). The records may have moved
+// to a new array in between; the caches follow them. The returned sequence
+// is owned by the cache and reused: it and its triplet slice are valid only
 // until the next Annotate or Reset call.
 //
 // Consolidation happens BEFORE event identification on purpose: positioning
@@ -98,16 +118,17 @@ func (inc *Incremental) Reset(suffix bool) {
 func (inc *Incremental) Annotate(s *position.Sequence, stable int) *semantics.Sequence {
 	out := &inc.out
 	out.Device = string(s.Device)
-	out.Triplets = out.Triplets[:0]
 	n := s.Len()
 	if n == 0 {
 		inc.n = 0
+		out.Triplets = nil
 		return out
 	}
 	if n < inc.n || stable > inc.n {
 		stable = 0 // shrunk or inconsistent hint: recompute everything
 	}
 	merged := inc.split(s, stable)
+	w := inc.Work
 
 	// Per-record region labels (point location); value-local, so only the
 	// suffix re-resolves. The split does not read them.
@@ -124,20 +145,24 @@ func (inc *Incremental) Annotate(s *position.Sequence, stable int) *semantics.Se
 		}
 		keep++
 	}
-	refined := inc.refinedScratch[:0]
-	refinedEnd := inc.refinedEndScratch[:0]
+	kept := 0
 	if keep > 0 {
-		refined = append(refined, inc.refined[:inc.refinedEnd[keep-1]]...)
-		refinedEnd = append(refinedEnd, inc.refinedEnd[:keep]...)
+		kept = inc.refinedEnd[keep-1]
 	}
+	refined := inc.refined[:kept]
+	clear(inc.refined[kept:])
+	for i := range refined {
+		repoint(s, &refined[i].sn)
+	}
+	refinedEnd := inc.refinedEnd[:keep]
 	for _, sn := range merged[keep:] {
-		refined = inc.a.refineSnippet(s, sn, inc.labels, refined, &inc.rs)
+		refined = inc.a.refineSnippet(s, sn, inc.labels, refined, &w.rs)
 		refinedEnd = append(refinedEnd, len(refined))
 	}
 
 	// Same-region consolidation (cheap scan), then the triplets, reusing
 	// the aligned cached prefix of unchanged groups.
-	groups := inc.a.consolidateInto(s, refined, inc.groupsScratch[:0])
+	groups := inc.a.consolidateInto(s, refined, w.groups[:0])
 	keepG := 0
 	for keepG < len(groups) && keepG < len(inc.groups) && keepG < len(inc.trips) {
 		a, b := groups[keepG], inc.groups[keepG]
@@ -147,35 +172,34 @@ func (inc *Incremental) Annotate(s *position.Sequence, stable int) *semantics.Se
 		}
 		keepG++
 	}
-	trips := append(inc.tripsScratch[:0], inc.trips[:keepG]...)
+	trips := inc.trips[:keepG]
 	for _, g := range groups[keepG:] {
-		trips = append(trips, inc.a.annotateSnippet(g, &inc.sc))
+		trips = append(trips, inc.a.annotateSnippet(g, &w.sc))
 	}
 
-	// Swap the double buffers and publish the caches.
-	inc.refinedScratch, inc.refined = inc.refined, refined
-	inc.refinedEndScratch, inc.refinedEnd = inc.refinedEnd, refinedEnd
-	inc.merged, inc.mergedScratch = merged, inc.merged
-	inc.tripsScratch, inc.trips = inc.trips, trips
-	inc.groups, inc.groupsScratch = groups, inc.groups
+	// Publish the caches.
+	inc.refined, inc.refinedEnd, inc.trips = refined, refinedEnd, trips
+	inc.merged, w.merged = publish(inc.merged, merged), merged[:0]
+	inc.groups, w.groups = publish(inc.groups, groups), groups[:0]
 	inc.n = n
 
-	for _, t := range inc.trips {
-		out.Append(t)
-	}
+	out.Triplets = inc.trips
 	return out
 }
 
 // split is the density-based splitting of a non-empty s: density flags,
 // cuts at density-class, floor and long-gap changes, then the tiny-snippet
 // merge. It refreshes the flags and cuts only from where records at or
-// after stable can have moved them, and returns the merged snippets in
-// inc.mergedScratch, which Annotate publishes as the next call's cache.
+// after stable can have moved them, and returns the merged snippets built
+// in the Work, which Annotate publishes as the next call's cache.
 func (inc *Incremental) split(s *position.Sequence, stable int) []Snippet {
+	if inc.Work == nil {
+		inc.Work = new(Work)
+	}
 	n := s.Len()
 	// Refresh the column projection for the changed suffix; the per-record
 	// scans below read it instead of the full Record rows.
-	inc.cols.Sync(s.Records, stable)
+	inc.cols.Sync(s.Records, stable, inc.cfg.clockWindow())
 
 	// Density flags. A changed or new record sits at index ≥ stable, hence
 	// (time-sorted) at or after At(stable); raw flags of records more than
@@ -183,8 +207,8 @@ func (inc *Incremental) split(s *position.Sequence, stable int) []Snippet {
 	// window adds one record of slack.
 	f0 := n
 	if stable < n {
-		limit := inc.cols.At[stable].Add(-inc.cfg.EpsTime)
-		f0 = sort.Search(n, func(i int) bool { return !inc.cols.At[i].Before(limit) })
+		at, eps := inc.cols.At[stable], int64(inc.cfg.EpsTime)
+		f0 = sort.Search(n, func(i int) bool { return at-inc.cols.At[i] <= eps })
 		if f0 > stable {
 			f0 = stable
 		}
@@ -220,18 +244,21 @@ func (inc *Incremental) split(s *position.Sequence, stable int) []Snippet {
 	// Cuts and the pre-merge snippet list. A cut at index i reads records
 	// i-1 and i and their smoothed flags, all unchanged below s0 (s0 <
 	// stable whenever stable > 0), so every cached snippet whose closing cut
-	// sits below s0 is reused verbatim — except the final one, whose end was
+	// sits below s0 is kept in place — except the final one, whose end was
 	// the end of the sequence rather than a cut — and the per-record scan
 	// resumes at the first boundary that may have moved.
-	snips := inc.snipsScratch[:0]
-	start := 0
 	keepS := 0
 	for keepS < len(inc.snips)-1 && inc.snips[keepS].Last+1 < s0 {
 		keepS++
 	}
+	snips := inc.snips[:keepS]
+	clear(inc.snips[keepS:])
+	start := 0
+	for i := range snips {
+		repoint(s, &snips[i])
+	}
 	if keepS > 0 {
-		snips = append(snips, inc.snips[:keepS]...)
-		start = inc.snips[keepS-1].Last + 1
+		start = snips[keepS-1].Last + 1
 	}
 	for i := start + 1; i < n; i++ {
 		if cutAt(&inc.cols, inc.sm, inc.cfg.MaxGap, i) {
@@ -239,10 +266,9 @@ func (inc *Incremental) split(s *position.Sequence, stable int) []Snippet {
 			start = i
 		}
 	}
-	snips = append(snips, inc.makeSnippet(s, start, n-1))
-	inc.snips, inc.snipsScratch = snips, inc.snips
+	inc.snips = append(snips, inc.makeSnippet(s, start, n-1))
 
-	return mergeTinyInto(s, snips, inc.cfg, inc.mergedScratch[:0], !inc.suffix)
+	return mergeTinyInto(s, inc.snips, inc.cfg, inc.Work.merged[:0], !inc.suffix)
 }
 
 // makeSnippet builds the snippet of records [first, last], its density
@@ -255,6 +281,25 @@ func (inc *Incremental) makeSnippet(s *position.Sequence, first, last int) Snipp
 		Records: s.Records[first : last+1],
 		Dense:   cnt*2 >= last-first+1,
 	}
+}
+
+// repoint aims a cached snippet at its records in s. The cache outlives the
+// record array it was built on — a growing tail moves to a larger one — and
+// a snippet still aliasing the old array would keep it reachable.
+//
+//trips:zeroalloc
+func repoint(s *position.Sequence, sn *Snippet) {
+	sn.Records = s.Records[sn.First : sn.Last+1]
+}
+
+// publish copies a list built in the Work into the cache's array and
+// zeroes the Work's copy, so the shared scratch keeps no records alive. The
+// cache's stale entries past the new length are zeroed for the same reason.
+func publish[T any](cache, built []T) []T {
+	clear(cache)
+	cache = append(cache[:0], built...)
+	clear(built)
+	return cache
 }
 
 // growBools resizes buf to n entries, keeping existing values. Growth

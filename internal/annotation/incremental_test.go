@@ -2,6 +2,7 @@ package annotation
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -172,5 +173,121 @@ func TestIncrementalAnnotateReset(t *testing.T) {
 	inc.Annotate(short, 0)
 	if c := cap(inc.cols.At); c >= s.Len() {
 		t.Errorf("after Reset the column projection keeps capacity %d, sized to the %d-record sequence before it", c, s.Len())
+	}
+}
+
+// shopperDay strings dwells on both floors and hall walks together, with
+// gaps that sometimes exceed MaxGap, until it has n records.
+func shopperDay(g *lcg, n int) []position.Record {
+	var out []position.Record
+	at := t0
+	add := func(rs []position.Record, gap time.Duration) {
+		out = append(out, rs...)
+		at = rs[len(rs)-1].At.Add(gap)
+	}
+	for len(out) < n {
+		add(stayRecords(g, geom.Pt(5, 15), 1, at, 10+int(g.next()*40), 5*time.Second), 5*time.Second)
+		add(walkRecords(g, geom.Pt(5, 7), geom.Pt(27, 7), 1, at, 2*time.Second), 5*time.Second)
+		add(stayRecords(g, geom.Pt(6, 15), 2, at, 5+int(g.next()*30), 5*time.Second),
+			time.Duration(5+g.next()*400)*time.Second)
+	}
+	return out[:n]
+}
+
+// assertCachesFollow checks that every cached snippet aliases s's record
+// array — the one the last Annotate was given — and not an older one, and
+// that the spare capacity past each cache list's length holds no records.
+func assertCachesFollow(t *testing.T, step, i int, inc *Incremental, s *position.Sequence) {
+	t.Helper()
+	check := func(list string, sns []Snippet) {
+		for _, sn := range sns {
+			if len(sn.Records) != sn.Last-sn.First+1 || &sn.Records[0] != &s.Records[sn.First] {
+				t.Fatalf("step %d incremental %d: a cached %s snippet [%d, %d] does not alias the current record array", step, i, list, sn.First, sn.Last)
+			}
+		}
+		for _, sn := range sns[len(sns):cap(sns)] {
+			if sn.Records != nil {
+				t.Fatalf("step %d incremental %d: a stale %s snippet past the list's end still holds records", step, i, list)
+			}
+		}
+	}
+	snippets := func(gs []regionSnippet) []Snippet {
+		sns := make([]Snippet, cap(gs))
+		for j, g := range gs[:cap(gs)] {
+			sns[j] = g.sn
+		}
+		return sns[:len(gs)]
+	}
+	check("pre-merge", inc.snips)
+	check("merged", inc.merged)
+	check("refined", snippets(inc.refined))
+	check("consolidated", snippets(inc.groups))
+}
+
+// TestIncrementalSharedWork is a shard's sessions taking turns: two
+// Incrementals over sequences of different lengths share one Work and
+// alternate Annotate calls, each call on a fresh copy of its records the
+// way a growing tail moves to a larger array. Each must equal a twin with
+// a private Work — compared after both calls of a round, so a result that
+// aliased the Work would show the other call's data — including across a
+// Reset(true), which must keep the shared Work, and a shrunk sequence. The
+// caches must follow their records to the new array, and the Work must be
+// left holding none.
+func TestIncrementalSharedWork(t *testing.T) {
+	a := growAnnotator(t, DefaultConfig())
+	g := lcg(11)
+	days := [2][]position.Record{shopperDay(&g, 700), shopperDay(&g, 120)}
+	growth := [2]int{17, 3}
+	var shared Work
+	incs := [2]*Incremental{a.NewIncremental(), a.NewIncremental()}
+	twins := [2]*Incremental{a.NewIncremental(), a.NewIncremental()}
+	for _, inc := range incs {
+		inc.Work = &shared
+	}
+	const lag = 3 * time.Minute
+	var starts, ends, stables [2]int
+	reused := false
+	for step := 0; step < 42; step++ {
+		if step == 21 {
+			incs[0].Reset(true)
+			twins[0].Reset(true)
+			if incs[0].Work != &shared {
+				t.Fatal("Reset dropped the shared Work")
+			}
+		}
+		if step == 30 {
+			// Shrink without a Reset: Annotate falls back to a full
+			// recompute, and its lists come out far shorter than the cached
+			// ones they overwrite.
+			starts[0] = ends[0] - 40
+		}
+		var seqs [2]*position.Sequence
+		var got [2]*semantics.Sequence
+		for i, inc := range incs {
+			ends[i] = min(ends[i]+growth[i], len(days[i]))
+			seqs[i] = &position.Sequence{Device: "d", Records: append([]position.Record(nil), days[i][starts[i]:ends[i]]...)}
+			got[i] = inc.Annotate(seqs[i], stables[i])
+		}
+		for i, inc := range incs {
+			want := twins[i].Annotate(seqs[i], stables[i])
+			assertSameAnnotation(t, uint32(i), step, got[i].Triplets, want.Triplets)
+			assertCachesFollow(t, step, i, inc, seqs[i])
+			reused = reused || stables[i] > 0
+			floor := seqs[i].End().Add(-lag)
+			stables[i] = sort.Search(seqs[i].Len(), func(j int) bool { return seqs[i].Records[j].At.After(floor) })
+		}
+		for _, sn := range shared.merged[:cap(shared.merged)] {
+			if sn.Records != nil {
+				t.Fatalf("step %d: the shared Work still holds a merged snippet's records", step)
+			}
+		}
+		for _, g := range shared.groups[:cap(shared.groups)] {
+			if g.sn.Records != nil {
+				t.Fatalf("step %d: the shared Work still holds a consolidated snippet's records", step)
+			}
+		}
+	}
+	if !reused {
+		t.Error("stable hint never advanced; the incremental path went untested")
 	}
 }

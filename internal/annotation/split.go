@@ -24,6 +24,7 @@
 package annotation
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -89,6 +90,10 @@ func (cfg SplitConfig) resolved() SplitConfig {
 	return cfg
 }
 
+// clockWindow is the longest interval the splitter compares timestamps
+// against, the window its column clock keeps exact.
+func (cfg SplitConfig) clockWindow() time.Duration { return max(cfg.EpsTime, cfg.MaxGap) }
+
 // Split performs the density-based spatio-temporal splitting of a cleaned
 // sequence into snippets: the incremental annotator's splitter run cold.
 func Split(s *position.Sequence, cfg SplitConfig) []Snippet {
@@ -105,7 +110,7 @@ func Split(s *position.Sequence, cfg SplitConfig) []Snippet {
 func cutAt(c *position.Columns, dense []bool, maxGap time.Duration, i int) bool {
 	return dense[i] != dense[i-1] ||
 		c.Floor[i] != c.Floor[i-1] ||
-		c.At[i].Sub(c.At[i-1]) > maxGap
+		c.At[i]-c.At[i-1] > int64(maxGap)
 }
 
 // denseMaskRange marks each record in [from, n) that has at least MinPts
@@ -121,22 +126,23 @@ func denseMaskRange(c *position.Columns, cfg SplitConfig, dense []bool, from int
 	if from >= n {
 		return
 	}
+	eps := int64(cfg.EpsTime)
 	lo := 0
 	if from > 0 {
 		at := c.At[from]
 		lo = sort.Search(from, func(j int) bool {
-			return at.Sub(c.At[j]) <= cfg.EpsTime
+			return at-c.At[j] <= eps
 		})
 	}
 	for i := from; i < n; i++ {
 		ti, fi, pi := c.At[i], c.Floor[i], c.P[i]
-		for ti.Sub(c.At[lo]) > cfg.EpsTime {
+		for ti-c.At[lo] > eps {
 			lo++
 		}
 		dense[i] = false
 		cnt := 0
 		for j := lo; j < n; j++ {
-			if c.At[j].Sub(ti) > cfg.EpsTime {
+			if c.At[j]-ti > eps {
 				break
 			}
 			if c.Floor[j] == fi && pi.Dist(c.P[j]) <= cfg.EpsSpace {
@@ -196,10 +202,11 @@ func mergeTinyInto(s *position.Sequence, sn []Snippet, cfg SplitConfig, dst []Sn
 		}
 		out = append(out, cur)
 	}
-	// A tiny head merges forward.
+	// A tiny head merges forward. The list shifts down rather than
+	// reslicing past its head, so it keeps starting at dst's first slot.
 	if headMerge && len(out) > 1 && tiny(out[0]) && joinable(out[0], out[1]) {
-		out[1] = joinSnippets(s, out[0], out[1])
-		out = out[1:]
+		out[0] = joinSnippets(s, out[0], out[1])
+		out = slices.Delete(out, 1, 2)
 	}
 	return out
 }

@@ -4,17 +4,18 @@ import (
 	"testing"
 	"time"
 
-	"trips/internal/geom"
-	"trips/internal/position"
 	"trips/internal/testvenue"
 )
 
 // TestCleanFromSteadyStateZeroAlloc guards the incremental cleaner's
 // steady state: with the change-list materialization off (NoChanges, the
-// online engine's posture) and the cache warm, re-cleaning an unchanged
-// sequence must not allocate — every buffer the suffix re-clean touches is
-// State-owned scratch sized on earlier calls. This is what holds the
-// per-flush clean stage at amortized zero allocations on a long session.
+// online engine's posture) and the caches warm, re-cleaning unchanged
+// sequences must not allocate — every buffer the suffix re-clean touches is
+// Work scratch sized on earlier calls. Two States of different lengths
+// share one Work and alternate, the way a shard's sessions take turns: the
+// shared buffers settle at the larger footprint and stay there. This is
+// what holds the per-flush clean stage at amortized zero allocations on a
+// long session.
 //
 //trips:guards State.Repaired
 //trips:guards stableCut
@@ -22,41 +23,25 @@ func TestCleanFromSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inhibits inlining and distorts allocation counts")
 	}
-	m := testvenue.MustTwoFloor()
-	c := New(m)
-
-	// A noisy walk with teleport glitches so the cleaner has real repairs
-	// to carry in its cache, not a no-op pass.
-	st := uint32(11)
-	next := func(mod uint32) uint32 { st = st*1664525 + 1013904223; return (st >> 8) % mod }
-	s := position.NewSequence("d")
-	at := time.Date(2017, 1, 2, 10, 0, 0, 0, time.UTC)
-	x, y := 5.0, 5.0
-	for i := 0; i < 400; i++ {
-		x += float64(next(5)) - 2
-		y += float64(next(5)) - 2
-		p := geom.Pt(x, y)
-		if next(12) == 0 {
-			p = geom.Pt(float64(next(45))-2, float64(next(24))-2) // teleport
-		}
-		s.Append(position.Record{Device: "d", P: p, Floor: 1, At: at})
-		at = at.Add(time.Duration(2+int(next(6))) * time.Second)
+	c := New(testvenue.MustTwoFloor())
+	var shared Work
+	long, short := glitchyWalk(11, 400, t0), glitchyWalk(17, 150, t0)
+	longFloor, shortFloor := long.End().Add(-40*time.Second), short.End().Add(-40*time.Second)
+	a := State{NoChanges: true, Work: &shared}
+	b := State{NoChanges: true, Work: &shared}
+	round := func() {
+		c.CleanFrom(&a, long, longFloor)
+		c.CleanFrom(&b, short, shortFloor)
 	}
-
-	var cs State
-	cs.NoChanges = true
-	floor := s.End().Add(-40 * time.Second)
-	// Warm the cache: the first call is the full clean, the second sizes
+	// Warm the caches: the first round is the full clean, the second sizes
 	// every suffix buffer.
-	c.CleanFrom(&cs, s, floor)
-	c.CleanFrom(&cs, s, floor)
-	if cs.Stable() == 0 {
+	round()
+	round()
+	if a.Stable() == 0 || b.Stable() == 0 {
 		t.Fatal("stable prefix never advanced; the steady state under test never forms")
 	}
 
-	if avg := testing.AllocsPerRun(200, func() {
-		c.CleanFrom(&cs, s, floor)
-	}); avg != 0 {
-		t.Errorf("steady-state CleanFrom allocates %.2f times per call, want 0", avg)
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Errorf("steady-state CleanFrom over a shared Work allocates %.2f times per round, want 0", avg)
 	}
 }

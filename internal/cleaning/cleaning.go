@@ -105,7 +105,7 @@ func (c *Cleaner) Clean(s *position.Sequence) (*position.Sequence, Report) {
 
 // cleanScratch is reusable working state for one cleaning run: the
 // detection masks and the interpolation path buffer. CleanFrom threads the
-// per-session instance held in State through every sweep, so a steady-state
+// instance held in its Work through every sweep, so a steady-state
 // incremental flush allocates nothing here; the batch Clean uses a
 // throwaway one.
 type cleanScratch struct {

@@ -55,11 +55,6 @@ type State struct {
 	prefixChanges                                       []Change
 	prefixSnapped, prefixFloorFixed, prefixInterpolated int
 
-	// sub and inv are reused scratch: the anchor+suffix sub-sequence each
-	// incremental call recleans, and its accumulated-invalid marks.
-	sub position.Sequence
-	inv []bool
-
 	// out is the reused output sequence header CleanFrom returns (its
 	// Records alias cleaned); like cleaned itself it is valid only until
 	// the next call.
@@ -81,10 +76,22 @@ type State struct {
 	// call.
 	repaired []bool
 
-	// chBuf backs the per-call sub-report change list.
-	chBuf []Change
+	// Work is the scratch CleanFrom cleans in. States whose calls never
+	// overlap may share one; nil means a private one, allocated on first
+	// use.
+	Work *Work
+}
 
-	// scratch is the sweep working state reused across calls.
+// Work is the scratch of one CleanFrom call: the anchor+suffix
+// sub-sequence it re-cleans, that run's accumulated-invalid marks, the
+// backing of its change list, and the sweep's masks and path buffer.
+// Nothing in it is read across calls, so every State whose calls never
+// overlap can share one — the online engine gives each shard a single Work
+// for all its sessions.
+type Work struct {
+	sub     position.Sequence
+	inv     []bool
+	chBuf   []Change
 	scratch cleanScratch
 }
 
@@ -139,9 +146,13 @@ func (c *Cleaner) CleanFrom(st *State, s *position.Sequence, insertFloor time.Ti
 		st.Reset()
 		return position.NewSequence(s.Device), Report{}
 	}
+	if st.Work == nil {
+		st.Work = new(Work)
+	}
+	w := st.Work
 	if st.stable == 0 || s.Len() < st.n || st.stable > s.Len() ||
 		!s.Records[st.stable-1].At.Equal(st.cleaned[st.stable-1].At) {
-		return c.cleanFull(st, s, insertFloor)
+		return c.cleanFull(st, w, s, insertFloor)
 	}
 	st.prevStable = st.stable
 
@@ -150,19 +161,19 @@ func (c *Cleaner) CleanFrom(st *State, s *position.Sequence, insertFloor time.Ti
 	// pass, and therefore the exact chain state the full computation would
 	// carry into the suffix.
 	anchor := st.stable - 1
-	sub := &st.sub
+	sub := &w.sub
 	sub.Device = s.Device
 	sub.Records = append(sub.Records[:0], st.cleaned[anchor])
 	sub.Records = append(sub.Records, s.Records[st.stable:]...)
-	subRep := Report{Total: sub.Len(), Changes: st.chBuf[:0]}
-	inv := resizeBools(&st.inv, sub.Len())
-	c.cleanInto(sub, c.maxSpeed(), &subRep, inv, &st.scratch)
-	st.chBuf = subRep.Changes[:0]
+	subRep := Report{Total: sub.Len(), Changes: w.chBuf[:0]}
+	inv := resizeBools(&w.inv, sub.Len())
+	c.cleanInto(sub, c.maxSpeed(), &subRep, inv, &w.scratch)
+	w.chBuf = subRep.Changes[:0]
 	for _, ch := range subRep.Changes {
 		if ch.Index == 0 {
 			// The sub-run touched the anchor: the stability premise failed
 			// (it cannot, by construction — this is a safety valve).
-			return c.cleanFull(st, s, insertFloor)
+			return c.cleanFull(st, w, s, insertFloor)
 		}
 	}
 
@@ -224,18 +235,18 @@ func (st *State) markRepaired(from, n int, changes []Change) {
 
 // cleanFull is the from-scratch path: clean the whole sequence, then prime
 // the cache with its stable prefix.
-func (c *Cleaner) cleanFull(st *State, s *position.Sequence, insertFloor time.Time) (*position.Sequence, Report) {
+func (c *Cleaner) cleanFull(st *State, w *Work, s *position.Sequence, insertFloor time.Time) (*position.Sequence, Report) {
 	rep := Report{Total: s.Len()}
 	if st.NoChanges {
 		// Accumulate into the reusable buffer; the returned report carries
 		// nil Changes either way.
-		rep.Changes = st.chBuf[:0]
+		rep.Changes = w.chBuf[:0]
 	}
 	st.cleaned = append(st.cleaned[:0], s.Records...)
 	st.out = position.Sequence{Device: s.Device, Records: st.cleaned}
 	out := &st.out
-	inv := resizeBools(&st.inv, s.Len())
-	c.cleanInto(out, c.maxSpeed(), &rep, inv, &st.scratch)
+	inv := resizeBools(&w.inv, s.Len())
+	c.cleanInto(out, c.maxSpeed(), &rep, inv, &w.scratch)
 
 	st.n = s.Len()
 	st.stable, st.prevStable = 0, 0
@@ -246,7 +257,7 @@ func (c *Cleaner) cleanFull(st *State, s *position.Sequence, insertFloor time.Ti
 	st.prefixSnapped, st.prefixFloorFixed, st.prefixInterpolated = 0, 0, 0
 	st.advance(rep.Changes, stableCut(inv), s, insertFloor)
 	if st.NoChanges {
-		st.chBuf = rep.Changes[:0]
+		w.chBuf = rep.Changes[:0]
 		rep.Changes = nil
 	}
 	return out, rep

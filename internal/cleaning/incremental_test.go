@@ -157,3 +157,78 @@ func TestCleanFromReset(t *testing.T) {
 	inc, incRep = c.CleanFrom(&cs, trimmed, trimmed.End())
 	assertSameClean(t, 1, inc, incRep, full, fullRep)
 }
+
+// glitchyWalk returns n records of a noisy walk from at, 2–7 s apart, with
+// a teleport glitch one record in twelve: real repairs for the cleaner to
+// carry in its cache.
+func glitchyWalk(seed uint32, n int, at time.Time) *position.Sequence {
+	st := seed
+	next := func(mod uint32) uint32 { st = st*1664525 + 1013904223; return (st >> 8) % mod }
+	s := position.NewSequence("d")
+	x, y := 5.0, 5.0
+	for i := 0; i < n; i++ {
+		x += float64(next(5)) - 2
+		y += float64(next(5)) - 2
+		p := geom.Pt(x, y)
+		if next(12) == 0 {
+			p = geom.Pt(float64(next(45))-2, float64(next(24))-2) // teleport
+		}
+		s.Append(position.Record{Device: "d", P: p, Floor: 1, At: at})
+		at = at.Add(time.Duration(2+int(next(6))) * time.Second)
+	}
+	return s
+}
+
+// TestCleanFromSharedWork is a shard's sessions taking turns: two States
+// over sequences of different lengths share one Work and alternate
+// CleanFrom calls. Nothing one call leaves in the Work may reach the
+// other's result, so each must equal a twin that cleans with a private
+// Work — compared after both calls of a round, so a result that aliased the
+// shared Work would show the other call's data.
+func TestCleanFromSharedWork(t *testing.T) {
+	c := New(testvenue.MustTwoFloor())
+	walks := [2]*position.Sequence{glitchyWalk(3, 600, t0), glitchyWalk(5, 90, t0)}
+	growth := [2]int{13, 2}
+	for _, noChanges := range []bool{false, true} {
+		var shared Work
+		var states, twins [2]State
+		for i := range states {
+			states[i] = State{NoChanges: noChanges, Work: &shared}
+			twins[i] = State{NoChanges: noChanges}
+		}
+		var ends [2]int
+		for step := 0; step < 46; step++ {
+			var seqs [2]*position.Sequence
+			var floors [2]time.Time
+			var outs [2]*position.Sequence
+			var reps [2]Report
+			for i := range states {
+				ends[i] = min(ends[i]+growth[i], walks[i].Len())
+				seqs[i] = walks[i].Slice(0, ends[i])
+				floors[i] = seqs[i].End().Add(-40 * time.Second)
+				outs[i], reps[i] = c.CleanFrom(&states[i], seqs[i], floors[i])
+			}
+			for i := range states {
+				want, wantRep := c.CleanFrom(&twins[i], seqs[i], floors[i])
+				assertSameClean(t, step, outs[i], reps[i], want, wantRep)
+				for j := 0; j < want.Len(); j++ {
+					if states[i].Repaired(j) != twins[i].Repaired(j) {
+						t.Fatalf("noChanges %v step %d state %d: Repaired(%d) differs from the private-Work twin", noChanges, step, i, j)
+					}
+				}
+				if states[i].Stable() != twins[i].Stable() || states[i].StableSince() != twins[i].StableSince() {
+					t.Fatalf("noChanges %v step %d state %d: stable prefix %d/%d, twin %d/%d", noChanges, step, i,
+						states[i].Stable(), states[i].StableSince(), twins[i].Stable(), twins[i].StableSince())
+				}
+			}
+		}
+		for i := range states {
+			if states[i].Stable() == 0 {
+				t.Errorf("noChanges %v state %d: stable prefix never advanced; the incremental path went untested", noChanges, i)
+			}
+			if states[i].Work != &shared {
+				t.Errorf("noChanges %v state %d: CleanFrom swapped out the shared Work", noChanges, i)
+			}
+		}
+	}
+}

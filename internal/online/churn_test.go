@@ -17,6 +17,15 @@ import (
 	"trips/internal/position"
 )
 
+// liveHeap is the heap still reachable after two full collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // TestIdleEvictionLeavesNothingBehind is the MAC-randomisation churn the
 // idle eviction exists for: 200 000 distinct long device ids report once
 // each and go quiet. Once the idle sweep has finalized them all, the engine
@@ -44,13 +53,6 @@ func TestIdleEvictionLeavesNothingBehind(t *testing.T) {
 	clock.Store(t0.UnixNano())
 	eng.now = func() time.Time { return time.Unix(0, clock.Load()) }
 
-	liveHeap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	before := liveHeap()
 
 	pad := strings.Repeat("f", 80)
@@ -73,8 +75,9 @@ func TestIdleEvictionLeavesNothingBehind(t *testing.T) {
 	}
 
 	after := liveHeap()
-	if st := eng.Stats(); st.Sessions != waves*perWave || st.IdleFinalized != waves*perWave {
-		t.Fatalf("stats = %+v, want %d sessions opened and idle-finalized", st, waves*perWave)
+	if st := eng.Stats(); st.Sessions != waves*perWave || st.IdleFinalized != waves*perWave ||
+		st.OpenSessions != 0 || st.TailRecords != 0 {
+		t.Fatalf("stats = %+v, want %d sessions opened and idle-finalized, none left open", st, waves*perWave)
 	}
 	if grew := int64(after) - int64(before); grew > slackMB<<20 {
 		t.Errorf("live heap grew %.1f MB over %d evicted devices, want under %d MB: the engine keeps something per device",

@@ -4,8 +4,11 @@ import (
 	"errors"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"trips/internal/annotation"
+	"trips/internal/cleaning"
 	"trips/internal/obs/trace"
 	"trips/internal/position"
 	"trips/internal/semantics"
@@ -49,6 +52,18 @@ type shard struct {
 	id       int
 	ch       chan shardMsg
 	sessions map[position.DeviceID]*session
+
+	// clean and ann are the flush scratch all the shard's sessions share:
+	// a session owns its caches, the shard owns the buffers a flush builds
+	// in. Flushes and provisional queries both run on the shard goroutine,
+	// so no two calls ever overlap.
+	clean cleaning.Work
+	ann   annotation.Work
+
+	// open and tail are the shard's share of Stats.OpenSessions and
+	// Stats.TailRecords. Only the shard goroutine writes them, so the
+	// per-record update contends with nothing.
+	open, tail atomic.Int64
 }
 
 // shardMsg is the shard inbox protocol, discriminated by kind. Records
@@ -303,8 +318,9 @@ func (e *Engine) runShard(sh *shard) {
 			if !ok {
 				//trips:commutative sessions are per-device; flushes land in per-device partitions and commutative folds
 				for _, ss := range sh.sessions {
-					ss.flush(e, true)
+					sh.flush(e, ss, true)
 				}
+				sh.open.Add(-int64(len(sh.sessions)))
 				return
 			}
 			switch m.kind {
@@ -316,7 +332,7 @@ func (e *Engine) runShard(sh *shard) {
 				//trips:commutative sessions are per-device; flushes land in per-device partitions and commutative folds
 				for _, ss := range sh.sessions {
 					if ss.pending > 0 {
-						ss.flush(e, false)
+						sh.flush(e, ss, false)
 					}
 				}
 				close(m.flush)
@@ -326,18 +342,19 @@ func (e *Engine) runShard(sh *shard) {
 			//trips:commutative sessions are per-device; flush and idle expiry are per-device decisions
 			for id, ss := range sh.sessions {
 				if ss.pending > 0 {
-					ss.flush(e, false)
+					sh.flush(e, ss, false)
 				}
 				if e.cfg.IdleTimeout > 0 &&
 					now.Sub(ss.lastArrival) > e.cfg.IdleTimeout {
 					if ss.tail.Len() > 0 {
-						ss.flush(e, true)
+						sh.flush(e, ss, true)
 						e.stats.IdleFinalized.Add(1)
 					}
 					// Evict the quiescent session so churning device IDs
 					// (MAC randomization) don't grow the map forever. A
 					// returning device starts a fresh epoch.
 					delete(sh.sessions, id)
+					sh.open.Add(-1)
 					// The eviction is positive evidence the device is gone;
 					// tell a finalizer-aware sink (the analytics tee uses it
 					// to decay occupancy) after the final triplets emitted.
@@ -353,10 +370,11 @@ func (e *Engine) runShard(sh *shard) {
 func (sh *shard) ingest(e *Engine, r position.Record, tc trace.Ctx) {
 	ss := sh.sessions[r.Device]
 	if ss == nil {
-		ss = newSession(r.Device)
+		ss = newSession(e, sh, r.Device)
 		ss.lastArrival = e.now()
 		sh.sessions[r.Device] = ss
 		e.stats.Sessions.Add(1)
+		sh.open.Add(1)
 	}
 	outcome := ss.ingest(e, r)
 	if tc.Sampled() && e.cfg.Tracer != nil {
@@ -371,9 +389,18 @@ func (sh *shard) ingest(e *Engine, r position.Record, tc trace.Ctx) {
 		return
 	}
 	e.stats.Records.Add(1)
+	sh.tail.Add(1)
 	if ss.pending >= e.cfg.FlushEvery {
-		ss.flush(e, false)
+		sh.flush(e, ss, false)
 	}
+}
+
+// flush runs one session flush and books the records it released from the
+// session's tail.
+func (sh *shard) flush(e *Engine, ss *session, sealAll bool) {
+	n := ss.tail.Len()
+	ss.flush(e, sealAll)
+	sh.tail.Add(int64(ss.tail.Len() - n))
 }
 
 // traceAdmit records the shard-side fate of a sampled record: on admission

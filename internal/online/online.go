@@ -13,7 +13,10 @@
 // gap complementing. A flush recomputes clean+annotate over the tail — the
 // same code path as the batch Translator, so a flush at end-of-stream
 // reproduces the batch output exactly — and emits the prefix of triplets
-// that are sealed: provably unreachable by any future record.
+// that are sealed: provably unreachable by any future record. A session
+// keeps its tail and the incremental caches its next flush reads; the
+// scratch a flush builds in belongs to the shard, which flushes one
+// session at a time.
 //
 // # Sealing
 //

@@ -101,13 +101,20 @@ type session struct {
 	// make flush cost proportional to the tail's unstable suffix instead
 	// of the whole tail, and they reset whenever the tail epoch changes
 	// (trim, force-seal, seal-all) — the trimmed suffix recomputes from
-	// scratch once and caches from there.
+	// scratch once and caches from there. Their scratch is the shard's.
 	clean cleaning.State
 	ann   *annotation.Incremental
 }
 
-func newSession(dev position.DeviceID) *session {
-	return &session{dev: dev, tail: position.NewSequence(dev)}
+func newSession(e *Engine, sh *shard, dev position.DeviceID) *session {
+	ss := &session{dev: dev, tail: position.NewSequence(dev), ann: e.pl.Annotator.NewIncremental()}
+	// The online path never reads Report.Changes — it queries per-index
+	// repairs through State.Repaired — so suppress the merged change-list
+	// assembly, which costs O(total repairs) per flush.
+	ss.clean.NoChanges = true
+	ss.clean.Work = &sh.clean
+	ss.ann.Work = &sh.ann
+	return ss
 }
 
 // admit is the outcome of a session ingest attempt.
@@ -191,17 +198,10 @@ func (ss *session) translateTail(e *Engine, st *stageStamps) *semantics.Sequence
 		//trips:allow wallclock: stage latency stamp, operational telemetry
 		st.start = time.Now()
 	}
-	// The online path never reads Report.Changes — it queries per-index
-	// repairs through State.Repaired — so suppress the merged change-list
-	// assembly, which costs O(total repairs) per flush.
-	ss.clean.NoChanges = true
 	cleaned, _ := e.pl.Cleaner.CleanFrom(&ss.clean, ss.tail, ss.admissionFloor(e))
 	if st != nil {
 		//trips:allow wallclock: stage latency stamp, operational telemetry
 		st.afterClean = time.Now()
-	}
-	if ss.ann == nil {
-		ss.ann = e.pl.Annotator.NewIncremental()
 	}
 	sem := ss.ann.Annotate(cleaned, ss.clean.StableSince())
 	if st != nil {
@@ -216,12 +216,10 @@ func (ss *session) translateTail(e *Engine, st *stageStamps) *semantics.Sequence
 // change, because the caches are keyed by record index into the tail.
 func (ss *session) resetTranslation() {
 	ss.clean.Reset()
-	if ss.ann != nil {
-		// Reset makes the next Annotate a full recompute over the new record
-		// indexes. A tail that follows trimmed records (base > 0) is a
-		// suffix whose first snippet is not the device's true sequence head.
-		ss.ann.Reset(ss.base > 0)
-	}
+	// Reset makes the next Annotate a full recompute over the new record
+	// indexes. A tail that follows trimmed records (base > 0) is a suffix
+	// whose first snippet is not the device's true sequence head.
+	ss.ann.Reset(ss.base > 0)
 }
 
 // restartTail begins a new tail epoch: consumed records leave the tail

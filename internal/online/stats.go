@@ -46,8 +46,16 @@ type Stats struct {
 	ForcedTrims        int64 `json:"forcedTrims"`
 	ForcedSeals        int64 `json:"forcedSeals"`
 	IdleFinalized      int64 `json:"idleFinalized"`
-	// Sessions is the number of devices ever seen.
+	// Sessions counts sessions opened. A device that returns after an idle
+	// eviction opens a new one, so this is not a count of distinct devices.
 	Sessions int64 `json:"sessions"`
+	// OpenSessions is the sessions open now: opened minus idle-evicted minus
+	// closed. TailRecords is the records held in their tails. A session
+	// keeps its tail and per-record caches, while flush scratch belongs to
+	// the shard, so the engine's heap is about TailRecords times the
+	// per-record budget TestOpenSessionHeapBudget holds.
+	OpenSessions int64 `json:"openSessions"`
+	TailRecords  int64 `json:"tailRecords"`
 	// KnowledgeObservations is the size of the shared mobility knowledge.
 	KnowledgeObservations int `json:"knowledgeObservations"`
 	// ShardDepth is the current inbox backlog per shard — the lag proxy:
@@ -77,6 +85,8 @@ func (e *Engine) Stats() Stats {
 	}
 	for i, sh := range e.shards {
 		st.ShardDepth[i] = len(sh.ch)
+		st.OpenSessions += sh.open.Load()
+		st.TailRecords += sh.tail.Load()
 	}
 	return st
 }

@@ -324,3 +324,28 @@ func TestSplitByGapPropertyPreservesRecords(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestColumnsClockSaturates: a run whose window-capped gaps add up past
+// 2^63 ns pins the clock at its maximum instead of wrapping negative, and
+// the clock never runs backwards, even over records out of time order.
+func TestColumnsClockSaturates(t *testing.T) {
+	far := time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC)
+	recs := []Record{
+		{At: time.Time{}}, {At: far}, {At: far.Add(time.Hour)}, {At: far}, {At: far.Add(2 * time.Hour)},
+	}
+	var c Columns
+	c.Sync(recs, 0, math.MaxInt64)
+	want := []int64{0, math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64}
+	for i, at := range c.At {
+		if at != want[i] {
+			t.Fatalf("clock = %v, want %v", c.At, want)
+		}
+	}
+	c.Sync(recs, 0, time.Minute)
+	want = []int64{0, int64(time.Minute + 1), int64(2*time.Minute + 2), int64(2*time.Minute + 2), int64(3*time.Minute + 3)}
+	for i, at := range c.At {
+		if at != want[i] {
+			t.Fatalf("clock = %v, want %v", c.At, want)
+		}
+	}
+}
