@@ -168,7 +168,7 @@ func (s *server) registerBridges() {
 		"Distinct devices with at least one warehoused trip.",
 		func() float64 { return float64(wh.Stats().Devices) })
 	r.GaugeFunc("trips_store_segments",
-		"Un-snapshotted segment-log files on disk (0 for memory-only).",
+		"Segment-log files on disk (0 for memory-only).",
 		func() float64 { return float64(wh.Stats().Segments) })
 	r.GaugeFunc("trips_store_pending_log_records",
 		"Trips buffered for the next segment write (0 for memory-only).",

@@ -72,9 +72,9 @@ func (e *Engine) deviceFrontier(dev position.DeviceID) (frontier time.Time) {
 // the engine's write lock, the scratch replays the tail once more and its
 // view state replaces the live one. Nothing is buffered across the swap
 // because the warehouse is the buffer: every producer stores a trip before
-// folding it (Warehouse.Emitter runs ahead of Engine.Emitter, core.MultiSink
-// lists the warehouse first), so any trip a live fold has seen is in w for
-// the locked replay to find. Two things the warehouse cannot tell are
+// folding it (Warehouse.Emitter and Warehouse.Sink store before they
+// forward), so any trip a live fold has seen is in w for the locked replay
+// to find. Two things the warehouse cannot tell are
 // reconciled per device at the swap, off the fold's hot path:
 //
 //   - a trip stored but still waiting on the lock to fold is replayed here

@@ -64,7 +64,7 @@ func TestFlushIncrementalMatchesFull(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			g := lcg(seed)
-			inc, full, incSink, fullSink := shadowPair(t, pl, 0)
+			inc, full, incSink, fullSink := shadowPair(t, pl, -1) // unbounded tails
 			centers := []geom.Point{geom.Pt(5, 15), geom.Pt(25, 15), geom.Pt(15, 5)}
 			at := t0
 			dev := position.DeviceID("dev-1")

@@ -133,8 +133,8 @@ type Config struct {
 	// dwelling in one region forever — is force-sealed at the horizon
 	// instead, so its long dwell emits as consecutive shorter stays;
 	// records inside the horizon always stay buffered, making the
-	// effective bound max(MaxTail, arrival rate × horizon). 0 keeps tails
-	// unbounded.
+	// effective bound max(MaxTail, arrival rate × horizon). Default 8192;
+	// negative keeps tails unbounded.
 	MaxTail int
 
 	// QueueLen is the per-shard inbox buffer. Default 1024.
@@ -177,6 +177,9 @@ func (c *Config) applyDefaults(horizon time.Duration) {
 	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = horizon
+	}
+	if c.MaxTail == 0 {
+		c.MaxTail = 8192
 	}
 	if c.QueueLen <= 0 {
 		c.QueueLen = 1024

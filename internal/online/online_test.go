@@ -431,6 +431,40 @@ func TestCloseSemantics(t *testing.T) {
 	eng.Flush() // must not panic or hang
 }
 
+// TestMaxTailDefaultBoundsTails: a Config that leaves MaxTail zero — what
+// trips-server passes — still bounds a stationary device's tail, at 8192
+// records, and only a negative MaxTail keeps it unbounded.
+func TestMaxTailDefaultBoundsTails(t *testing.T) {
+	pl := testPipeline(t)
+	const n = 8192 + 2048
+	for _, tc := range []struct {
+		maxTail   int
+		unbounded bool
+	}{{0, false}, {-1, true}} {
+		g := lcg(31)
+		cfg := manualConfig(newCollect(), 1)
+		cfg.MaxTail = tc.maxTail
+		cfg.FlushEvery = 1024 // few flushes: each one re-annotates the whole dwell
+		eng, err := NewEngine(pl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range stayRecords(&g, "couch", geom.Pt(5, 15), 1, t0, n, 5*time.Second) {
+			if err := eng.Ingest(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Flush()
+		snap, _ := eng.Snapshot("couch")
+		forced := eng.Stats().ForcedSeals
+		eng.Close()
+		if bounded := snap.TailRecords <= 8192+cfg.FlushEvery && forced > 0; bounded == tc.unbounded {
+			t.Errorf("MaxTail %d: a %d-record dwell left a %d-record tail after %d forced seals",
+				tc.maxTail, n, snap.TailRecords, forced)
+		}
+	}
+}
+
 // TestMaxTailBoundsStationaryDevice is the regression test for the
 // ROADMAP's unbounded-session bug: a device dwelling in one region forever
 // never seals a triplet (its single stay keeps extending to the

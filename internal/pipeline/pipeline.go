@@ -5,8 +5,11 @@
 //  1. Tee order. Sealed triplets reach the warehouse first, then the views,
 //     then the caller's sink (Tee), so the analytics fold only ever sees a
 //     trip its durable twin has stored.
-//  2. Batch order. A batch translation feeds the same two sinks in the same
-//     order (MultiSink).
+//  2. Batch order. A batch translation is stored first, and the views fold
+//     only the trips the warehouse had not held (Translate): whatever it
+//     held has already reached the views by the tee or by Bootstrap, and
+//     folding it again would read as a dropped backfill. Views without a
+//     warehouse fold the results directly.
 //  3. View boot. The persisted view snapshot loads first, an incompatible
 //     or corrupt one is ignored (OpenViews), and a frontier-bounded
 //     Bootstrap then replays only the warehouse tail the snapshot missed.
@@ -40,8 +43,8 @@ import (
 // Options configures Open. The three subsystem configurations carry their
 // own metrics and tracer bundles.
 type Options struct {
-	// StoreDir roots the durable warehouse (segment log + snapshot); empty
-	// keeps the warehouse in memory.
+	// StoreDir roots the durable warehouse (its segment log); empty keeps
+	// the warehouse in memory.
 	StoreDir string
 	// ViewsDir roots the durable view snapshots; empty rebuilds the views
 	// from the warehouse at every Open and writes none.
@@ -103,7 +106,7 @@ func Open(tr *core.Translator, opts Options) (p *Pipeline, err error) {
 }
 
 // OpenWarehouse opens the trip warehouse: durable under dir, replaying the
-// persisted segment log and snapshot, or memory-only when dir is empty.
+// persisted segment log, or memory-only when dir is empty.
 func OpenWarehouse(dir string, opts tripstore.Options) (*tripstore.Warehouse, error) {
 	if dir != "" {
 		st, err := storage.Open(dir)
@@ -153,30 +156,26 @@ func Tee(wh *tripstore.Warehouse, an *analytics.Engine, sink online.Emitter) onl
 	return sink
 }
 
-// MultiSink is the batch twin of Tee: a core.ResultSink feeding the
-// warehouse, then the views; nil when both are nil.
-func MultiSink(wh *tripstore.Warehouse, an *analytics.Engine) core.ResultSink {
-	var sinks []core.ResultSink
-	if wh != nil {
-		sinks = append(sinks, wh)
-	}
+// Translate runs the batch Translator over ds into wh and an in rule-2
+// order; either may be nil. On a restart over a persisted store the
+// re-translated trips are all held already, so the views fold nothing,
+// while a trip new to the warehouse that lies behind its device's fold
+// frontier still counts as the backfill it is (RebuildRecommended).
+func Translate(tr *core.Translator, ds *position.Dataset, wh *tripstore.Warehouse, an *analytics.Engine) ([]core.Result, error) {
+	var sink core.ResultSink
 	if an != nil {
-		sinks = append(sinks, an)
+		sink = an
 	}
-	return core.MultiSink(sinks...)
+	if wh != nil {
+		sink = wh.Sink(sink)
+	}
+	return tr.TranslateTo(ds, sink)
 }
 
-// Translate runs the batch Translator over ds into the warehouse and brings
-// the views up to date by replay, never by live fold: on a restart over a
-// persisted store the views already cover later trips of the same devices,
-// and folding the dataset again would count as a dropped backfill. Call it
-// before live ingest begins.
+// Translate runs the batch Translator over ds through the pipeline's
+// warehouse and views.
 func (p *Pipeline) Translate(ds *position.Dataset) ([]core.Result, error) {
-	results, err := p.tr.TranslateTo(ds, p.Warehouse)
-	if err != nil {
-		return nil, err
-	}
-	return results, p.Analytics.Bootstrap(p.Warehouse)
+	return Translate(p.tr, ds, p.Warehouse, p.Analytics)
 }
 
 // Rebuild re-derives the views from the warehouse under live ingest.

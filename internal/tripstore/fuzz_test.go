@@ -8,12 +8,16 @@ import (
 	"testing"
 	"time"
 
+	"trips/internal/position"
 	"trips/internal/storage"
 )
 
 // FuzzReplaySegment: a store whose only document is one arbitrary segment
 // under warehouse-segments/ either fails to open with an error or replays
-// into a warehouse whose full query returns every trip it counts.
+// into a warehouse whose full query returns every trip it counts. The count
+// is the number of distinct (device, From instant) pairs the document
+// holds, decoded here on its own, and every other trip in it is a
+// duplicate.
 func FuzzReplaySegment(f *testing.F) {
 	valid, err := json.Marshal(segmentDoc{Seq: 1, Trips: []Trip{
 		trip("a", 0, "nike", 0, time.Minute),
@@ -32,6 +36,8 @@ func FuzzReplaySegment(f *testing.F) {
 		`{"seq":"one"}`,
 		`[`,
 		``,
+		// One instant in two zones, then out of order: one duplicate.
+		`{"seq":1,"trips":[{"device":"a","seq":0,"triplet":{"from":"2017-01-01T10:00:00Z"}},{"device":"a","seq":1,"triplet":{"from":"2017-01-01T11:00:00+01:00"}},{"device":"a","seq":2,"triplet":{"from":"2017-01-01T09:00:00Z"}}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -56,8 +62,26 @@ func FuzzReplaySegment(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := len(page.Trips), w.Stats().Trips; got != want {
+		stats := w.Stats()
+		if got, want := len(page.Trips), stats.Trips; got != want {
 			t.Fatalf("replayed warehouse counts %d trips but a full query returns %d", want, got)
+		}
+		var seg segmentDoc
+		if err := json.Unmarshal(doc, &seg); err != nil {
+			t.Fatalf("the store replayed a document that does not decode: %v", err)
+		}
+		type identity struct {
+			dev  position.DeviceID
+			sec  int64
+			nsec int
+		}
+		distinct := make(map[identity]bool)
+		for _, tr := range seg.Trips {
+			distinct[identity{tr.Device, tr.Triplet.From.Unix(), tr.Triplet.From.Nanosecond()}] = true
+		}
+		if stats.Trips != len(distinct) || stats.Duplicates != len(seg.Trips)-len(distinct) {
+			t.Fatalf("replay kept %d trips and dropped %d duplicates; the document holds %d trips, %d distinct (device, From) pairs",
+				stats.Trips, stats.Duplicates, len(seg.Trips), len(distinct))
 		}
 	})
 }

@@ -28,6 +28,39 @@ func (p *posting) add(t *Trip) {
 // dirty reports whether the list has an unsorted suffix.
 func (p *posting) dirty() bool { return p.clean < len(p.refs) }
 
+// maxScan bounds the unsorted suffix startsAt scans linearly; a longer one
+// is sorted first.
+const maxScan = 32
+
+// startsAt reports whether a ref starts at from — the (device, From)
+// dedupe, asked of a device's own posting; callers hold the warehouse
+// write lock. Producers file each device's timeline forward, so the usual
+// answer is one comparison with the last ref; otherwise it is a binary
+// search of the clean prefix plus a scan of the unsorted suffix.
+func (p *posting) startsAt(from time.Time) bool {
+	n := len(p.refs)
+	if n == 0 {
+		return false
+	}
+	if p.clean == n {
+		if last := p.refs[n-1].Triplet.From; !from.Before(last) {
+			return from.Equal(last)
+		}
+	} else if n-p.clean > maxScan {
+		p.sorted()
+	}
+	i := sort.Search(p.clean, func(i int) bool { return !p.refs[i].Triplet.From.Before(from) })
+	if i < p.clean && p.refs[i].Triplet.From.Equal(from) {
+		return true
+	}
+	for _, t := range p.refs[p.clean:] {
+		if t.Triplet.From.Equal(from) {
+			return true
+		}
+	}
+	return false
+}
+
 // sorted restores the global order; callers hold the warehouse write
 // lock. Cost is O(d·log d + n) for a dirty suffix of length d — the
 // suffix sorts alone and merges into the clean prefix — so steady

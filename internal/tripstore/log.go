@@ -5,15 +5,15 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 
 	"trips/internal/storage"
 )
 
 // LogOptions configures the durability layer. The log writes its segments
-// to the store's "warehouse-segments" collection and its snapshot to
-// "warehouse-snapshot", one segment per 256 buffered trips (Flush, Snapshot
-// and Close cut a shorter one).
+// to the store's "warehouse-segments" collection, one segment per 256
+// buffered trips (Flush and Close cut a shorter one), each written once and
+// never rewritten. It writes nothing else; a "warehouse-snapshot" document
+// an older store holds is still read at replay.
 type LogOptions struct {
 	// Store is the backend document store the log rides on. Required.
 	Store *storage.Store
@@ -33,8 +33,9 @@ type segmentDoc struct {
 	Trips []Trip `json:"trips"`
 }
 
-// snapshotDoc is the full-state dump; segments with Seq <= Covered are
-// folded in and deleted.
+// snapshotDoc is the full-state dump older stores hold: its trips, with
+// the segments numbered up to Covered folded in. Replay reads it and skips
+// those segments; nothing writes it any more.
 type snapshotDoc struct {
 	Covered int    `json:"covered"`
 	Trips   []Trip `json:"trips"`
@@ -45,17 +46,16 @@ const snapshotKey = "latest"
 // segmentLog is the batched append-only segment log. Ownership is split
 // so queries never wait on disk: the buffer state (pending, next,
 // segments) is guarded by the owning Warehouse's write lock, which
-// detaches full batches; the actual document writes run outside that lock,
-// serialized by io. Replay happens before the warehouse is shared.
+// detaches full batches; the document writes run outside that lock, each
+// under its own segment number. Replay happens before the warehouse is
+// shared.
 type segmentLog struct {
 	store *storage.Store
 
 	// Guarded by the owning Warehouse's mutex.
 	pending  []Trip
 	next     int // next segment number to assign
-	segments int // live (un-snapshotted) segments on disk
-
-	io sync.Mutex // serializes segment/snapshot writes and truncation
+	segments int // segment files on disk
 }
 
 func openSegmentLog(st *storage.Store) (*segmentLog, error) {
@@ -78,9 +78,10 @@ func parseSegKey(k string) (int, bool) {
 	return n, true
 }
 
-// replay feeds the persisted state — snapshot first, then every segment
-// past it, in write order — to insert, and positions the log to append
-// after the highest segment seen.
+// replay feeds the persisted state — every segment in write order, after
+// the snapshot document of an older store and skipping the segments it
+// covers — to insert, and positions the log to append after the highest
+// segment number seen.
 func (l *segmentLog) replay(insert func(Trip)) error {
 	var snap snapshotDoc
 	err := l.store.Get(snapshotCollection, snapshotKey, &snap)
@@ -106,10 +107,11 @@ func (l *segmentLog) replay(insert func(Trip)) error {
 		if n > high {
 			high = n
 		}
+		l.segments++
 		if n <= snap.Covered {
-			// Covered by the snapshot but not yet deleted (a crash
-			// between snapshot write and truncation); skip, dedupe would
-			// drop it anyway.
+			// Covered by an older store's snapshot but never deleted (a
+			// crash between snapshot write and truncation); skip, dedupe
+			// would drop it anyway.
 			continue
 		}
 		var seg segmentDoc
@@ -119,7 +121,6 @@ func (l *segmentLog) replay(insert func(Trip)) error {
 		for _, t := range seg.Trips {
 			insert(t)
 		}
-		l.segments++
 	}
 	l.next = high + 1
 	return nil
@@ -147,38 +148,11 @@ func (l *segmentLog) requeue(batch []Trip) {
 	l.pending = append(batch, l.pending...)
 }
 
-// writeSegment persists one detached batch.
+// writeSegment persists one detached batch. Concurrent writes touch
+// distinct documents, and the store serializes them.
 func (l *segmentLog) writeSegment(seq int, batch []Trip) error {
-	l.io.Lock()
-	defer l.io.Unlock()
 	if err := l.store.Put(segmentCollection, segKey(seq), segmentDoc{Seq: seq, Trips: batch}); err != nil {
 		return fmt.Errorf("tripstore: write segment %d: %w", seq, err)
 	}
 	return nil
-}
-
-// writeSnapshot persists the full-state dump, truncates the covered
-// segments, and reports how many it deleted. A segment write racing the
-// truncation can land a document with Seq <= covered afterwards; replay
-// skips those, and the next snapshot removes them.
-func (l *segmentLog) writeSnapshot(covered int, dump []Trip) (int, error) {
-	l.io.Lock()
-	defer l.io.Unlock()
-	if err := l.store.Put(snapshotCollection, snapshotKey, snapshotDoc{Covered: covered, Trips: dump}); err != nil {
-		return 0, fmt.Errorf("tripstore: write snapshot: %w", err)
-	}
-	keys, err := l.store.List(segmentCollection)
-	if err != nil {
-		return 0, err
-	}
-	deleted := 0
-	for _, k := range keys {
-		if n, ok := parseSegKey(k); ok && n <= covered {
-			if err := l.store.Delete(segmentCollection, k); err != nil {
-				return deleted, err
-			}
-			deleted++
-		}
-	}
-	return deleted, nil
 }

@@ -127,11 +127,7 @@ func (w *Warehouse) query(spec QuerySpec) (Page, error) {
 func (w *Warehouse) plan(spec QuerySpec) *posting {
 	switch {
 	case spec.Device != "":
-		p := w.parts[spec.Device]
-		if p == nil {
-			return nil
-		}
-		return &p.posting
+		return w.parts[spec.Device]
 	case spec.RegionID != "":
 		return w.byID[string(spec.RegionID)]
 	case spec.Region != "":

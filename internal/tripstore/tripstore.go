@@ -21,7 +21,8 @@
 //
 // Three indexes answer every query without a full scan:
 //
-//   - per-device partitions holding time-ordered triplet runs,
+//   - per-device partitions holding time-ordered triplet runs, each also
+//     its device's (device, start instant) dedupe index,
 //   - a per-region inverted posting list (by RegionID and by semantic tag),
 //   - a global interval index over trip time spans: a From-ordered list
 //     plus the maximum trip duration, so the trips overlapping [since,
@@ -35,15 +36,14 @@
 // # Durability layer
 //
 // An optional append-only segment log rides on internal/storage: ingested
-// trips buffer in memory and flush as batched JSON segment documents;
-// Snapshot writes the full state and truncates the covered segments. Open
-// replays snapshot + segments, so a reopened warehouse answers every query
-// identically.
+// trips buffer in memory and flush as batched JSON segment documents, each
+// written once and never rewritten. The segments are the warehouse's only
+// durable form, so Open replays them in write order and a reopened
+// warehouse answers every query identically.
 package tripstore
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -92,8 +92,8 @@ type Options struct {
 	// memory-only.
 	Log *LogOptions
 
-	// Metrics receives segment-write, snapshot, and query latency
-	// observations; nil disables them.
+	// Metrics receives segment-write and query latency observations; nil
+	// disables them.
 	Metrics *Metrics
 
 	// Tracer records a warehouse_append span for every traced emission the
@@ -110,11 +110,11 @@ type Warehouse struct {
 	mu     sync.RWMutex
 	closed bool
 
-	parts    map[position.DeviceID]*partition
-	byID     map[string]*posting // inverted: RegionID → trips
-	byTag    map[string]*posting // inverted: semantic tag → trips
-	byTime   posting             // interval index over all trips
-	maxDur   time.Duration       // longest trip span seen (interval bound)
+	parts    map[position.DeviceID]*posting // per-device partitions
+	byID     map[string]*posting            // inverted: RegionID → trips
+	byTag    map[string]*posting            // inverted: semantic tag → trips
+	byTime   posting                        // interval index over all trips
+	maxDur   time.Duration                  // longest trip span seen (interval bound)
 	total    int
 	dupes    int
 	inferred int
@@ -132,10 +132,10 @@ type Warehouse struct {
 }
 
 // New returns an open warehouse. With Options.Log set it opens the segment
-// log and replays the persisted state (snapshot, then remaining segments).
+// log and replays the persisted segments.
 func New(opts Options) (*Warehouse, error) {
 	w := &Warehouse{
-		parts:   make(map[position.DeviceID]*partition),
+		parts:   make(map[position.DeviceID]*posting),
 		byID:    make(map[string]*posting),
 		byTag:   make(map[string]*posting),
 		metrics: opts.Metrics,
@@ -154,35 +154,30 @@ func New(opts Options) (*Warehouse, error) {
 	return w, nil
 }
 
-// instant is the dedupe component of a trip's identity: an exact wall
-// clock reading, overflow-free for any time.Time (unlike UnixNano).
-type instant struct {
-	sec  int64
-	nsec int
-}
-
-func instantOf(t time.Time) instant { return instant{t.Unix(), t.Nanosecond()} }
-
-// partition is one device's time-ordered triplet run.
-type partition struct {
-	posting
-	seen map[instant]bool // start-instant dedupe
-}
-
 // Insert files one trip into every index and, when the log is enabled,
 // appends it to the pending segment. A duplicate (Device, Triplet.From)
 // is counted and dropped. Inserting into a closed warehouse returns
 // ErrClosed. Disk writes (one per full batch) happen outside the
 // warehouse lock, so queries never wait on I/O.
 func (w *Warehouse) Insert(t Trip) error {
+	_, err := w.file(t)
+	return err
+}
+
+// file is Insert that also reports whether the trip was new.
+func (w *Warehouse) file(t Trip) (bool, error) {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		return ErrClosed
+		return false, ErrClosed
 	}
-	if !w.insert(t) || w.log == nil {
+	if !w.insert(t) {
 		w.mu.Unlock()
-		return nil
+		return false, nil
+	}
+	if w.log == nil {
+		w.mu.Unlock()
+		return true, nil
 	}
 	w.log.pending = append(w.log.pending, t)
 	var batch []Trip
@@ -193,10 +188,10 @@ func (w *Warehouse) Insert(t Trip) error {
 	}
 	w.mu.Unlock()
 	if batch == nil {
-		return nil
+		return true, nil
 	}
 	defer w.inflight.Done()
-	return w.writeSegment(seq, batch)
+	return true, w.writeSegment(seq, batch)
 }
 
 // writeSegment performs the off-lock disk write of a detached batch,
@@ -227,15 +222,13 @@ func (w *Warehouse) writeSegment(seq int, batch []Trip) error {
 func (w *Warehouse) insert(t Trip) bool {
 	p := w.parts[t.Device]
 	if p == nil {
-		p = &partition{seen: make(map[instant]bool)}
+		p = new(posting)
 		w.parts[t.Device] = p
 	}
-	at := instantOf(t.Triplet.From)
-	if p.seen[at] {
+	if p.startsAt(t.Triplet.From) {
 		w.dupes++
 		return false
 	}
-	p.seen[at] = true
 
 	tp := new(Trip)
 	*tp = t
@@ -269,21 +262,49 @@ func (w *Warehouse) postingFor(m map[string]*posting, k string) *posting {
 // IngestResult files every triplet of a batch translation result,
 // implementing core.ResultSink.
 func (w *Warehouse) IngestResult(r core.Result) error {
-	if r.Final == nil {
-		return nil
-	}
-	return w.IngestSequence(r.Device, r.Final)
+	return storeSink{w: w}.IngestResult(r)
 }
 
 // IngestSequence files a whole semantics sequence for a device; Seq is the
 // triplet's index within the sequence.
 func (w *Warehouse) IngestSequence(dev position.DeviceID, s *semantics.Sequence) error {
-	for i, t := range s.Triplets {
-		if err := w.Insert(Trip{Device: dev, Seq: i, Triplet: t}); err != nil {
+	return w.IngestResult(core.Result{Device: dev, Final: s})
+}
+
+// Sink returns the batch twin of Emitter: a core.ResultSink that files
+// every result into the warehouse and forwards to next (which may be nil)
+// only the triplets the warehouse had not stored before. Whatever the
+// warehouse already held has already been forwarded (or replayed from it),
+// so a re-translation of stored trips reaches next as nothing, while a new
+// trip reaches it even when it lies behind everything next has seen.
+func (w *Warehouse) Sink(next core.ResultSink) core.ResultSink {
+	return storeSink{w: w, next: next}
+}
+
+type storeSink struct {
+	w    *Warehouse
+	next core.ResultSink
+}
+
+func (ss storeSink) IngestResult(r core.Result) error {
+	if r.Final == nil {
+		return nil
+	}
+	var fresh []semantics.Triplet
+	for i, t := range r.Final.Triplets {
+		stored, err := ss.w.file(Trip{Device: r.Device, Seq: i, Triplet: t})
+		if err != nil {
 			return err
 		}
+		if stored && ss.next != nil {
+			fresh = append(fresh, t)
+		}
 	}
-	return nil
+	if len(fresh) == 0 {
+		return nil
+	}
+	r.Final = &semantics.Sequence{Device: r.Final.Device, Triplets: fresh}
+	return ss.next.IngestResult(r)
 }
 
 // Emitter returns an online.Emitter that fans every sealed emission into
@@ -366,62 +387,10 @@ func (w *Warehouse) Flush() error {
 	return w.writeSegment(seq, batch)
 }
 
-// Snapshot persists the full warehouse state as one snapshot document and
-// truncates the segments it covers, bounding replay work at the next
-// Open. Only the in-memory dump happens under the warehouse lock; the
-// disk writes do not block ingest or queries. Trips inserted while the
-// snapshot is writing land in segments past the covered frontier and
-// survive replay.
-func (w *Warehouse) Snapshot() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
-	}
-	if w.log == nil {
-		w.mu.Unlock()
-		return fmt.Errorf("tripstore: snapshot of a memory-only warehouse")
-	}
-	batch, seq := w.log.detach()
-	if batch != nil {
-		w.inflight.Add(1)
-	}
-	w.byTime.sorted() // snapshot in global order for deterministic files
-	dump := make([]Trip, len(w.byTime.refs))
-	for i, tp := range w.byTime.refs {
-		dump[i] = *tp
-	}
-	covered := w.log.next - 1
-	w.mu.Unlock()
-
-	if batch != nil {
-		err := w.writeSegment(seq, batch)
-		w.inflight.Done()
-		if err != nil {
-			return err
-		}
-	}
-	var snapStart time.Time
-	if w.metrics != nil {
-		//trips:allow wallclock: snapshot-write latency metric
-		snapStart = time.Now()
-	}
-	deleted, err := w.log.writeSnapshot(covered, dump)
-	if w.metrics != nil {
-		w.metrics.SnapshotWriteSeconds.ObserveSince(snapStart)
-	}
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	// Truncation may also sweep leftovers from a pre-crash generation
-	// that the counter never saw; clamp instead of going negative.
-	if w.log.segments -= deleted; w.log.segments < 0 {
-		w.log.segments = 0
-	}
-	w.mu.Unlock()
-	return nil
-}
+// Snapshot is Flush: the segment log is the warehouse's complete durable
+// state, so there is nothing else to write. The name stays only because
+// bench/serve.go calls it; ROADMAP item 1(e) removes it.
+func (w *Warehouse) Snapshot() error { return w.Flush() }
 
 // Close flushes pending writes and marks the warehouse closed. Further
 // inserts, queries and flushes return ErrClosed. Close waits for in-flight
@@ -457,9 +426,9 @@ type Stats struct {
 	// DroppedEmissions counts online emissions that arrived after Close
 	// and were lost; nonzero means the engine outlived the warehouse.
 	DroppedEmissions int `json:"droppedEmissions,omitempty"`
-	// Segments is the number of un-snapshotted log segments on disk;
-	// PendingLog the buffered trips not yet in any segment. Both are zero
-	// for memory-only warehouses.
+	// Segments is the number of segment files on disk; PendingLog the
+	// buffered trips not yet in any segment. Both are zero for memory-only
+	// warehouses.
 	Segments   int `json:"segments"`
 	PendingLog int `json:"pendingLog"`
 	// MaxTripSpan is the longest trip duration seen, the interval-index

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"trips/internal/core"
 	"trips/internal/dsm"
 	"trips/internal/online"
 	"trips/internal/position"
@@ -387,19 +388,22 @@ func TestDurabilityReopen(t *testing.T) {
 		t.Errorf("reopened stats = %+v, want 10 trips, 0 dupes", st)
 	}
 
-	// Snapshot compacts: segments fold into the snapshot document.
+	// Snapshot is a Flush: one more segment, and no rewrite of the store.
+	mustInsert(t, w2, trip("b", 0, "adidas", 20*time.Minute, time.Minute))
 	if err := w2.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if st := w2.Stats(); st.Segments != 0 {
-		t.Errorf("segments after snapshot = %d, want 0", st.Segments)
+	if st := w2.Stats(); st.Segments != 4 || st.PendingLog != 0 {
+		t.Errorf("stats after snapshot = %+v, want 4 segments, nothing pending", st)
 	}
-	mustInsert(t, w2, trip("b", 0, "adidas", 20*time.Minute, time.Minute))
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(filepath.Join(dir, snapshotCollection)); !os.IsNotExist(err) {
+		t.Errorf("a %s collection exists (%v); the log writes segments only", snapshotCollection, err)
+	}
 
-	// Third generation: snapshot + post-snapshot segment replay together.
+	// Third generation: both generations' segments replay together.
 	w3 := open()
 	defer w3.Close()
 	if st := w3.Stats(); st.Trips != 11 {
@@ -416,9 +420,9 @@ func TestDurabilityReopen(t *testing.T) {
 }
 
 // TestReplaysIndentedStore: documents are written compact, and a store whose
-// segment and snapshot documents are json.MarshalIndent output — what every
-// store written before Put went compact holds — replays to the same
-// warehouse as its compact-written twin.
+// segment documents are json.MarshalIndent output — what every store
+// written before Put went compact holds — replays to the same warehouse as
+// its compact-written twin.
 func TestReplaysIndentedStore(t *testing.T) {
 	compactDir, indentedDir := t.TempDir(), t.TempDir()
 	nth := func(i int) Trip {
@@ -426,7 +430,7 @@ func TestReplaysIndentedStore(t *testing.T) {
 			time.Duration(i)*time.Minute, 90*time.Second)
 	}
 
-	// A snapshot document, two sealed segments and a flushed short tail.
+	// Four flushed segments and a short tail Close writes.
 	w := diskWarehouse(t, compactDir)
 	var first []Trip
 	for i := 0; i < 4; i++ {
@@ -447,9 +451,7 @@ func TestReplaysIndentedStore(t *testing.T) {
 	for i := 4; i < 9; i++ {
 		mustInsert(t, w, nth(i))
 	}
-	if err := w.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
+	mustFlush(t, w)
 	for i := 9; i < 19; i++ {
 		mustInsert(t, w, nth(i))
 		if i == 12 || i == 16 {
@@ -481,10 +483,9 @@ func TestReplaysIndentedStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reindent("warehouse-snapshot", snapshotKey, &snapshotDoc{})
 	segs, err := src.List("warehouse-segments")
-	if err != nil || len(segs) != 3 {
-		t.Fatalf("segments on disk = %v, %v; want the 3 written after the snapshot", segs, err)
+	if err != nil || len(segs) != 5 {
+		t.Fatalf("segments on disk = %v, %v; want the 5 written", segs, err)
 	}
 	for _, key := range segs {
 		reindent("warehouse-segments", key, &segmentDoc{})
@@ -493,7 +494,7 @@ func TestReplaysIndentedStore(t *testing.T) {
 	a, b := diskWarehouse(t, compactDir), diskWarehouse(t, indentedDir)
 	defer a.Close()
 	defer b.Close()
-	if sa, sb := a.Stats(), b.Stats(); sa != sb || sa.Trips != 19 || sa.Segments != 3 {
+	if sa, sb := a.Stats(), b.Stats(); sa != sb || sa.Trips != 19 || sa.Segments != 5 {
 		t.Fatalf("stats differ or are wrong:\ncompact:  %+v\nindented: %+v", sa, sb)
 	}
 	for _, spec := range []QuerySpec{
@@ -517,15 +518,221 @@ func TestReplaysIndentedStore(t *testing.T) {
 	}
 }
 
-func TestSnapshotMemoryOnlyErrors(t *testing.T) {
-	w := memWarehouse(t)
-	if err := w.Snapshot(); err == nil {
-		t.Error("snapshot of memory-only warehouse succeeded")
+// TestReplaysLegacySnapshotStore: a store an older version wrote — a
+// whole-store snapshot document, a stale segment it covers that truncation
+// never deleted, and two later segments — replays to the same warehouse as
+// a segments-only twin holding the same trips, and keeps appending past the
+// snapshot's covered segment numbers.
+func TestReplaysLegacySnapshotStore(t *testing.T) {
+	legacyDir, twinDir := t.TempDir(), t.TempDir()
+	nth := func(i int) Trip {
+		return trip(fmt.Sprintf("dev-%d", i%3), i/3, []string{"nike", "adidas"}[i%2],
+			time.Duration(i)*time.Minute, 90*time.Second)
 	}
-	if err := w.Flush(); err != nil {
-		t.Errorf("flush of memory-only warehouse: %v", err)
+	trips := func(lo, hi int) []Trip {
+		var out []Trip
+		for i := lo; i < hi; i++ {
+			out = append(out, nth(i))
+		}
+		return out
+	}
+
+	st, err := storage.Open(legacyDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []struct {
+		col, key string
+		v        any
+	}{
+		{snapshotCollection, snapshotKey, snapshotDoc{Covered: 2, Trips: trips(0, 6)}},
+		{segmentCollection, segKey(2), segmentDoc{Seq: 2, Trips: trips(3, 6)}}, // stale
+		{segmentCollection, segKey(3), segmentDoc{Seq: 3, Trips: trips(6, 9)}},
+		{segmentCollection, segKey(4), segmentDoc{Seq: 4, Trips: trips(9, 12)}},
+	} {
+		if err := st.Put(doc.col, doc.key, doc.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	twin := diskWarehouse(t, twinDir)
+	for _, batch := range [][]Trip{trips(0, 6), trips(6, 9), trips(9, 12)} {
+		mustInsert(t, twin, batch...)
+		mustFlush(t, twin)
+	}
+	if err := twin.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	compare := func(label string, wantTrips int) {
+		t.Helper()
+		a, b := diskWarehouse(t, legacyDir), diskWarehouse(t, twinDir)
+		defer a.Close()
+		defer b.Close()
+		if sa, sb := a.Stats(), b.Stats(); sa != sb || sa.Trips != wantTrips || sa.Duplicates != 0 {
+			t.Fatalf("%s: stats differ or are wrong:\nlegacy: %+v\ntwin:   %+v", label, sa, sb)
+		}
+		for _, spec := range []QuerySpec{
+			{},
+			{Device: "dev-1"},
+			{Region: "adidas", Since: t0.Add(5 * time.Minute), Until: t0.Add(15 * time.Minute)},
+			{Limit: 5},
+		} {
+			pa, err := a.Query(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb, err := b.Query(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pa.Trips) == 0 || !reflect.DeepEqual(pa, pb) {
+				t.Errorf("%s: query %+v: legacy and twin answer differently (or not at all):\n%v\n%v",
+					label, spec, keysOf(pa), keysOf(pb))
+			}
+		}
+	}
+	compare("reopened", 12)
+
+	// A trip written after the reopen lands past the covered segment
+	// numbers, so the next replay reads it instead of skipping it.
+	for _, dir := range []string{legacyDir, twinDir} {
+		w := diskWarehouse(t, dir)
+		mustInsert(t, w, nth(12))
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compare("appended", 13)
+
+	// Likewise when every segment the snapshot covers is gone and none
+	// follows it.
+	bareDir := t.TempDir()
+	bare, err := storage.Open(bareDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bare.Put(snapshotCollection, snapshotKey, snapshotDoc{Covered: 2, Trips: trips(0, 6)}); err != nil {
+		t.Fatal(err)
+	}
+	w := diskWarehouse(t, bareDir)
+	mustInsert(t, w, nth(12))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w = diskWarehouse(t, bareDir)
+	defer w.Close()
+	if st := w.Stats(); st.Trips != 7 || st.Segments != 1 {
+		t.Errorf("snapshot-only store after one append: %+v, want 7 trips in 1 segment", st)
 	}
 }
+
+// TestDedupeOutOfOrderDevice files one device's trips in scrambled order,
+// each start instant several times under different seqs, so the posting's
+// dedupe answers from its last ref, its clean prefix, a short unsorted
+// suffix and one long enough to be sorted first. Every answer must match a
+// set of seen instants, and the first write of each instant must win.
+func TestDedupeOutOfOrderDevice(t *testing.T) {
+	w := memWarehouse(t)
+	const n = 300
+	seen := make(map[int]int) // minute → seq of the first write
+	for i := 0; i < 4*n; i++ {
+		m := (i * 7) % n // a stride through every minute, four laps
+		if i%5 == 0 {
+			m = n - 1 - m // and a reversed walk mixed in
+		}
+		tr := trip("a", i, "nike", time.Duration(m)*time.Minute, 30*time.Second)
+		stored, err := w.file(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, dup := seen[m]
+		if stored == dup {
+			t.Fatalf("insert %d (minute %d): stored = %v, but the minute was seen before = %v", i, m, stored, dup)
+		}
+		if !dup {
+			seen[m] = i
+		}
+		if i == 2*n { // a query sorts everything mid-stream
+			if _, err := w.Query(QuerySpec{Device: "a"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := w.Stats(); st.Trips != len(seen) || st.Duplicates != 4*n-len(seen) {
+		t.Errorf("stats = %+v, want %d trips and %d duplicates", st, len(seen), 4*n-len(seen))
+	}
+	page, err := w.Query(QuerySpec{Device: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Trips) != len(seen) {
+		t.Fatalf("device query returned %d trips, want %d", len(page.Trips), len(seen))
+	}
+	for i, tr := range page.Trips {
+		m := int(tr.Triplet.From.Sub(t0) / time.Minute)
+		if i > 0 && !page.Trips[i-1].Triplet.From.Before(tr.Triplet.From) {
+			t.Fatalf("trip %d (minute %d) is not after its predecessor", i, m)
+		}
+		if first, ok := seen[m]; !ok || tr.Seq != first {
+			t.Errorf("minute %d holds seq %d, want the first write's %d", m, tr.Seq, first)
+		}
+	}
+}
+
+// TestSinkForwardsOnlyNewTrips: the batch sink stores every result and
+// hands its next sink only the triplets the warehouse had not held, so a
+// re-translation forwards nothing and a backfill forwards just itself.
+func TestSinkForwardsOnlyNewTrips(t *testing.T) {
+	w := memWarehouse(t)
+	var forwarded [][]semantics.Triplet
+	sink := w.Sink(resultSinkFunc(func(r core.Result) error {
+		forwarded = append(forwarded, r.Final.Triplets)
+		return nil
+	}))
+	seq := semantics.NewSequence("dev")
+	for _, m := range []time.Duration{10, 20, 30} {
+		seq.Append(semantics.Triplet{Event: semantics.EventStay, Region: "nike", From: t0.Add(m * time.Minute), To: t0.Add((m + 5) * time.Minute)})
+	}
+	result := core.Result{Device: "dev", Final: seq}
+	for _, step := range []struct {
+		label string
+		final *semantics.Sequence
+		want  int // triplets forwarded
+	}{
+		{"first translation", seq, 3},
+		{"re-translation", seq, 0},
+		{"backfill", &semantics.Sequence{Device: "dev", Triplets: []semantics.Triplet{
+			{Event: semantics.EventStay, Region: "hall", From: t0, To: t0.Add(time.Minute)},
+			seq.Triplets[0],
+		}}, 1},
+		{"no final sequence", nil, 0},
+	} {
+		forwarded = nil
+		result.Final = step.final
+		if err := sink.IngestResult(result); err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for _, f := range forwarded {
+			got += len(f)
+		}
+		if got != step.want {
+			t.Errorf("%s: forwarded %d triplets (%v), want %d", step.label, got, forwarded, step.want)
+		}
+	}
+	if st := w.Stats(); st.Trips != 4 || st.Duplicates != 4 {
+		t.Errorf("stats = %+v, want 4 trips, 4 duplicates", st)
+	}
+	if seq.Len() != 3 {
+		t.Errorf("the caller's sequence was modified: %d triplets", seq.Len())
+	}
+}
+
+// resultSinkFunc adapts a callback to core.ResultSink.
+type resultSinkFunc func(core.Result) error
+
+func (f resultSinkFunc) IngestResult(r core.Result) error { return f(r) }
 
 func TestEmitterTee(t *testing.T) {
 	w := memWarehouse(t)

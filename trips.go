@@ -225,9 +225,9 @@ func OnlineEmitterFunc(f func(OnlineResult)) OnlineEmitter { return online.Emitt
 func NewWarehouse() (*Warehouse, error) { return tripstore.New(tripstore.Options{}) }
 
 // OpenWarehouse opens a durable trip warehouse rooted at a backend store
-// directory, replaying the persisted segment log and snapshot so it
-// answers queries exactly as it did before the restart. An empty dir keeps
-// the warehouse in memory.
+// directory, replaying the persisted segment log so it answers queries
+// exactly as it did before the restart. An empty dir keeps the warehouse
+// in memory.
 func OpenWarehouse(dir string) (*Warehouse, error) {
 	return pipeline.OpenWarehouse(dir, tripstore.Options{})
 }
@@ -348,9 +348,10 @@ func (s *System) Warehouse() *Warehouse { return s.wh }
 // detach.
 //
 // The views are an incremental, order-dependent fold: a later Translate
-// that backfills a device's past (trips starting behind that device's
+// that backfills a device's past (new trips starting behind that device's
 // analytics frontier) still lands in the warehouse, but the fold drops it
 // (counted in AnalyticsStats.OutOfOrder, which raises RebuildRecommended).
+// Re-translating trips the warehouse already holds is not a backfill.
 // After a backfill, AnalyticsEngine.Rebuild re-derives the views from the
 // warehouse in place: subscribers and running online engines stay attached.
 func (s *System) AttachAnalytics(a *AnalyticsEngine) error {
@@ -389,13 +390,15 @@ func (s *System) Train(classifier string) error {
 func (s *System) Trained() bool { return s.tr != nil }
 
 // Translate runs the full two-phase pipeline over the dataset. It requires
-// a successful Train. With a warehouse or analytics engine attached, every
-// result ingests into them before returning.
+// a successful Train. With a warehouse attached, every result is stored in
+// it before returning, and an attached analytics engine folds only the
+// trips the warehouse had not held: translating trips it already stores
+// changes neither. Without a warehouse the engine folds every result.
 func (s *System) Translate(ds *Dataset) ([]Result, error) {
 	if s.tr == nil {
 		return nil, fmt.Errorf("trips: Translate before Train")
 	}
-	return s.tr.TranslateTo(ds, pipeline.MultiSink(s.wh, s.an))
+	return pipeline.Translate(s.tr, ds, s.wh, s.an)
 }
 
 // NewOnline starts a streaming translation engine over the trained

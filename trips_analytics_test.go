@@ -109,6 +109,54 @@ func TestAttachAnalyticsBootstrapsFromWarehouse(t *testing.T) {
 	}
 }
 
+// TestTranslateStoredTripsIsNoBackfill: Translate of the golden corpus over
+// a persisted warehouse that already holds it — a restart that translates
+// its dataset again — stores nothing new and folds nothing twice, so the
+// views equal a fresh bootstrap of the warehouse and recommend no rebuild.
+func TestTranslateStoredTripsIsNoBackfill(t *testing.T) {
+	sys, ds := goldenSystem(t)
+	dir := t.TempDir()
+	w, err := OpenWarehouse(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.AttachWarehouse(w)
+	if _, err := sys.Translate(ds); err != nil {
+		t.Fatal(err)
+	}
+	stored := w.Stats().Trips
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w, err = OpenWarehouse(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	sys.AttachWarehouse(w)
+	a := NewAnalytics(AnalyticsConfig{})
+	if err := sys.AttachAnalytics(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Translate(ds); err != nil {
+		t.Fatal(err)
+	}
+	if ws := w.Stats(); stored == 0 || ws.Trips != stored || ws.Duplicates != stored {
+		t.Errorf("warehouse after the second Translate: %+v, want the %d stored trips, each once a duplicate", ws, stored)
+	}
+	if st := a.Stats(); st.Trips != int64(stored) || st.OutOfOrder != 0 || st.RebuildRecommended {
+		t.Errorf("views after translating stored trips: %+v, want %d trips, no dropped folds", st, stored)
+	}
+	fresh := NewAnalytics(AnalyticsConfig{})
+	if err := fresh.Bootstrap(w); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Snapshot(), fresh.Snapshot()) {
+		t.Error("views differ from a fresh bootstrap of the warehouse")
+	}
+}
+
 // TestGoldenAnalyticsSnapshotBootMatchesBootstrap is the acceptance
 // property of the durability layer: on the golden corpus, booting from a
 // mid-ingestion durable snapshot plus a frontier-bounded warehouse tail
