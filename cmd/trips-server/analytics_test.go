@@ -386,14 +386,13 @@ func TestAnalyticsRebuildEndpoint(t *testing.T) {
 	}
 }
 
-// TestAnalyticsSnapshotAcrossRestart boots with -store and
-// -analytics-store, shuts down (final snapshot), and reboots: the views
-// come back identical, loaded from the snapshot rather than a full
-// re-bootstrap.
+// TestAnalyticsSnapshotAcrossRestart boots with -store, shuts down (final
+// snapshot), and reboots: the views come back identical, loaded from the
+// snapshot rather than a full re-bootstrap.
 func TestAnalyticsSnapshotAcrossRestart(t *testing.T) {
-	storeDir, anDir := t.TempDir(), t.TempDir()
+	storeDir := t.TempDir()
 	// The periodic writer idles at this interval; Close writes the final cut.
-	s1, err := load(loadOptions{demo: true, storeDir: storeDir, analyticsDir: anDir, snapshotEvery: time.Hour})
+	s1, err := load(loadOptions{demo: true, storeDir: storeDir, snapshotEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +401,7 @@ func TestAnalyticsSnapshotAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := load(loadOptions{demo: true, storeDir: storeDir, analyticsDir: anDir, snapshotEvery: time.Hour})
+	s2, err := load(loadOptions{demo: true, storeDir: storeDir, snapshotEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,23 +10,23 @@
 // triplets as they emit — lands in the trip warehouse, queryable through
 // GET /trips, GET /trips/{device}, and GET /regions/{id}/visits with
 // device/region/event/since/until/limit/cursor parameters. With -store the
-// warehouse persists (segment log + snapshot) and survives restarts.
+// warehouse persists (its segment log) and survives restarts.
 //
 // The same trip stream feeds the incremental analytics views — live
 // occupancy, region flows, dwell times, windowed popularity — served under
 // GET /analytics/* with an SSE continuous-query endpoint at
 // GET /analytics/subscribe (see analytics.go). On startup the views
-// bootstrap from the warehouse; with -analytics-store they additionally
-// persist as periodic snapshots, so a restart loads the snapshot and
-// replays only the warehouse tail instead of re-folding the whole store,
-// and POST /analytics/rebuild re-derives the views from the warehouse after
-// a backfill.
+// bootstrap from the warehouse; with -store they additionally persist as
+// periodic snapshots beside the warehouse's segments, so a restart loads
+// the snapshot and replays only the warehouse tail instead of re-folding
+// the whole store, and POST /analytics/rebuild re-derives the views from
+// the warehouse after a backfill.
 //
 // Usage:
 //
 //	trips-server -demo                   # self-generated mall dataset
 //	trips-server -dsm mall.json -data raw.csv -events events.json
-//	trips-server -addr :8765 -demo -store warehouse/ -analytics-store views/
+//	trips-server -addr :8765 -demo -store store/
 package main
 
 import (
@@ -86,10 +86,9 @@ func main() {
 		dsmPath     = flag.String("dsm", "", "DSM JSON path")
 		dataPath    = flag.String("data", "", "positioning dataset")
 		eventsPath  = flag.String("events", "", "Event Editor state")
-		storeDir    = flag.String("store", "", "warehouse directory (empty = in-memory only)")
-		anDir       = flag.String("analytics-store", "", "analytics view-snapshot directory (empty = rebuild views at every boot)")
+		storeDir    = flag.String("store", "", "directory of the warehouse segments and the analytics view snapshot (empty = in-memory only, views rebuilt at every boot)")
 		ingestQueue = flag.Int("ingest-queue", 0, "online shard inbox capacity in records (0 = engine default); POST /ingest answers 429 when a shard's inbox is full")
-		anInterval  = flag.Duration("analytics-snapshot", time.Minute, "interval between periodic analytics snapshots (with -analytics-store)")
+		anInterval  = flag.Duration("analytics-snapshot", time.Minute, "interval between periodic analytics snapshots (with -store)")
 		debugAddr   = flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty = disabled)")
 		autoRebuild = flag.Bool("auto-rebuild", false, "rebuild the analytics views automatically when they drop a backfill")
 		logJSON     = flag.Bool("log-json", false, "emit structured logs as JSON instead of key=value text")
@@ -117,7 +116,6 @@ func main() {
 			dataPath:      *dataPath,
 			eventsPath:    *eventsPath,
 			storeDir:      *storeDir,
-			analyticsDir:  *anDir,
 			snapshotEvery: *anInterval,
 			online:        online.Config{QueueLen: *ingestQueue},
 			trace: trace.Config{
@@ -223,13 +221,13 @@ func (s *server) mux() http.Handler {
 // state live, and the subsystem configurations handed to the pipeline (load
 // adds the observability bundles to them).
 type loadOptions struct {
-	demo         bool
-	dsmPath      string
-	dataPath     string
-	eventsPath   string
-	storeDir     string
-	analyticsDir string
-	// snapshotEvery is the -analytics-snapshot interval (with analyticsDir).
+	demo       bool
+	dsmPath    string
+	dataPath   string
+	eventsPath string
+	// storeDir holds the warehouse segments and the view snapshot.
+	storeDir string
+	// snapshotEvery is the -analytics-snapshot interval (with storeDir).
 	snapshotEvery time.Duration
 	// online configures the live engine: main sets QueueLen (-ingest-queue,
 	// the admission bound behind the 429s); tests shrink flush windows or
@@ -294,9 +292,6 @@ func load(opts loadOptions) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.analyticsDir != "" && opts.storeDir == "" {
-		slog.Warn("-analytics-store without -store: snapshots may cover trips a restart cannot replay")
-	}
 	// The observability registry exists before the pipeline so its
 	// subsystems can take the per-layer instrument bundles.
 	so := newServerObs(opts.trace)
@@ -309,7 +304,6 @@ func load(opts loadOptions) (*server, error) {
 	// (MAC-randomized device churn would grow it forever).
 	p, err := pipeline.Open(tr, pipeline.Options{
 		StoreDir:         opts.storeDir,
-		ViewsDir:         opts.analyticsDir,
 		SnapshotInterval: opts.snapshotEvery,
 		Warehouse:        tripstore.Options{Metrics: so.store, Tracer: so.tracer},
 		Analytics:        opts.analytics,

@@ -442,16 +442,20 @@ func TestRunClosesPipelineOnListenFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	storeDir, anDir := t.TempDir(), t.TempDir()
+	storeDir := t.TempDir()
 	err = run(context.Background(), runOptions{addr: ln.Addr().String(), load: loadOptions{
-		demo: true, storeDir: storeDir, analyticsDir: anDir, snapshotEvery: time.Hour,
+		demo: true, storeDir: storeDir, snapshotEvery: time.Hour,
 	}})
 	if err == nil {
 		t.Fatal("run served on a taken port")
 	}
 
 	want := demoServer(t).p.Warehouse.Stats().Trips
-	wh, err := pipeline.OpenWarehouse(storeDir, tripstore.Options{})
+	st, err := pipeline.OpenStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wh, err := pipeline.OpenWarehouse(st, tripstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +463,7 @@ func TestRunClosesPipelineOnListenFailure(t *testing.T) {
 	if got := wh.Stats().Trips; got != want {
 		t.Errorf("reopened store holds %d trips, the startup translation produced %d", got, want)
 	}
-	an, _, err := pipeline.OpenViews(analytics.Config{}, anDir)
+	an, err := pipeline.OpenViews(analytics.Config{}, st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func (s *server) registerBridges() {
 		"Trips stored in the warehouse.",
 		func() int64 { return int64(wh.Stats().Trips) })
 	r.CounterFunc("trips_store_duplicates_total",
-		"Duplicate (device, start) inserts dropped by the warehouse.",
+		"Duplicate (device, start) inserts the warehouse dropped and did not forward to the views.",
 		func() int64 { return int64(wh.Stats().Duplicates) })
 	r.CounterFunc("trips_store_dropped_emissions_total",
 		"Online emissions lost to a closed warehouse (nonzero = shutdown ordering bug).",
@@ -179,7 +179,7 @@ func (s *server) registerBridges() {
 		"Sealed triplets folded into the materialized views.",
 		func() int64 { return an.Stats().Trips })
 	r.CounterFunc("trips_analytics_out_of_order_total",
-		"Folds dropped for violating per-device order — the backfill signal behind rebuild_recommended.",
+		"Folds dropped for starting before their device's fold frontier — the backfill signal behind rebuild_recommended.",
 		func() int64 { return an.Stats().OutOfOrder })
 	r.CounterFunc("trips_analytics_late_buckets_total",
 		"Triplets landing below the popularity ring's pruned frontier.",

@@ -108,14 +108,9 @@ type Engine struct {
 	cfg Config
 	hub *Hub
 
-	// mu guards views and overlap.
+	// mu guards views.
 	mu    sync.RWMutex
 	views viewState
-	// overlap is left behind by Rebuild and read only on fold's drop branch:
-	// per device whose warehoused trip the rebuild folded ahead of its
-	// in-flight live delivery, that trip's From. The delivery then arrives
-	// on the new frontier and is replay overlap, not a dropped backfill.
-	overlap map[position.DeviceID]time.Time
 
 	// lastSnapshot is the UnixMilli of the newest durable snapshot written
 	// (SaveSnapshot) or loaded (LoadSnapshot); 0 = none. snapshotErrors
@@ -191,28 +186,20 @@ type flowKey struct {
 }
 
 // IngestTrip folds one sealed triplet into the views and publishes a delta
-// to matching subscribers. Triplets must arrive in per-device timeline order
-// (both producers guarantee it) with strictly increasing start instants —
-// the same (device, From) identity the warehouse dedupes on — so an
-// out-of-order or duplicate delivery is counted and skipped, keeping the
-// fold deterministic and idempotent against at-least-once producers.
+// to matching subscribers. Triplets arrive in per-device timeline order with
+// strictly increasing start instants: (device, From) is the identity the
+// warehouse keys trips on, and every producer upstream of the views keeps
+// it. A trip starting at the device's fold frontier is the trip the views
+// already hold and is skipped silently; one starting behind it is a
+// backfill the fold cannot place, skipped and counted OutOfOrder.
 func (e *Engine) IngestTrip(dev position.DeviceID, t semantics.Triplet) {
-	e.fold(dev, t, false, trace.Ctx{})
-}
-
-// IngestReplay folds a triplet that may already be in the views: a trip at
-// or behind the device's fold frontier is skipped silently instead of
-// counting OutOfOrder. Bootstrap's tail replay over a warehouse the views
-// partially cover uses it — there a re-delivery is expected, not a backfill
-// that warrants RebuildRecommended.
-func (e *Engine) IngestReplay(dev position.DeviceID, t semantics.Triplet) {
-	e.fold(dev, t, true, trace.Ctx{})
+	e.fold(dev, t, trace.Ctx{})
 }
 
 // fold is the one fold body. A sampled tc (the Emitter tee passes each
 // emission's) records it as an analytics_fold span parented under the
 // producer's seal span — the terminal span of an end-to-end trace.
-func (e *Engine) fold(dev position.DeviceID, t semantics.Triplet, replay bool, tc trace.Ctx) {
+func (e *Engine) fold(dev position.DeviceID, t semantics.Triplet, tc trace.Ctx) {
 	var start time.Time
 	if e.cfg.Metrics != nil {
 		//trips:allow wallclock: fold latency metric
@@ -231,17 +218,12 @@ func (e *Engine) fold(dev position.DeviceID, t semantics.Triplet, replay bool, t
 		d = &deviceState{}
 		v.devices[dev] = d
 	} else if !t.From.After(d.lastFrom) {
-		if f, ok := e.overlap[dev]; ok && !replay && f.Equal(t.From) {
-			// A rebuild folded this trip from the warehouse while its live
-			// delivery waited on the lock.
-			delete(e.overlap, dev)
-			replay = true
-		}
-		if !replay {
+		backfill := t.From.Before(d.lastFrom)
+		if backfill {
 			v.outOfOrder++
 		}
 		e.mu.Unlock()
-		if !replay {
+		if backfill {
 			// A dropped fold means the views are missing this trip: flag the
 			// trace so the anomaly is kept and inspectable.
 			sp.SetErr()
@@ -471,7 +453,7 @@ type teeEmitter struct {
 }
 
 func (t *teeEmitter) Emit(em online.Emission) {
-	t.e.fold(em.Device, em.Triplet, false, em.Trace)
+	t.e.fold(em.Device, em.Triplet, em.Trace)
 	// The triplet is now visible in the views; the arrival stamp closes the
 	// ingest→visible freshness loop. Close/idle flushes emit without one.
 	if m := t.e.cfg.Metrics; m != nil && !em.ArrivedAt.IsZero() {
@@ -506,9 +488,10 @@ type Stats struct {
 	// Regionless counts triplets without a region annotation (they advance
 	// occupancy to "nowhere" but index no region view).
 	Regionless int64 `json:"regionless"`
-	// OutOfOrder counts triplets dropped for violating the per-device
-	// strictly-increasing start order — out-of-order or duplicate
-	// (device, From) deliveries, mirroring the warehouse's dedupe key.
+	// OutOfOrder counts triplets dropped because they start before their
+	// device's fold frontier: backfills the per-device fold cannot place.
+	// A trip starting at the frontier is the one the views already hold
+	// and is not counted.
 	OutOfOrder int64 `json:"outOfOrder"`
 	// RebuildRecommended is set once any fold was dropped OutOfOrder: the
 	// views are missing warehoused trips (a backfill landed behind a

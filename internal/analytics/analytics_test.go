@@ -226,8 +226,8 @@ func TestOutOfOrderAndDuplicatesSkipped(t *testing.T) {
 	e.IngestTrip("a", trip("r1", t0, time.Minute))                // behind the device frontier
 	e.IngestTrip("a", trip("r2", t0.Add(time.Hour), time.Minute)) // duplicate (device, From)
 	st := e.Stats()
-	if st.OutOfOrder != 2 || st.Trips != 1 {
-		t.Errorf("stats = %+v, want 2 dropped, 1 trip", st)
+	if st.OutOfOrder != 1 || !st.RebuildRecommended || st.Trips != 1 {
+		t.Errorf("stats = %+v, want the backfill dropped and counted, the duplicate skipped, 1 trip", st)
 	}
 	if occ := e.Occupancy(0); len(occ) != 1 || occ[0].RegionID != "r2" || occ[0].Visits != 1 {
 		t.Errorf("dropped triplets mutated views: %+v", occ)
@@ -541,11 +541,17 @@ func TestDeviceLeftDecaysOccupancy(t *testing.T) {
 	}
 
 	// The sealed-trip fold stays idempotent around the signal: the same
-	// trip re-delivered is still a duplicate, and a genuinely new trip
-	// moves the device back in.
+	// trip re-delivered is still the one the device holds (not folded, not
+	// a backfill, and it does not move the device back in), and a
+	// genuinely new trip moves the device back in.
 	e.IngestTrip("a", trip("nike", t0, time.Minute))
-	if st := e.Stats(); st.OutOfOrder != 1 {
-		t.Errorf("duplicate after leave not dropped: %+v", st)
+	if st := e.Stats(); st.OutOfOrder != 0 || st.Trips != 2 {
+		t.Errorf("duplicate after leave folded or counted: %+v", st)
+	}
+	for _, o := range e.Occupancy(0) {
+		if o.RegionID == "nike" && (o.Occupancy != 0 || o.Visits != 1) {
+			t.Errorf("duplicate after leave folded into nike: %+v", o)
+		}
 	}
 	e.IngestTrip("a", trip("hall", t0.Add(20*time.Minute), time.Minute))
 	byID = map[dsm.RegionID]RegionOccupancy{}
@@ -554,23 +560,6 @@ func TestDeviceLeftDecaysOccupancy(t *testing.T) {
 	}
 	if byID["hall"].Occupancy != 2 || byID["nike"].Occupancy != 0 {
 		t.Errorf("occupancy after return = %+v", byID)
-	}
-}
-
-// TestIngestReplaySkipsSilently: replay-path re-deliveries are dropped
-// without raising OutOfOrder (and so without recommending a rebuild).
-func TestIngestReplaySkipsSilently(t *testing.T) {
-	e := New(Config{Shards: 1})
-	e.IngestTrip("a", trip("r1", t0, time.Minute))
-	e.IngestReplay("a", trip("r1", t0, time.Minute))                 // duplicate
-	e.IngestReplay("a", trip("r0", t0.Add(-time.Hour), time.Minute)) // behind frontier
-	st := e.Stats()
-	if st.Trips != 1 || st.OutOfOrder != 0 || st.RebuildRecommended {
-		t.Errorf("stats = %+v, want 1 trip, no out-of-order", st)
-	}
-	e.IngestTrip("a", trip("r0", t0.Add(-time.Minute), time.Minute)) // live backfill
-	if st := e.Stats(); st.OutOfOrder != 1 || !st.RebuildRecommended {
-		t.Errorf("live backfill not flagged: %+v", st)
 	}
 }
 
@@ -628,8 +617,9 @@ func TestRebuildKeepsSubscribers(t *testing.T) {
 
 // TestRebuildSkipsInFlightOverlap: a trip that is warehoused but not yet
 // folded when a rebuild swaps is folded by the rebuild and delivered live
-// right after. That one delivery is replay overlap; a second delivery of the
-// same trip is an ordinary duplicate again.
+// right after. That delivery, and any later one of the same trip, lands on
+// the rebuilt frontier: the trip the device already holds, neither folded
+// again nor counted.
 func TestRebuildSkipsInFlightOverlap(t *testing.T) {
 	w, err := tripstore.New(tripstore.Options{})
 	if err != nil {
@@ -652,8 +642,8 @@ func TestRebuildSkipsInFlightOverlap(t *testing.T) {
 		t.Errorf("in-flight delivery after rebuild: %+v, want 2 trips and nothing out of order", st)
 	}
 	e.IngestTrip("dev", inFlight)
-	if st := e.Stats(); st.OutOfOrder != 1 {
-		t.Errorf("second delivery of the same trip: OutOfOrder = %d, want 1", st.OutOfOrder)
+	if st := e.Stats(); st.Trips != 2 || st.OutOfOrder != 0 {
+		t.Errorf("second delivery of the same trip: %+v, want it neither folded nor counted", st)
 	}
 }
 

@@ -18,13 +18,13 @@ import (
 // fold frontier (the From of its last folded triplet), so on a fresh
 // engine it is a full replay, while on an engine pre-populated from a
 // durable snapshot (LoadSnapshot) it replays only the warehouse tail the
-// snapshot missed — boot cost O(tail), not O(stored trips). Re-delivered
-// trips at or behind a frontier are skipped silently (they are replay
-// overlap, not backfill), so Bootstrap never inflates OutOfOrder.
+// snapshot missed — boot cost O(tail), not O(stored trips). Its pages never
+// return a trip at or behind a frontier, so it folds through IngestTrip and
+// counts nothing OutOfOrder.
 //
 // Call it before attaching the engine to a live feed: a device that folds
 // a live trip while its page is in flight moves its frontier past the
-// page, which is then skipped as overlap. Rebuild is the replay that is
+// page, whose trips then count as OutOfOrder. Rebuild is the replay that is
 // safe under a live feed.
 func (e *Engine) Bootstrap(w *tripstore.Warehouse) error {
 	const pageSize = 1024
@@ -40,7 +40,7 @@ func (e *Engine) Bootstrap(w *tripstore.Warehouse) error {
 				return fmt.Errorf("analytics: bootstrap %s: %w", dev, err)
 			}
 			for _, tr := range page.Trips {
-				e.IngestReplay(tr.Device, tr.Triplet)
+				e.IngestTrip(tr.Device, tr.Triplet)
 			}
 			if page.Next == "" {
 				break
@@ -74,17 +74,12 @@ func (e *Engine) deviceFrontier(dev position.DeviceID) (frontier time.Time) {
 // because the warehouse is the buffer: every producer stores a trip before
 // folding it (Warehouse.Emitter and Warehouse.Sink store before they
 // forward), so any trip a live fold has seen is in w for the locked replay
-// to find. Two things the warehouse cannot tell are
-// reconciled per device at the swap, off the fold's hot path:
-//
-//   - a trip stored but still waiting on the lock to fold is replayed here
-//     and delivered live right after; it is at most one trip per device,
-//     sitting exactly on the rebuilt frontier, and fold skips it as replay
-//     overlap instead of counting OutOfOrder (which would recommend the
-//     rebuild that just ran);
-//   - DeviceLeft signals are not warehoused; a device the live views show
-//     departed since the same last trip stays departed, whether the signal
-//     came before the rebuild or during it.
+// to find. A trip stored but still waiting on the lock to fold is replayed
+// here and delivered live right after; it is at most one trip per device,
+// sitting exactly on the rebuilt frontier, so fold skips it as the trip the
+// device already holds. DeviceLeft signals are not warehoused, so they are
+// reconciled per device at the swap: a device the live views show departed
+// since the same last trip stays departed.
 //
 // On error the views are left as they were.
 func (e *Engine) Rebuild(w *tripstore.Warehouse) error {
@@ -101,22 +96,13 @@ func (e *Engine) Rebuild(w *tripstore.Warehouse) error {
 		return err
 	}
 	fresh := scratch.views
-	var overlap map[position.DeviceID]time.Time
 	//trips:commutative per-device reconciliation; devices are independent
 	for dev, d := range fresh.devices {
-		switch old := e.views.devices[dev]; {
-		// Ahead of the live fold — or still ahead of it since the last
-		// rebuild: the delivery has yet to win the lock.
-		case old == nil || d.lastFrom.After(old.lastFrom) || e.overlap[dev].Equal(d.lastFrom):
-			if overlap == nil {
-				overlap = make(map[position.DeviceID]time.Time)
-			}
-			overlap[dev] = d.lastFrom
-		case old.region == "" && d.lastFrom.Equal(old.lastFrom):
+		if old := e.views.devices[dev]; old != nil && old.region == "" && d.lastFrom.Equal(old.lastFrom) {
 			fresh.vacate(d)
 		}
 	}
 	fresh.leaves = e.views.leaves
-	e.views, e.overlap = fresh, overlap
+	e.views = fresh
 	return nil
 }

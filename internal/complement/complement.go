@@ -175,12 +175,15 @@ func (c *Complementor) Complement(s *semantics.Sequence) (*semantics.Sequence, i
 // triplets a and b. A gap qualifies when both carry a region and it is
 // longer than MaxGap (default 3 minutes); its triplets are then the interior
 // regions of the MAP path, with the gap time split evenly across them.
+// Nothing follows a zero-length a (a one-record triplet): the first fill
+// would start at a.To, which is a.From, and a device's trips are keyed by
+// (device, From), so that fill would repeat a's key.
 func (c *Complementor) Fill(a, b semantics.Triplet) []semantics.Triplet {
 	maxGap := c.MaxGap
 	if maxGap <= 0 {
 		maxGap = 3 * time.Minute
 	}
-	if a.RegionID == "" || b.RegionID == "" || b.From.Sub(a.To) <= maxGap {
+	if a.RegionID == "" || b.RegionID == "" || a.To.Equal(a.From) || b.From.Sub(a.To) <= maxGap {
 		return nil
 	}
 	path, prob := c.mapPath(a.RegionID, b.RegionID)

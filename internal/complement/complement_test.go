@@ -122,6 +122,28 @@ func TestComplementFillsGap(t *testing.T) {
 	}
 }
 
+// TestFillAfterZeroLengthTriplet: a one-record triplet (To == From) gets no
+// fill behind it, since the first fill would start at its From and repeat
+// the device's (device, From) key; the same gap behind a triplet that lasts
+// an instant longer is filled.
+func TestFillAfterZeroLengthTriplet(t *testing.T) {
+	m := testvenue.MustTwoFloor()
+	c := NewComplementor(m, BuildKnowledge(m, observedSeqs(), 2*time.Minute))
+	b := trip(semantics.EventStay, "rg-cashier", "Cashier", 15*time.Minute, 20*time.Minute)
+	a := trip(semantics.EventPassBy, "rg-adidas", "Adidas", 5*time.Minute, 5*time.Minute)
+	if got := c.Fill(a, b); len(got) != 0 {
+		t.Errorf("Fill after a zero-length triplet = %v, want nothing", got)
+	}
+	a.From = a.From.Add(-time.Second)
+	got := c.Fill(a, b)
+	if len(got) == 0 {
+		t.Fatal("Fill after a one-second triplet inserted nothing")
+	}
+	if !got[0].From.After(a.From) {
+		t.Errorf("first fill starts at %v, not after a's From %v", got[0].From, a.From)
+	}
+}
+
 func TestComplementSkipsSmallGapsAndUntagged(t *testing.T) {
 	m := testvenue.MustTwoFloor()
 	k := BuildKnowledge(m, observedSeqs(), 2*time.Minute)

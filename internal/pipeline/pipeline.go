@@ -4,15 +4,19 @@
 //
 //  1. Tee order. Sealed triplets reach the warehouse first, then the views,
 //     then the caller's sink (Tee), so the analytics fold only ever sees a
-//     trip its durable twin has stored.
+//     trip its durable twin has stored. The warehouse forwards only the
+//     trips it newly stored, so a feed re-sent after a restart reaches the
+//     views and the sink as nothing.
 //  2. Batch order. A batch translation is stored first, and the views fold
-//     only the trips the warehouse had not held (Translate): whatever it
-//     held has already reached the views by the tee or by Bootstrap, and
-//     folding it again would read as a dropped backfill. Views without a
-//     warehouse fold the results directly.
-//  3. View boot. The persisted view snapshot loads first, an incompatible
-//     or corrupt one is ignored (OpenViews), and a frontier-bounded
-//     Bootstrap then replays only the warehouse tail the snapshot missed.
+//     only the trips the warehouse had not held (Translate), by the same
+//     forwarding rule as the tee: whatever it held has already reached the
+//     views by the tee or by Bootstrap. Views without a warehouse fold the
+//     results directly.
+//  3. View boot. One backend store under StoreDir holds the warehouse's
+//     segments and the view snapshot. The snapshot loads first, an
+//     incompatible or corrupt one is ignored (OpenViews), and a
+//     frontier-bounded Bootstrap then replays only the warehouse tail the
+//     snapshot missed.
 //  4. Snapshot sync. View snapshots flush the warehouse log before they are
 //     written, so persisted views never outrun the durable trips a restart
 //     would replay them against.
@@ -21,7 +25,9 @@
 //     final view snapshot, then closes the warehouse.
 //  6. Rebuild. The views re-derive from the warehouse in place
 //     (analytics.Engine.Rebuild), so the running engine, the subscribers and
-//     the snapshot writer stay attached and no live fold is lost.
+//     the snapshot writer stay attached and no live fold is lost. Rules 1
+//     and 2 keep each (device, From) to one delivery downstream of the
+//     warehouse, so RebuildRecommended means a real backfill.
 //
 // trips-server runs on a Pipeline; the trips facade's own public methods
 // call the exported pieces.
@@ -43,14 +49,13 @@ import (
 // Options configures Open. The three subsystem configurations carry their
 // own metrics and tracer bundles.
 type Options struct {
-	// StoreDir roots the durable warehouse (its segment log); empty keeps
-	// the warehouse in memory.
+	// StoreDir roots the durable state: the warehouse's segment log and the
+	// view snapshot, in one backend store. Empty keeps the warehouse in
+	// memory, bootstraps the views from it at every Open and writes no
+	// snapshot.
 	StoreDir string
-	// ViewsDir roots the durable view snapshots; empty rebuilds the views
-	// from the warehouse at every Open and writes none.
-	ViewsDir string
 	// SnapshotInterval is the period of the view-snapshot writer (with
-	// ViewsDir); zero selects the analytics default.
+	// StoreDir); zero selects the analytics default.
 	SnapshotInterval time.Duration
 
 	// Warehouse configures the trip warehouse; Open sets its Log from
@@ -70,14 +75,18 @@ type Pipeline struct {
 	Engine    *online.Engine
 
 	tr       *core.Translator
-	stopSnap func() error // nil without ViewsDir
+	stopSnap func() error // nil without StoreDir
 }
 
 // Open builds storage → warehouse → views → tee chain → online engine over
-// the trained translator and, with ViewsDir set, starts the view-snapshot
+// the trained translator and, with StoreDir set, starts the view-snapshot
 // writer.
 func Open(tr *core.Translator, opts Options) (p *Pipeline, err error) {
-	wh, err := OpenWarehouse(opts.StoreDir, opts.Warehouse)
+	st, err := OpenStore(opts.StoreDir)
+	if err != nil {
+		return nil, err
+	}
+	wh, err := OpenWarehouse(st, opts.Warehouse)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +95,7 @@ func Open(tr *core.Translator, opts Options) (p *Pipeline, err error) {
 			wh.Close()
 		}
 	}()
-	an, views, err := OpenViews(opts.Analytics, opts.ViewsDir)
+	an, err := OpenViews(opts.Analytics, st)
 	if err != nil {
 		return nil, err
 	}
@@ -99,48 +108,49 @@ func Open(tr *core.Translator, opts Options) (p *Pipeline, err error) {
 		return nil, err
 	}
 	p = &Pipeline{Warehouse: wh, Analytics: an, Engine: eng, tr: tr}
-	if views != nil {
-		p.stopSnap = an.StartAutoSnapshot(analytics.StoreOptions{Store: views, Sync: wh.Flush}, opts.SnapshotInterval)
+	if st != nil {
+		p.stopSnap = an.StartAutoSnapshot(analytics.StoreOptions{Store: st, Sync: wh.Flush}, opts.SnapshotInterval)
 	}
 	return p, nil
 }
 
-// OpenWarehouse opens the trip warehouse: durable under dir, replaying the
-// persisted segment log, or memory-only when dir is empty.
-func OpenWarehouse(dir string, opts tripstore.Options) (*tripstore.Warehouse, error) {
-	if dir != "" {
-		st, err := storage.Open(dir)
-		if err != nil {
-			return nil, err
-		}
+// OpenStore opens the backend store under dir that holds the warehouse's
+// segments and the view snapshot; an empty dir gives a nil store, which
+// keeps both in memory.
+func OpenStore(dir string) (*storage.Store, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	return storage.Open(dir)
+}
+
+// OpenWarehouse opens the trip warehouse: durable in st, replaying the
+// persisted segment log, or memory-only when st is nil.
+func OpenWarehouse(st *storage.Store, opts tripstore.Options) (*tripstore.Warehouse, error) {
+	if st != nil {
 		opts.Log = &tripstore.LogOptions{Store: st}
 	}
 	return tripstore.New(opts)
 }
 
-// OpenViews returns an analytics engine seeded from the view snapshot under
-// dir, with the store that locates the snapshot; an empty dir gives empty
-// views and a nil store. A snapshot this engine cannot load (other format
-// version or view geometry, or corrupt) is logged and ignored: the views
-// start empty and the next Bootstrap is a full replay.
-func OpenViews(cfg analytics.Config, dir string) (*analytics.Engine, *storage.Store, error) {
+// OpenViews returns an analytics engine seeded from the view snapshot in st;
+// a nil st gives empty views. A snapshot this engine cannot load (other
+// format version or view geometry, or corrupt) is logged and ignored: the
+// views start empty and the next Bootstrap is a full replay.
+func OpenViews(cfg analytics.Config, st *storage.Store) (*analytics.Engine, error) {
 	an := analytics.New(cfg)
-	if dir == "" {
-		return an, nil, nil
-	}
-	st, err := storage.Open(dir)
-	if err != nil {
-		return nil, nil, err
+	if st == nil {
+		return an, nil
 	}
 	switch loaded, err := an.LoadSnapshot(analytics.StoreOptions{Store: st}); {
 	case errors.Is(err, analytics.ErrIncompatibleSnapshot):
 		slog.Warn("ignoring analytics snapshot", "error", err)
 	case err != nil:
-		return nil, nil, err
+		return nil, err
 	case loaded:
 		slog.Info("analytics views loaded from snapshot; replaying warehouse tail")
 	}
-	return an, st, nil
+	return an, nil
 }
 
 // Tee chains the sealed-trip stream in rule-1 order; a nil stage is left

@@ -184,10 +184,10 @@ func TestRebuildUnderLiveIngest(t *testing.T) {
 }
 
 // TestReopen: what a closed pipeline persisted is what the next Open over
-// the same directories serves.
+// the same directory serves.
 func TestReopen(t *testing.T) {
 	tr, feeds := fleet(t, 6)
-	opts := Options{StoreDir: t.TempDir(), ViewsDir: t.TempDir(), SnapshotInterval: time.Hour, Online: manual()}
+	opts := Options{StoreDir: t.TempDir(), SnapshotInterval: time.Hour, Online: manual()}
 	p, err := Open(tr, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -220,5 +220,48 @@ func TestReopen(t *testing.T) {
 	}
 	if p2.Analytics.Stats().LastSnapshot.IsZero() {
 		t.Error("views were not loaded from the snapshot Close wrote")
+	}
+}
+
+// TestRestartResendIsNoBackfill: a feed re-sent to a pipeline restarted over
+// its store seals again the trips the warehouse already holds. The warehouse
+// forwards none of them, so the views fold nothing, drop nothing as a
+// backfill and recommend no rebuild.
+func TestRestartResendIsNoBackfill(t *testing.T) {
+	tr, feeds := fleet(t, 6)
+	opts := Options{StoreDir: t.TempDir(), SnapshotInterval: time.Hour, Online: manual()}
+	run := func() *Pipeline {
+		t.Helper()
+		p, err := Open(tr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, recs := range feeds {
+			for _, r := range recs {
+				if err := p.Engine.Ingest(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	first := run()
+	trips, views := first.Warehouse.Stats().Trips, viewsJSON(t, first.Analytics)
+	if trips == 0 {
+		t.Fatal("the feed sealed nothing")
+	}
+
+	again := run()
+	if st := again.Analytics.Stats(); st.OutOfOrder != 0 || st.RebuildRecommended {
+		t.Errorf("the re-sent feed read as a backfill: %d of %d trips out of order, %+v", st.OutOfOrder, trips, st)
+	}
+	if st := again.Warehouse.Stats(); st.Trips != trips || st.Duplicates != trips {
+		t.Errorf("warehouse after the re-send: %+v, want %d trips, each re-sent once as a duplicate", st, trips)
+	}
+	if got := viewsJSON(t, again.Analytics); got != views {
+		t.Errorf("the re-sent feed changed the views:\ngot:  %s\nwant: %s", got, views)
 	}
 }

@@ -10,12 +10,14 @@
 // by (device, start instant) — a device's timeline has at most one trip
 // starting at any instant, whichever producer emitted it. Both producers
 // feed the same ingest path: the batch Translator's per-device results
-// (IngestResult / IngestSequence) and the online engine's sealed emissions
-// (Emitter fans them straight in). Duplicate keys are ignored (first write
+// (IngestResult, or Sink in front of another sink) and the online engine's
+// sealed emissions (Emitter). Duplicate keys are ignored (first write
 // wins), which makes replay, re-ingestion, at-least-once emitters, and
 // batch/online double-translation of the same records idempotent, while
 // per-producer sequence numbers (which restart per engine epoch) never
-// collide across producers.
+// collide across producers. Sink and Emitter forward to the next stage only
+// the trips the warehouse newly stored, so downstream of the warehouse a
+// device's (device, From) arrives at most once.
 //
 // # In-memory layer
 //
@@ -265,12 +267,6 @@ func (w *Warehouse) IngestResult(r core.Result) error {
 	return storeSink{w: w}.IngestResult(r)
 }
 
-// IngestSequence files a whole semantics sequence for a device; Seq is the
-// triplet's index within the sequence.
-func (w *Warehouse) IngestSequence(dev position.DeviceID, s *semantics.Sequence) error {
-	return w.IngestResult(core.Result{Device: dev, Final: s})
-}
-
 // Sink returns the batch twin of Emitter: a core.ResultSink that files
 // every result into the warehouse and forwards to next (which may be nil)
 // only the triplets the warehouse had not stored before. Whatever the
@@ -307,11 +303,12 @@ func (ss storeSink) IngestResult(r core.Result) error {
 	return ss.next.IngestResult(r)
 }
 
-// Emitter returns an online.Emitter that fans every sealed emission into
-// the warehouse and forwards it to next (which may be nil). Closing the
-// returned emitter — the online engine does on shutdown — flushes the
-// warehouse's pending segment and closes next if it is closable; the
-// warehouse itself stays open.
+// Emitter returns an online.Emitter that files every sealed emission into
+// the warehouse and, like Sink, forwards to next (which may be nil) only
+// the emissions the warehouse had not stored before: a re-sent feed after a
+// restart reaches next as nothing. Closing the returned emitter — the
+// online engine does on shutdown — flushes the warehouse's pending segment
+// and closes next if it is closable; the warehouse itself stays open.
 func (w *Warehouse) Emitter(next online.Emitter) online.Emitter {
 	return &storeEmitter{w: w, next: next}
 }
@@ -327,17 +324,21 @@ func (se *storeEmitter) Emit(e online.Emission) {
 	sp := se.w.tracer.Start(e.Trace, "warehouse_append")
 	sp.SetDevice(string(e.Device))
 	// The engine's contract has no error path. A failed segment write
-	// requeues its batch (the data surfaces on a later Flush/Close), but
-	// an emission after Warehouse.Close is genuinely lost — close the
-	// engine before the warehouse; DroppedEmissions counts violations.
-	if err := se.w.Insert(Trip{Device: e.Device, Seq: e.Seq, Triplet: e.Triplet}); err != nil {
+	// still stores the trip and requeues its batch (the data surfaces on a
+	// later Flush/Close), but an emission after Warehouse.Close is
+	// genuinely lost — close the engine before the warehouse;
+	// DroppedEmissions counts violations.
+	stored, err := se.w.file(Trip{Device: e.Device, Seq: e.Seq, Triplet: e.Triplet})
+	if err != nil {
 		sp.SetErr()
-		se.w.mu.Lock()
-		se.w.droppedEmits++
-		se.w.mu.Unlock()
+		if !stored {
+			se.w.mu.Lock()
+			se.w.droppedEmits++
+			se.w.mu.Unlock()
+		}
 	}
 	sp.End()
-	if se.next != nil {
+	if stored && se.next != nil {
 		se.next.Emit(e)
 	}
 }

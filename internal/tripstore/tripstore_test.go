@@ -322,30 +322,6 @@ func TestQueryOutOfOrderIngest(t *testing.T) {
 	}
 }
 
-func TestIngestSequence(t *testing.T) {
-	w := memWarehouse(t)
-	seq := semantics.NewSequence("dev")
-	seq.Append(semantics.Triplet{Event: semantics.EventStay, Region: "nike", From: t0, To: t0.Add(time.Minute)})
-	seq.Append(semantics.Triplet{Event: semantics.EventPassBy, Region: "hall", From: t0.Add(2 * time.Minute), To: t0.Add(3 * time.Minute)})
-	if err := w.IngestSequence("dev", seq); err != nil {
-		t.Fatal(err)
-	}
-	page, err := w.Query(QuerySpec{Device: "dev"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(page.Trips) != 2 || page.Trips[0].Seq != 0 || page.Trips[1].Seq != 1 {
-		t.Errorf("ingested sequence mismatch: %+v", page.Trips)
-	}
-	// Re-ingestion is idempotent.
-	if err := w.IngestSequence("dev", seq); err != nil {
-		t.Fatal(err)
-	}
-	if st := w.Stats(); st.Trips != 2 || st.Duplicates != 2 {
-		t.Errorf("after re-ingest stats = %+v", st)
-	}
-}
-
 func TestDurabilityReopen(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Warehouse { return diskWarehouse(t, dir) }
@@ -757,6 +733,75 @@ func TestEmitterTee(t *testing.T) {
 	em2.Emit(emission("dev2", 0, 0))
 	if st := w.Stats(); st.Trips != 4 {
 		t.Errorf("nil-downstream emit lost: %+v", w.Stats())
+	}
+}
+
+// TestEmitterForwardsOnlyNewTrips: like Sink, the Emitter forwards only
+// what the warehouse newly stored, so a re-sent emission — an at-least-once
+// producer, or a feed replayed after a restart — reaches next zero times.
+func TestEmitterForwardsOnlyNewTrips(t *testing.T) {
+	w := memWarehouse(t)
+	var forwarded []int
+	em := w.Emitter(online.EmitterFunc(func(e online.Emission) { forwarded = append(forwarded, e.Seq) }))
+	em.Emit(emission("dev", 0, 0))
+	em.Emit(emission("dev", 1, time.Minute))
+	em.Emit(emission("dev", 0, 0))           // the same emission again
+	em.Emit(emission("dev", 7, time.Minute)) // a later epoch's seq, same (device, From)
+	em.Emit(emission("dev", 2, 2*time.Minute))
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(forwarded, want) {
+		t.Errorf("forwarded seqs %v, want %v", forwarded, want)
+	}
+	if st := w.Stats(); st.Trips != 3 || st.Duplicates != 2 || st.DroppedEmissions != 0 {
+		t.Errorf("stats = %+v, want 3 trips, 2 duplicates, none dropped", st)
+	}
+}
+
+// TestEmitterSegmentWriteFailureIsNotADrop: when the segment write behind an
+// emission fails, the trip is still stored (its batch is requeued), so it is
+// forwarded once and queryable, DroppedEmissions stays zero, and a later
+// Flush writes it. Only an emission the warehouse refuses is a drop.
+func TestEmitterSegmentWriteFailureIsNotADrop(t *testing.T) {
+	dir := t.TempDir()
+	w := diskWarehouse(t, dir)
+	// A regular file where the segment collection's directory belongs makes
+	// every segment write fail.
+	blocker := filepath.Join(dir, segmentCollection)
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	forwarded := 0
+	em := w.Emitter(emitterFunc(func() { forwarded++ }))
+	for s := 0; s < segmentBatch; s++ {
+		em.Emit(emission("dev", s, time.Duration(s)*time.Minute))
+	}
+	st := w.Stats()
+	if st.DroppedEmissions != 0 || st.Trips != segmentBatch || st.PendingLog != segmentBatch || st.Segments != 0 {
+		t.Errorf("after the failed segment write: %+v, want %d trips pending, none dropped", st, segmentBatch)
+	}
+	if forwarded != segmentBatch {
+		t.Errorf("forwarded %d emissions, want %d", forwarded, segmentBatch)
+	}
+	last := emission("dev", segmentBatch-1, time.Duration(segmentBatch-1)*time.Minute)
+	page, err := w.Query(QuerySpec{Device: "dev", StartAfter: last.Triplet.From.Add(-time.Second)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Trips) != 1 || page.Trips[0].Seq != segmentBatch-1 {
+		t.Errorf("the trip whose write failed is not queryable: %+v", page.Trips)
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	mustFlush(t, w)
+	if st := w.Stats(); st.PendingLog != 0 || st.Segments != 1 {
+		t.Errorf("after Flush: %+v, want one segment and nothing pending", st)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := diskWarehouse(t, dir).Stats(); st.Trips != segmentBatch {
+		t.Errorf("reopened warehouse holds %d trips, want %d", st.Trips, segmentBatch)
 	}
 }
 

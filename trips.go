@@ -229,7 +229,11 @@ func NewWarehouse() (*Warehouse, error) { return tripstore.New(tripstore.Options
 // exactly as it did before the restart. An empty dir keeps the warehouse
 // in memory.
 func OpenWarehouse(dir string) (*Warehouse, error) {
-	return pipeline.OpenWarehouse(dir, tripstore.Options{})
+	st, err := pipeline.OpenStore(dir)
+	if err != nil {
+		return nil, err
+	}
+	return pipeline.OpenWarehouse(st, tripstore.Options{})
 }
 
 // NewAnalytics returns an incremental mobility-analytics engine with empty
@@ -242,18 +246,25 @@ func NewAnalytics(cfg AnalyticsConfig) *AnalyticsEngine { return analytics.New(c
 // ride on.
 func OpenBackendStore(dir string) (*BackendStore, error) { return storage.Open(dir) }
 
-// OpenAnalytics returns a durable analytics engine rooted at dir: the
-// latest persisted view snapshot (if any, and compatible with cfg) loads
-// into the views, so a subsequent AttachAnalytics / Bootstrap over the
-// warehouse replays only the tail past the snapshot's fold frontiers —
-// boot cost O(tail), not O(stored trips). An incompatible or corrupt
-// snapshot is logged and ignored (the engine starts empty and the next
-// Bootstrap is a full replay). The returned store locates the same
-// snapshot for SaveSnapshot / StartAutoSnapshot; pass the warehouse's Flush
-// as AnalyticsStoreOptions.Sync so snapshots never cover trips the trip log
+// OpenAnalytics returns a durable analytics engine rooted at dir, normally
+// the warehouse's own directory: one backend store for the segments and the
+// view snapshot, as trips-server's -store keeps them. The latest persisted
+// view snapshot (if any, and compatible with cfg) loads into the views, so
+// a subsequent AttachAnalytics / Bootstrap over the warehouse replays only
+// the tail past the snapshot's fold frontiers — boot cost O(tail), not
+// O(stored trips). An incompatible or corrupt snapshot is logged and
+// ignored (the engine starts empty and the next Bootstrap is a full
+// replay). The returned store locates the same snapshot for SaveSnapshot /
+// StartAutoSnapshot; pass the warehouse's Flush as
+// AnalyticsStoreOptions.Sync so snapshots never cover trips the trip log
 // hasn't made durable.
 func OpenAnalytics(cfg AnalyticsConfig, dir string) (*AnalyticsEngine, *BackendStore, error) {
-	return pipeline.OpenViews(cfg, dir)
+	st, err := pipeline.OpenStore(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	an, err := pipeline.OpenViews(cfg, st)
+	return an, st, err
 }
 
 // SaveDataset writes a dataset to a .csv or .jsonl file.
