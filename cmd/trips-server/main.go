@@ -413,12 +413,13 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // liveView is the /live/{device} response: what has sealed plus the open
-// window.
+// window, and the record time at which its oldest triplet can seal.
 type liveView struct {
 	Device      position.DeviceID   `json:"device"`
 	Sealed      []semantics.Triplet `json:"sealed"`
 	Provisional []semantics.Triplet `json:"provisional,omitempty"`
 	Watermark   time.Time           `json:"watermark,omitzero"`
+	SealAt      time.Time           `json:"sealAt,omitzero"`
 	TailRecords int                 `json:"tailRecords"`
 }
 
@@ -435,6 +436,7 @@ func (s *server) handleLive(w http.ResponseWriter, r *http.Request) {
 	if ok {
 		view.Provisional = snap.Provisional
 		view.Watermark = snap.Watermark
+		view.SealAt = snap.SealAt
 		view.TailRecords = snap.TailRecords
 	}
 	page, err := s.p.Warehouse.Query(tripstore.QuerySpec{Device: dev})

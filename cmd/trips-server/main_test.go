@@ -75,6 +75,39 @@ func TestDevicePage(t *testing.T) {
 	}
 }
 
+// TestLiveSealsOnEvidence: the smoke feed's 15:15:00 record is the
+// evidence that seals the first dwell, so /live serves it as sealed right
+// after the ingest, with sealAt naming when the open second dwell can seal.
+func TestLiveSealsOnEvidence(t *testing.T) {
+	s := demoServer(t)
+	mux := s.mux()
+	body := strings.ReplaceAll(smokeTraceCSV, "trace-dev", "evidence-1")
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingest status = %d: %s", rec.Code, rec.Body.String())
+	}
+	rec2 := httptest.NewRecorder()
+	mux.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/live/evidence-1", nil))
+	if rec2.Code != http.StatusOK {
+		t.Fatalf("live status = %d", rec2.Code)
+	}
+	var view liveView
+	if err := json.NewDecoder(rec2.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.p.Engine.Stats(); st.EvidenceFlushes == 0 {
+		t.Errorf("no evidence flush after the ingest: %+v", st)
+	}
+	if len(view.Sealed) == 0 || len(view.Provisional) == 0 {
+		t.Fatalf("want the first dwell sealed and the second open: %+v", view)
+	}
+	open := time.Date(2017, 1, 1, 15, 15, 0, 0, time.UTC)
+	if min := open.Add(s.p.Engine.Horizon()); view.SealAt.Before(min) || !view.SealAt.After(view.Watermark) {
+		t.Errorf("sealAt = %v, want at or after %v and after the watermark %v", view.SealAt, min, view.Watermark)
+	}
+}
+
 func TestIngestAndLive(t *testing.T) {
 	s := demoServer(t)
 	mux := s.mux()

@@ -123,6 +123,12 @@ func (s *server) registerBridges() {
 	r.CounterFunc("trips_online_incremental_flushes_total",
 		"Flushes that reused a stable cleaned prefix; divide by flushes_total for the cache-hit rate.",
 		func() int64 { return eng.Stats().IncrementalFlushes })
+	r.CounterFunc("trips_online_evidence_flushes_total",
+		"Flushes started by a record reaching its session's seal point, ahead of the sweep and FlushEvery.",
+		func() int64 { return eng.Stats().EvidenceFlushes })
+	r.CounterFunc("trips_online_sealing_flushes_total",
+		"Flushes that emitted at least one triplet; divide by flushes_total for the share of flush work that released output.",
+		func() int64 { return eng.Stats().SealingFlushes })
 	r.CounterFunc("trips_online_trims_total",
 		"Hard-break tail trims.",
 		func() int64 { return eng.Stats().Trims })

@@ -261,6 +261,10 @@ type Snapshot struct {
 	TailRecords    int       `json:"tailRecords"`
 	PendingRecords int       `json:"pendingRecords"`
 	AdmissionFloor time.Time `json:"admissionFloor,omitzero"`
+	// SealAt is the tail end at which the session's next flush can first
+	// seal its oldest open triplet; a record reaching it flushes at once.
+	// Zero while that seal waits on something other than the watermark.
+	SealAt time.Time `json:"sealAt,omitzero"`
 	// BacklogDepth is the owning shard's inbox depth when the query was
 	// served: records admitted by ingest but not yet applied.
 	BacklogDepth int `json:"backlogDepth"`
@@ -274,8 +278,10 @@ type Snapshot struct {
 }
 
 // FlushBreakdown is the stage timing of a session's most recent
-// instrumented flush. Stage timing runs when the engine has Metrics or the
-// session carries a sampled trace; engines with neither never populate it.
+// instrumented flush that sealed something, or of its most recent
+// instrumented flush while none has sealed. Stage timing runs when the
+// engine has Metrics or the session carries a sampled trace; engines with
+// neither never populate it.
 type FlushBreakdown struct {
 	At         time.Time `json:"at"`
 	CleanMs    float64   `json:"clean_ms"`
@@ -301,9 +307,10 @@ func (e *Engine) Snapshot(dev position.DeviceID) (Snapshot, bool) {
 }
 
 // runShard is a shard's worker loop: it serializes ingest, flush, and
-// query handling for its devices, and its ticker drives watermark and
-// idle-timeout flushing so quiescent devices still seal their final
-// triplet.
+// query handling for its devices. Records flush their session when they
+// reach its seal point (shard.ingest); the ticker is the fallback sweep
+// for what that misses and drives idle-timeout flushing, so quiescent
+// devices still seal their final triplet.
 func (e *Engine) runShard(sh *shard) {
 	defer e.wg.Done()
 	var tick <-chan time.Time
@@ -390,7 +397,13 @@ func (sh *shard) ingest(e *Engine, r position.Record, tc trace.Ctx) {
 	}
 	e.stats.Records.Add(1)
 	sh.tail.Add(1)
-	if ss.pending >= e.cfg.FlushEvery {
+	switch {
+	case ss.pending >= e.cfg.FlushEvery:
+		sh.flush(e, ss, false)
+	case e.cfg.FlushInterval > 0 && !ss.sealAt.IsZero() && !r.At.Before(ss.sealAt):
+		// This record is the evidence the oldest open triplet waited
+		// for: seal it now rather than at the next sweep.
+		e.stats.EvidenceFlushes.Add(1)
 		sh.flush(e, ss, false)
 	}
 }
@@ -409,10 +422,11 @@ func (sh *shard) flush(e *Engine, ss *session, sealAll bool) {
 // Both record at most once per traced request — a traced batch of
 // thousands of records contributes a handful of spans, not thousands — and
 // a session holding an earlier trace keeps it until its sealing flush
-// commits the stage spans.
+// commits the stage spans. A request whose trace that flush committed
+// does not adopt the session again with its later records.
 func (sh *shard) traceAdmit(e *Engine, ss *session, tc trace.Ctx, outcome admit) {
 	if outcome == admitOK {
-		if ss.trace.Sampled() {
+		if ss.trace.Sampled() || tc.Trace == ss.doneTrace {
 			return
 		}
 		ss.trace = tc
@@ -462,6 +476,7 @@ func (sh *shard) snapshot(e *Engine, dev position.DeviceID) Snapshot {
 		TailRecords:    ss.tail.Len(),
 		PendingRecords: ss.pending,
 		AdmissionFloor: ss.admissionFloor(e),
+		SealAt:         ss.sealAt,
 		BacklogDepth:   len(sh.ch),
 		Provisional:    ss.provisional(e),
 	}

@@ -38,6 +38,17 @@
 // frontiers are counted as late and dropped — in-order feeds never
 // trigger this.
 //
+// A flush runs when a record makes the session's next trip sealable.
+// Each session keeps sealAt, the tail end at which the rules above first
+// pass its oldest unsealed triplet (a horizon after the first record of
+// an empty or freshly trimmed tail), and an admitted record at or past it
+// flushes the session on the spot. The point is a hint, never a gate: the
+// per-shard sweep (Config.FlushInterval), Config.FlushEvery, Flush and
+// Close flush as they always did, so a triplet the hint misses seals no
+// later than the sweep would have sealed it. A seal held back by the
+// trailing invalid run or a freezing neighbour gets no hint, and waits
+// for those.
+//
 // # Trimming
 //
 // Sealed records are trimmed from the tail only across a hard break: a gap
@@ -112,13 +123,17 @@ type Config struct {
 	Shards int
 
 	// FlushEvery is the number of buffered records per session that
-	// triggers an incremental flush. Default 64.
+	// triggers an incremental flush whatever their event times. Default
+	// 64. Unless FlushInterval is negative, most flushes come from the
+	// seal point instead (see the package comment's Sealing section).
 	FlushEvery int
 
-	// FlushInterval is the period of the per-shard timer that flushes
-	// pending sessions and applies the idle timeout. Default 500ms;
-	// negative disables the timer (flushing then happens only on
-	// FlushEvery, Flush, and Close).
+	// FlushInterval is the period of the per-shard sweep that flushes
+	// pending sessions and applies the idle timeout. Default 500ms. A
+	// session also flushes as soon as a record reaches its seal point.
+	// Negative turns off both, so the engine starts no flush by itself:
+	// flushing then happens only on FlushEvery, Flush, and Close, at
+	// points that depend on record counts alone.
 	FlushInterval time.Duration
 
 	// IdleTimeout finalizes a session that has received nothing for this

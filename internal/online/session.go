@@ -56,6 +56,13 @@ type session struct {
 	// pending counts records ingested since the last flush.
 	pending int
 
+	// sealAt is the earliest tail end at which the next flush can seal
+	// anything: an admitted record at or past it flushes the session at
+	// once. Zero while the seal is blocked (trailing invalid run, freeze)
+	// or the tail is empty. A hint, never a gate: the sweep, FlushEvery,
+	// Flush and Close still flush whatever it misses.
+	sealAt time.Time
+
 	// lastArrival is the wall-clock time of the last ingested record,
 	// for the idle timeout.
 	lastArrival time.Time
@@ -77,6 +84,11 @@ type session struct {
 	// non-sealing flushes keep it so the spans land on the flush that
 	// actually finalized the request's data. Zero when untraced.
 	trace trace.Ctx
+
+	// doneTrace is the last trace this session committed. The rest of that
+	// request's records must not adopt it again: the trace already holds
+	// its stage spans, and a second set would double its rollups.
+	doneTrace trace.TraceID
 
 	// dropSpan remembers the root span of the last traced request that had
 	// a record dropped, deduplicating drop spans per request.
@@ -131,22 +143,29 @@ const (
 // admission floor: admitting anything the floor rejects would let an
 // out-of-order record land inside the cleaning cache's stable prefix.
 func (ss *session) ingest(e *Engine, r position.Record) admit {
-	if floor := ss.admissionFloor(e); !floor.IsZero() && !r.At.After(floor) {
-		return admitLate
-	}
 	// A record timestamped at or before the current tail end is either a
 	// bounded out-of-order arrival or a redelivery. Redeliveries collapse
 	// to exactly-once here: a duplicated record would double-count as a
 	// density neighbor and change sealed output, so at-least-once upstream
 	// delivery (reconnect storms, retried ingest batches) must not reach
 	// the translation layers. The device model is one position per instant,
-	// so timestamp equality is the identity. In-order feeds never take the
-	// search: strictly increasing timestamps skip it entirely.
-	if n := ss.tail.Len(); n > 0 && !r.At.After(ss.tail.Records[n-1].At) {
+	// so timestamp equality is the identity. The search runs before the
+	// floor test: a redelivery whose original still sits in the tail is a
+	// duplicate even once a seal has passed it. In-order feeds never take
+	// the search: strictly increasing timestamps skip it entirely.
+	n := ss.tail.Len()
+	if n > 0 && !r.At.After(ss.tail.Records[n-1].At) {
 		i := sort.Search(n, func(i int) bool { return !ss.tail.Records[i].At.Before(r.At) })
 		if i < n && ss.tail.Records[i].At.Equal(r.At) {
 			return admitDuplicate
 		}
+	}
+	if floor := ss.admissionFloor(e); !floor.IsZero() && !r.At.After(floor) {
+		return admitLate
+	}
+	if n == 0 {
+		// Nothing in the tail can seal before this record is a horizon old.
+		ss.sealAt = r.At.Add(e.horizon)
 	}
 	ss.tail.Append(r)
 	ss.pending++
@@ -276,7 +295,7 @@ func (ss *session) flush(e *Engine, sealAll bool) {
 		sealSp.SetDevice(string(ss.dev))
 		ss.emitTC = sealSp.Ctx()
 	}
-	seq0 := ss.seq
+	seq0, base0 := ss.seq, ss.base
 	watermark := ss.tail.End()
 
 	// Trailing invalid run: cleaned values there still depend on a future
@@ -319,11 +338,16 @@ func (ss *session) flush(e *Engine, sealAll bool) {
 
 	if sealAll {
 		ss.restartTail(nil, ss.tail.Len())
+		ss.sealAt = time.Time{}
 	} else {
 		ss.maybeTrim(e, sem)
+		ss.sealAt = ss.nextSealAt(e, sem, ss.base != base0, watermark)
 	}
 	// Count after trimming so force-seal emissions show in the breakdown.
 	sealed := ss.seq - seq0
+	if sealed > 0 {
+		e.stats.SealingFlushes.Add(1)
+	}
 
 	if st != nil {
 		//trips:allow wallclock: stage latency stamp, operational telemetry
@@ -336,11 +360,16 @@ func (ss *session) flush(e *Engine, sealAll bool) {
 			m.AnnotateSeconds.Observe(dAnnotate)
 			m.SealSeconds.Observe(dSeal)
 		}
-		ss.lastFlushAt = sealEnd
-		ss.lastClean = dClean
-		ss.lastAnnotate = dAnnotate
-		ss.lastSeal = dSeal
-		ss.lastSealed = sealed
+		// Once a flush has sealed, the breakdown keeps the latest one
+		// that did: with eager seals the flush after a seal is usually
+		// an empty one, and the seal is what an operator asks about.
+		if sealed > 0 || ss.lastSealed == 0 {
+			ss.lastFlushAt = sealEnd
+			ss.lastClean = dClean
+			ss.lastAnnotate = dAnnotate
+			ss.lastSeal = dSeal
+			ss.lastSealed = sealed
+		}
 	}
 
 	if traced {
@@ -357,12 +386,51 @@ func (ss *session) flush(e *Engine, sealAll bool) {
 			an.SetStart(stamps.afterClean)
 			an.EndAt(stamps.afterAnnotate)
 			sealSp.End()
+			ss.doneTrace = ss.trace.Trace
 			ss.trace = trace.Ctx{}
 		}
 		// else: sealSp is dropped unended (never recorded) and ss.trace
 		// survives for the sealing flush.
 	}
 	ss.emitTC = trace.Ctx{}
+}
+
+// nextSealAt is the session's sealAt after a non-final flush: the tail
+// end at which the seal rules above first pass the oldest unsealed
+// triplet t, given the annotation sem the flush just read. That is
+// t.To+horizon, or the later successor freeze when a MergeGap neighbour
+// must freeze first. After a trim or force-seal sem no longer indexes the
+// tail, so the new tail's first record stands in for t. A value at or
+// behind the watermark means the seal waits on something else (the
+// trailing invalid run, a freeze the flush just failed), and re-flushing
+// on every record would not release it: that returns zero, leaving the
+// session to the sweep and FlushEvery.
+func (ss *session) nextSealAt(e *Engine, sem *semantics.Sequence, epoch bool, watermark time.Time) time.Time {
+	if ss.tail.Len() == 0 {
+		return time.Time{}
+	}
+	var at time.Time
+	switch {
+	case epoch:
+		at = ss.tail.Records[0].At.Add(e.horizon)
+	case ss.emittedInTail < len(sem.Triplets):
+		i := ss.emittedInTail
+		t := sem.Triplets[i]
+		at = t.To.Add(e.horizon)
+		if mergeGap := e.pl.Annotator.Cfg.MergeGap; i+1 < len(sem.Triplets) && mergeGap > 0 {
+			if next := sem.Triplets[i+1]; next.From.Sub(t.To) <= mergeGap {
+				if f := next.To.Add(e.freezeGap); f.After(at) {
+					at = f
+				}
+			}
+		}
+	default:
+		return time.Time{} // no open triplet to point at
+	}
+	if !at.After(watermark) {
+		return time.Time{}
+	}
+	return at
 }
 
 // emit finalizes one triplet: complement the gap from the previously

@@ -13,6 +13,8 @@ type engineStats struct {
 	Inferred           atomic.Int64
 	Flushes            atomic.Int64
 	IncrementalFlushes atomic.Int64
+	EvidenceFlushes    atomic.Int64
+	SealingFlushes     atomic.Int64
 	Trims              atomic.Int64
 	ForcedTrims        atomic.Int64
 	ForcedSeals        atomic.Int64
@@ -42,10 +44,16 @@ type Stats struct {
 	// never sealed naturally (stationary devices).
 	Flushes            int64 `json:"flushes"`
 	IncrementalFlushes int64 `json:"incrementalFlushes"`
-	Trims              int64 `json:"trims"`
-	ForcedTrims        int64 `json:"forcedTrims"`
-	ForcedSeals        int64 `json:"forcedSeals"`
-	IdleFinalized      int64 `json:"idleFinalized"`
+	// EvidenceFlushes counts the flushes a record started by reaching its
+	// session's seal point before FlushEvery did; SealingFlushes counts
+	// the flushes that emitted anything, so SealingFlushes/Flushes is the
+	// share of flush work that released output.
+	EvidenceFlushes int64 `json:"evidenceFlushes"`
+	SealingFlushes  int64 `json:"sealingFlushes"`
+	Trims           int64 `json:"trims"`
+	ForcedTrims     int64 `json:"forcedTrims"`
+	ForcedSeals     int64 `json:"forcedSeals"`
+	IdleFinalized   int64 `json:"idleFinalized"`
 	// Sessions counts sessions opened. A device that returns after an idle
 	// eviction opens a new one, so this is not a count of distinct devices.
 	Sessions int64 `json:"sessions"`
@@ -75,6 +83,8 @@ func (e *Engine) Stats() Stats {
 		Inferred:              e.stats.Inferred.Load(),
 		Flushes:               e.stats.Flushes.Load(),
 		IncrementalFlushes:    e.stats.IncrementalFlushes.Load(),
+		EvidenceFlushes:       e.stats.EvidenceFlushes.Load(),
+		SealingFlushes:        e.stats.SealingFlushes.Load(),
 		Trims:                 e.stats.Trims.Load(),
 		ForcedTrims:           e.stats.ForcedTrims.Load(),
 		ForcedSeals:           e.stats.ForcedSeals.Load(),
