@@ -290,8 +290,11 @@ func BenchmarkE6_Workflow(b *testing.B) {
 	b.ReportMetric(float64(records), "records/op")
 }
 
-// BenchmarkWalkingDistance isolates the DSM's door-graph Dijkstra, the
-// hot spot of the Cleaning layer.
+// BenchmarkWalkingDistance times the DSM's door-graph Dijkstra between the
+// first and last shop centres. Both centres are walkable, so each endpoint's
+// snap is a single Locate hit: this measures the search, not the Cleaning
+// layer's hot spot, which is locating records that positioning noise put
+// in walls or off the plan (internal/dsm's BenchmarkLocate).
 func BenchmarkWalkingDistance(b *testing.B) {
 	e := env(b)
 	regs := simul.ShopRegions(e.Model)

@@ -15,10 +15,14 @@ import (
 // share one Work and alternate, the way a shard's sessions take turns: the
 // shared buffers settle at the larger footprint and stay there. This is
 // what holds the per-flush clean stage at amortized zero allocations on a
-// long session.
+// long session. Every speed check runs through it: the snap memo
+// (snapOf, snapAt) and dsm's Model.WalkingDistanceSnapped, which dsm's own
+// guard names because a guard may only name its own package's functions.
 //
 //trips:guards State.Repaired
 //trips:guards stableCut
+//trips:guards Cleaner.snapOf
+//trips:guards Cleaner.snapAt
 func TestCleanFromSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inhibits inlining and distorts allocation counts")

@@ -104,14 +104,49 @@ func (c *Cleaner) Clean(s *position.Sequence) (*position.Sequence, Report) {
 }
 
 // cleanScratch is reusable working state for one cleaning run: the
-// detection masks and the interpolation path buffer. CleanFrom threads the
-// instance held in its Work through every sweep, so a steady-state
-// incremental flush allocates nothing here; the batch Clean uses a
-// throwaway one.
+// detection masks, the interpolation path buffer and the snap memo.
+// CleanFrom threads the instance held in its Work through every sweep, so a
+// steady-state incremental flush allocates nothing here; the batch Clean
+// uses a throwaway one.
 type cleanScratch struct {
 	valid []bool
 	fresh []bool
 	path  []dsm.Location
+	snaps []snapMemo
+}
+
+// snapMemo is one record's memoized snap: Model.Snap of the exact location
+// at. A speed check pairs a record with each neighbour it is tested
+// against, in every pass, so without the memo the same record is located
+// again and again; keyed by location, a record that cleaning moves or
+// re-floors is located afresh.
+type snapMemo struct {
+	at   dsm.Location
+	snap dsm.Snapped
+	set  bool
+}
+
+// snapOf returns the snap of record i of s where it stands now, located
+// once per distinct location in a cleanInto call.
+//
+//trips:zeroalloc
+func (c *Cleaner) snapOf(sc *cleanScratch, s *position.Sequence, i int) dsm.Snapped {
+	return c.snapAt(sc, i, s.Records[i].Location())
+}
+
+// snapAt returns Model.Snap(l) for the record at index i, from i's memo
+// slot when that slot holds exactly l (bit for bit: a record nudged by a
+// repair is a new location), otherwise computed and kept there.
+//
+//trips:zeroalloc
+func (c *Cleaner) snapAt(sc *cleanScratch, i int, l dsm.Location) dsm.Snapped {
+	m := &sc.snaps[i]
+	if !m.set || m.at.Floor != l.Floor ||
+		math.Float64bits(m.at.P.X) != math.Float64bits(l.P.X) ||
+		math.Float64bits(m.at.P.Y) != math.Float64bits(l.P.Y) {
+		*m = snapMemo{at: l, snap: c.Model.Snap(l), set: true}
+	}
+	return m.snap
 }
 
 // maxSpeed returns the effective speed constraint.
@@ -136,6 +171,14 @@ func (c *Cleaner) maxSpeed() float64 {
 // CleanFrom's stability rules need the invalid marks but not the
 // convergence outcome.
 func (c *Cleaner) cleanInto(out *position.Sequence, maxSpeed float64, rep *Report, inv []bool, sc *cleanScratch) {
+	// The snap memo is indexed by position in out, so it starts empty for
+	// every sequence.
+	if n := out.Len(); cap(sc.snaps) < n {
+		sc.snaps = make([]snapMemo, n)
+	} else {
+		sc.snaps = sc.snaps[:n]
+		clear(sc.snaps)
+	}
 	for pass := 0; pass < maxCleanPasses; pass++ {
 		start := len(rep.Changes)
 		c.cleanPass(out, maxSpeed, rep, pass == 0, inv, sc)
@@ -165,10 +208,9 @@ func (c *Cleaner) cleanPass(out *position.Sequence, maxSpeed float64, rep *Repor
 	// walkable coordinates.
 	for i := range out.Records {
 		r := &out.Records[i]
-		p, _, ok := c.Model.SnapToWalkable(r.P, r.Floor)
-		if ok && !p.Eq(r.P) {
+		if sn := c.snapOf(sc, out, i); sn.Part != nil && !sn.P.Eq(r.P) {
 			before := *r
-			r.P = p
+			r.P = sn.P
 			rep.Snapped++
 			rep.Changes = append(rep.Changes, Change{i, RepairSnap, before, *r})
 		}
@@ -176,7 +218,7 @@ func (c *Cleaner) cleanPass(out *position.Sequence, maxSpeed float64, rep *Repor
 
 	// Step 1: speed-constraint detection. valid[i] marks records that are
 	// consistent with the last valid anchor before them.
-	valid := c.detectValid(out, maxSpeed, &sc.valid)
+	valid := c.detectValid(out, maxSpeed, &sc.valid, sc)
 	markInvalid(inv, valid)
 
 	// Step 2: floor value correction. A record rejected only because of a
@@ -187,13 +229,9 @@ func (c *Cleaner) cleanPass(out *position.Sequence, maxSpeed float64, rep *Repor
 		if valid[i] {
 			continue
 		}
-		if fixed, nf := c.tryFloorFix(out, valid, i, maxSpeed); fixed {
+		if fixed, fix := c.tryFloorFix(out, valid, i, maxSpeed, sc); fixed {
 			before := out.Records[i]
-			out.Records[i].Floor = nf
-			// Re-snap on the corrected floor.
-			if p, _, ok := c.Model.SnapToWalkable(out.Records[i].P, nf); ok {
-				out.Records[i].P = p
-			}
+			out.Records[i] = fix
 			valid[i] = true
 			floorFixed++
 			rep.FloorFixed++
@@ -205,7 +243,7 @@ func (c *Cleaner) cleanPass(out *position.Sequence, maxSpeed float64, rep *Repor
 	// anchors, but two adjacent fixed records may still be mutually
 	// inconsistent; the fresh pass demotes such records to interpolation.
 	if floorFixed > 0 {
-		fresh := c.detectValid(out, maxSpeed, &sc.fresh)
+		fresh := c.detectValid(out, maxSpeed, &sc.fresh, sc)
 		for i := range valid {
 			valid[i] = fresh[i]
 		}
@@ -220,12 +258,12 @@ func (c *Cleaner) cleanPass(out *position.Sequence, maxSpeed float64, rep *Repor
 // valid when the speed needed to reach it from the anchor does not exceed
 // maxSpeed. The first record is the initial anchor. The mask is written
 // into *buf, reused across calls.
-func (c *Cleaner) detectValid(s *position.Sequence, maxSpeed float64, buf *[]bool) []bool {
+func (c *Cleaner) detectValid(s *position.Sequence, maxSpeed float64, buf *[]bool, sc *cleanScratch) []bool {
 	valid := resizeBools(buf, s.Len())
 	valid[0] = true
 	anchor := 0
 	for i := 1; i < s.Len(); i++ {
-		if c.speedOK(s.Records[anchor], s.Records[i], maxSpeed) {
+		if c.speedOK(s.Records[anchor], s.Records[i], c.snapOf(sc, s, anchor), c.snapOf(sc, s, i), maxSpeed) {
 			valid[i] = true
 			anchor = i
 		}
@@ -234,8 +272,9 @@ func (c *Cleaner) detectValid(s *position.Sequence, maxSpeed float64, buf *[]boo
 }
 
 // speedOK reports whether moving a→b satisfies the speed constraint using
-// the configured distance.
-func (c *Cleaner) speedOK(a, b position.Record, maxSpeed float64) bool {
+// the configured distance; sa and sb are the records' snaps, which price
+// the walking distance.
+func (c *Cleaner) speedOK(a, b position.Record, sa, sb dsm.Snapped, maxSpeed float64) bool {
 	dt := b.At.Sub(a.At).Seconds()
 	if dt <= 0 {
 		return a.P.Eq(b.P) && a.Floor == b.Floor
@@ -251,7 +290,7 @@ func (c *Cleaner) speedOK(a, b position.Record, maxSpeed float64) bool {
 		}
 	} else {
 		var ok bool
-		d, ok = c.Model.WalkingDistance(a.Location(), b.Location())
+		d, ok = c.Model.WalkingDistanceSnapped(sa, sb)
 		if !ok {
 			return false // unreachable: cannot be a genuine movement
 		}
@@ -260,9 +299,9 @@ func (c *Cleaner) speedOK(a, b position.Record, maxSpeed float64) bool {
 }
 
 // tryFloorFix tests whether replacing record i's floor with a neighbor's
-// floor resolves the violation in both directions. It returns the fixing
-// floor on success.
-func (c *Cleaner) tryFloorFix(s *position.Sequence, valid []bool, i int, maxSpeed float64) (bool, dsm.FloorID) {
+// floor, and snapping it on that floor, resolves the violation in both
+// directions. It returns the fixed record on success.
+func (c *Cleaner) tryFloorFix(s *position.Sequence, valid []bool, i int, maxSpeed float64, sc *cleanScratch) (bool, position.Record) {
 	prev := prevValid(valid, i)
 	next := nextValid(valid, i)
 
@@ -285,16 +324,19 @@ func (c *Cleaner) tryFloorFix(s *position.Sequence, valid []bool, i int, maxSpee
 		}
 		trial := s.Records[i]
 		trial.Floor = f
-		if p, _, ok := c.Model.SnapToWalkable(trial.P, f); ok {
-			trial.P = p
+		sn := c.Model.Snap(trial.Location())
+		if sn.Part != nil && sn.P != trial.P {
+			// The checks price the trial where the snap moved it.
+			trial.P = sn.P
+			sn = c.Model.Snap(trial.Location())
 		}
-		okPrev := prev < 0 || c.speedOK(s.Records[prev], trial, maxSpeed)
-		okNext := next < 0 || c.speedOK(trial, s.Records[next], maxSpeed)
+		okPrev := prev < 0 || c.speedOK(s.Records[prev], trial, c.snapOf(sc, s, prev), sn, maxSpeed)
+		okNext := next < 0 || c.speedOK(trial, s.Records[next], sn, c.snapOf(sc, s, next), maxSpeed)
 		if okPrev && okNext {
-			return true, f
+			return true, trial
 		}
 	}
-	return false, 0
+	return false, position.Record{}
 }
 
 // markInvalid accumulates the currently-invalid indexes into inv.
@@ -375,7 +417,7 @@ func (c *Cleaner) interpolateOne(s *position.Sequence, prev, next, k int, sc *cl
 	switch {
 	case prev >= 0 && next >= 0:
 		a, b := s.Records[prev], s.Records[next]
-		path, ok := c.Model.AppendWalkingPath(sc.path[:0], a.Location(), b.Location())
+		path, ok := c.Model.AppendWalkingPathSnapped(sc.path[:0], c.snapOf(sc, s, prev), c.snapOf(sc, s, next))
 		sc.path = path[:0]
 		if !ok {
 			// Disconnected anchors: hold at the earlier one.
@@ -389,8 +431,8 @@ func (c *Cleaner) interpolateOne(s *position.Sequence, prev, next, k int, sc *cl
 		// Path legs pass through door centers inside wall bands; the
 		// derived location must itself be walkable or a second cleaning
 		// pass would re-touch it.
-		if sp, _, ok := c.Model.SnapToWalkable(r.P, r.Floor); ok {
-			r.P = sp
+		if sn := c.snapAt(sc, k, r.Location()); sn.Part != nil {
+			r.P = sn.P
 		}
 	case prev >= 0:
 		a := s.Records[prev]

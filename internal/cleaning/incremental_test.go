@@ -2,6 +2,7 @@ package cleaning
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 	"time"
@@ -179,55 +180,120 @@ func glitchyWalk(seed uint32, n int, at time.Time) *position.Sequence {
 	return s
 }
 
+// mirrored returns s reflected across the venue's 40 m width: the same
+// times and glitches, with every record somewhere else.
+func mirrored(s *position.Sequence) *position.Sequence {
+	out := s.Clone()
+	for i := range out.Records {
+		out.Records[i].P.X = 40 - out.Records[i].P.X
+	}
+	return out
+}
+
+// repairWalk is n records of a slow walk up and down the floor-1 hallway,
+// 3 s apart, in which every 30 records one record reports floor 2 (a floor
+// fix, after which the pass detects again), one teleports into a shop (an
+// interpolation) and one sits in the dividing wall (a snap): each repair
+// moves a record that the pass has already located.
+func repairWalk(n int) *position.Sequence {
+	s := position.NewSequence("d")
+	for i := 0; i < n; i++ {
+		x := 6 + math.Abs(float64(i%56-28))
+		r := rec(x, 5, 1, time.Duration(3*i)*time.Second)
+		switch i % 30 {
+		case 8:
+			r.Floor = 2
+		case 16:
+			r.P = geom.Pt(25, 15)
+		case 24:
+			r.P.Y = 10.2
+		}
+		s.Append(r)
+	}
+	return s
+}
+
 // TestCleanFromSharedWork is a shard's sessions taking turns: two States
-// over sequences of different lengths share one Work and alternate
-// CleanFrom calls. Nothing one call leaves in the Work may reach the
-// other's result, so each must equal a twin that cleans with a private
-// Work — compared after both calls of a round, so a result that aliased the
-// shared Work would show the other call's data.
+// share one Work and alternate CleanFrom calls over growing sequences.
+// Nothing one call leaves in the Work may reach the other's result, so each
+// must equal a twin that cleans with a private Work — compared after both
+// calls of a round, so a result that aliased the shared Work would show the
+// other call's data — and a batch Clean. The inputs pair walks of different
+// lengths; walks with the same indexes at different places, where a snap
+// kept across calls or looked up by index would price one walk's records
+// at the other's locations; and walks whose repairs move records between
+// the detections of one pass.
 func TestCleanFromSharedWork(t *testing.T) {
 	c := New(testvenue.MustTwoFloor())
-	walks := [2]*position.Sequence{glitchyWalk(3, 600, t0), glitchyWalk(5, 90, t0)}
-	growth := [2]int{13, 2}
-	for _, noChanges := range []bool{false, true} {
-		var shared Work
-		var states, twins [2]State
-		for i := range states {
-			states[i] = State{NoChanges: noChanges, Work: &shared}
-			twins[i] = State{NoChanges: noChanges}
-		}
-		var ends [2]int
-		for step := 0; step < 46; step++ {
-			var seqs [2]*position.Sequence
-			var floors [2]time.Time
-			var outs [2]*position.Sequence
-			var reps [2]Report
+	cases := []struct {
+		name   string
+		walks  [2]*position.Sequence
+		growth [2]int
+	}{
+		{"different lengths", [2]*position.Sequence{glitchyWalk(3, 600, t0), glitchyWalk(5, 90, t0)}, [2]int{13, 2}},
+		{"same indexes elsewhere", [2]*position.Sequence{glitchyWalk(7, 300, t0), mirrored(glitchyWalk(7, 300, t0))}, [2]int{7, 7}},
+		{"repairs move records", [2]*position.Sequence{repairWalk(240), mirrored(repairWalk(240))}, [2]int{5, 5}},
+	}
+	for _, tc := range cases {
+		for _, noChanges := range []bool{false, true} {
+			var shared Work
+			var states, twins [2]State
 			for i := range states {
-				ends[i] = min(ends[i]+growth[i], walks[i].Len())
-				seqs[i] = walks[i].Slice(0, ends[i])
-				floors[i] = seqs[i].End().Add(-40 * time.Second)
-				outs[i], reps[i] = c.CleanFrom(&states[i], seqs[i], floors[i])
+				states[i] = State{NoChanges: noChanges, Work: &shared}
+				twins[i] = State{NoChanges: noChanges}
 			}
-			for i := range states {
-				want, wantRep := c.CleanFrom(&twins[i], seqs[i], floors[i])
-				assertSameClean(t, step, outs[i], reps[i], want, wantRep)
-				for j := 0; j < want.Len(); j++ {
-					if states[i].Repaired(j) != twins[i].Repaired(j) {
-						t.Fatalf("noChanges %v step %d state %d: Repaired(%d) differs from the private-Work twin", noChanges, step, i, j)
+			var ends [2]int
+			for step := 0; ends[0] < tc.walks[0].Len() || ends[1] < tc.walks[1].Len(); step++ {
+				var seqs [2]*position.Sequence
+				var floors [2]time.Time
+				var outs [2]*position.Sequence
+				var reps [2]Report
+				for i := range states {
+					ends[i] = min(ends[i]+tc.growth[i], tc.walks[i].Len())
+					seqs[i] = tc.walks[i].Slice(0, ends[i])
+					floors[i] = seqs[i].End().Add(-40 * time.Second)
+					outs[i], reps[i] = c.CleanFrom(&states[i], seqs[i], floors[i])
+				}
+				for i := range states {
+					want, wantRep := c.CleanFrom(&twins[i], seqs[i], floors[i])
+					assertSameClean(t, step, outs[i], reps[i], want, wantRep)
+					full, fullRep := c.Clean(seqs[i])
+					if noChanges {
+						fullRep.Changes = nil
+					}
+					assertSameClean(t, step, outs[i], reps[i], full, fullRep)
+					for j := 0; j < want.Len(); j++ {
+						if states[i].Repaired(j) != twins[i].Repaired(j) {
+							t.Fatalf("%s noChanges %v step %d state %d: Repaired(%d) differs from the private-Work twin", tc.name, noChanges, step, i, j)
+						}
+					}
+					if states[i].Stable() != twins[i].Stable() || states[i].StableSince() != twins[i].StableSince() {
+						t.Fatalf("%s noChanges %v step %d state %d: stable prefix %d/%d, twin %d/%d", tc.name, noChanges, step, i,
+							states[i].Stable(), states[i].StableSince(), twins[i].Stable(), twins[i].StableSince())
 					}
 				}
-				if states[i].Stable() != twins[i].Stable() || states[i].StableSince() != twins[i].StableSince() {
-					t.Fatalf("noChanges %v step %d state %d: stable prefix %d/%d, twin %d/%d", noChanges, step, i,
-						states[i].Stable(), states[i].StableSince(), twins[i].Stable(), twins[i].StableSince())
+			}
+			for i := range states {
+				if states[i].Stable() == 0 {
+					t.Errorf("%s noChanges %v state %d: stable prefix never advanced; the incremental path went untested", tc.name, noChanges, i)
+				}
+				if states[i].Work != &shared {
+					t.Errorf("%s noChanges %v state %d: CleanFrom swapped out the shared Work", tc.name, noChanges, i)
 				}
 			}
 		}
-		for i := range states {
-			if states[i].Stable() == 0 {
-				t.Errorf("noChanges %v state %d: stable prefix never advanced; the incremental path went untested", noChanges, i)
-			}
-			if states[i].Work != &shared {
-				t.Errorf("noChanges %v state %d: CleanFrom swapped out the shared Work", noChanges, i)
+	}
+	// The repairs repairWalk is built to need, each exactly once: a record
+	// located before its floor fix and priced there afterwards would fail
+	// the re-detection and be interpolated too.
+	for _, w := range []*position.Sequence{repairWalk(240), mirrored(repairWalk(240))} {
+		out, rep := c.Clean(w)
+		if rep.FloorFixed != 8 || rep.Interpolated != 8 || rep.Snapped != 8 {
+			t.Errorf("repairWalk: %d floor fixes, %d interpolations, %d snaps; want 8 of each", rep.FloorFixed, rep.Interpolated, rep.Snapped)
+		}
+		for i, r := range out.Records {
+			if r.Floor != 1 {
+				t.Errorf("repairWalk: record %d left on floor %d", i, r.Floor)
 			}
 		}
 	}

@@ -52,12 +52,15 @@ type Model struct {
 }
 
 // floorIndex is the per-floor spatial index over walkable partitions and
-// regions.
+// regions. partArea and regArea hold each shape's area, computed once at
+// Freeze for the smallest-area tie-break in Locate and RegionAt.
 type floorIndex struct {
 	bounds     geom.Rect
 	partitions []*Entity // walkable entities on this floor
+	partArea   []float64
 	partGrid   *geom.GridIndex
 	regions    []*SemanticRegion
+	regArea    []float64
 	regGrid    *geom.GridIndex
 }
 
@@ -147,8 +150,8 @@ func (m *Model) Freeze() error {
 	return nil
 }
 
-// buildFloorIndexes groups walkable entities and regions per floor and
-// indexes their bounding boxes on a 4 m grid.
+// buildFloorIndexes groups walkable entities and regions per floor, indexes
+// their bounding boxes on a 4 m grid and records their areas.
 func (m *Model) buildFloorIndexes() {
 	m.floors = make(map[FloorID]*floorIndex)
 	fl := func(f FloorID) *floorIndex {
@@ -169,12 +172,14 @@ func (m *Model) buildFloorIndexes() {
 		if e.Kind.Walkable() {
 			fi.partGrid.Insert(len(fi.partitions), e.Shape.Bounds())
 			fi.partitions = append(fi.partitions, e)
+			fi.partArea = append(fi.partArea, e.Shape.Area())
 		}
 	}
 	for _, r := range m.Regions {
 		fi := fl(r.Floor)
 		fi.regGrid.Insert(len(fi.regions), r.Shape.Bounds())
 		fi.regions = append(fi.regions, r)
+		fi.regArea = append(fi.regArea, r.Shape.Area())
 	}
 	m.floorList = m.floorList[:0]
 	//trips:commutative key collection; iteration order is erased by the sort below
@@ -250,8 +255,7 @@ func (m *Model) Locate(p geom.Point, f FloorID) *Entity {
 		}
 		e := fi.partitions[i]
 		if e.Shape.Contains(p) {
-			a := e.Shape.Area()
-			if best == nil || a < bestArea {
+			if a := fi.partArea[i]; best == nil || a < bestArea {
 				best, bestArea = e, a
 			}
 		}
@@ -333,8 +337,7 @@ func (m *Model) RegionAt(p geom.Point, f FloorID) *SemanticRegion {
 		}
 		r := fi.regions[i]
 		if r.Shape.Contains(p) {
-			a := r.Shape.Area()
-			if best == nil || a < bestArea {
+			if a := fi.regArea[i]; best == nil || a < bestArea {
 				best, bestArea = r, a
 			}
 		}

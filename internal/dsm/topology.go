@@ -202,45 +202,81 @@ type Location struct {
 	Floor FloorID
 }
 
+// Snapped is a location SnapToWalkable has placed in walkable space: the
+// walkable point and the partition containing it, which lies on the
+// location's floor. Part is nil when the model has no walkable partition
+// on that floor; no walking path starts or ends there.
+type Snapped struct {
+	P    geom.Point
+	Part *Entity
+}
+
+// Snap places a location in walkable space: SnapToWalkable in the form the
+// snapped walking queries take. Callers that pair one location with many
+// others snap it once and reuse the result.
+func (m *Model) Snap(l Location) Snapped {
+	p, e, _ := m.SnapToWalkable(l.P, l.Floor)
+	return Snapped{p, e}
+}
+
 // WalkingDistance returns the minimum indoor walking distance between two
 // locations, respecting doors, walls and floors. Points outside walkable
 // space are snapped to the nearest partition first. The boolean is false
 // when no path exists (disconnected partitions or unknown floor).
+func (m *Model) WalkingDistance(from, to Location) (float64, bool) {
+	return m.WalkingDistanceSnapped(m.Snap(from), m.Snap(to))
+}
+
+// WalkingDistanceSnapped is WalkingDistance between endpoints already
+// snapped. The Cleaner prices every speed check with it, snapping each
+// record once rather than once per pair it is tested in.
 //
 // The Dijkstra working state is pooled (see dijkstraScratch), the heap is
 // typed, and partitions are addressed by dense entity index, so a call is
-// allocation-free at steady state — the Cleaner runs one per speed check.
+// allocation-free at steady state.
 //
 //trips:zeroalloc
-func (m *Model) WalkingDistance(from, to Location) (float64, bool) {
-	pa, ea, oka := m.SnapToWalkable(from.P, from.Floor)
-	pb, eb, okb := m.SnapToWalkable(to.P, to.Floor)
-	if !oka || !okb {
+func (m *Model) WalkingDistanceSnapped(a, b Snapped) (float64, bool) {
+	if a.Part == nil || b.Part == nil {
 		return 0, false
 	}
-	if ea.idx == eb.idx {
-		return pa.Dist(pb), true
-	}
-	g := m.nav
-	sources, targets := g.byPartIdx[ea.idx], g.byPartIdx[eb.idx]
-	if len(sources) == 0 || len(targets) == 0 {
-		return 0, false
+	if a.Part.idx == b.Part.idx {
+		return a.P.Dist(b.P), true
 	}
 	s := m.getNavScratch()
 	defer m.putNavScratch(s)
-	// Virtual source = pa connected to every connector of ea; likewise the
-	// target. Dijkstra from the source set.
+	best, _ := m.shortest(s, a, b)
+	if math.IsInf(best, 1) {
+		return 0, false
+	}
+	return best, true
+}
+
+// shortest runs the door-graph Dijkstra between two snapped endpoints in
+// different partitions. A virtual source joins a.P to every connector of
+// a's partition, and a virtual target joins b's connectors to b.P. It
+// returns the walking distance and the last connector before the target,
+// whose s.prev chain is the path; +Inf and -1 when no path exists.
+//
+//trips:zeroalloc
+func (m *Model) shortest(s *dijkstraScratch, a, b Snapped) (float64, int) {
+	g := m.nav
+	sources, targets := g.byPartIdx[a.Part.idx], g.byPartIdx[b.Part.idx]
+	if len(sources) == 0 || len(targets) == 0 {
+		return math.Inf(1), -1
+	}
 	for i := range s.dist {
 		s.dist[i] = math.Inf(1)
+		s.prev[i] = -1
 	}
 	for _, idx := range sources {
-		d := pa.Dist(g.nodes[idx].center)
+		d := a.P.Dist(g.nodes[idx].center)
 		if d < s.dist[idx] {
 			s.dist[idx] = d
 			s.push(distItem{idx, d})
 		}
 	}
-	best := math.Inf(1)
+	bestNode, best := -1, math.Inf(1)
 	for len(s.heap) > 0 {
 		it := s.pop()
 		if it.d > s.dist[it.node] {
@@ -249,22 +285,20 @@ func (m *Model) WalkingDistance(from, to Location) (float64, bool) {
 		if it.d >= best {
 			break
 		}
-		if tail, ok := targetTail(g, targets, pb, it.node); ok {
+		if tail, ok := targetTail(g, targets, b.P, it.node); ok {
 			if v := it.d + tail; v < best {
-				best = v
+				best, bestNode = v, it.node
 			}
 		}
 		for _, e := range g.adj[it.node] {
 			if nd := it.d + e.w; nd < s.dist[e.to] {
 				s.dist[e.to] = nd
+				s.prev[e.to] = it.node
 				s.push(distItem{e.to, nd})
 			}
 		}
 	}
-	if math.IsInf(best, 1) {
-		return 0, false
-	}
-	return best, true
+	return best, bestNode
 }
 
 // targetTail returns the virtual-target tail distance from node to pb when
@@ -295,67 +329,39 @@ func (m *Model) WalkingPath(from, to Location) []Location {
 
 // AppendWalkingPath appends a minimum walking path to dst and reports
 // whether one exists; on false, dst is returned unchanged. It is
-// WalkingPath for callers that reuse a path buffer across calls (the
-// Cleaner's interpolation scratch): aside from growing dst, a call is
-// allocation-free at steady state.
+// WalkingPath for callers that reuse a path buffer across calls.
 func (m *Model) AppendWalkingPath(dst []Location, from, to Location) ([]Location, bool) {
-	pa, ea, oka := m.SnapToWalkable(from.P, from.Floor)
-	pb, eb, okb := m.SnapToWalkable(to.P, to.Floor)
-	if !oka || !okb {
+	return m.AppendWalkingPathSnapped(dst, m.Snap(from), m.Snap(to))
+}
+
+// AppendWalkingPathSnapped is AppendWalkingPath between endpoints already
+// snapped, for the Cleaner's interpolation, which reuses its anchors' snaps
+// and its path buffer: aside from growing dst, a call is allocation-free at
+// steady state.
+func (m *Model) AppendWalkingPathSnapped(dst []Location, a, b Snapped) ([]Location, bool) {
+	if a.Part == nil || b.Part == nil {
 		return dst, false
 	}
-	if ea.idx == eb.idx {
-		return append(dst, Location{pa, from.Floor}, Location{pb, to.Floor}), true
+	from, to := Location{a.P, a.Part.Floor}, Location{b.P, b.Part.Floor}
+	if a.Part.idx == b.Part.idx {
+		return append(dst, from, to), true
 	}
-	g := m.nav
 	s := m.getNavScratch()
 	defer m.putNavScratch(s)
-	for i := range s.dist {
-		s.dist[i] = math.Inf(1)
-		s.prev[i] = -1
-	}
-	for _, idx := range g.byPartIdx[ea.idx] {
-		d := pa.Dist(g.nodes[idx].center)
-		if d < s.dist[idx] {
-			s.dist[idx] = d
-			s.push(distItem{idx, d})
-		}
-	}
-	targets := g.byPartIdx[eb.idx]
-	bestNode, best := -1, math.Inf(1)
-	for len(s.heap) > 0 {
-		it := s.pop()
-		if it.d > s.dist[it.node] {
-			continue
-		}
-		if it.d >= best {
-			break
-		}
-		if tail, ok := targetTail(g, targets, pb, it.node); ok {
-			if v := it.d + tail; v < best {
-				best, bestNode = v, it.node
-			}
-		}
-		for _, e := range g.adj[it.node] {
-			if nd := it.d + e.w; nd < s.dist[e.to] {
-				s.dist[e.to] = nd
-				s.prev[e.to] = it.node
-				s.push(distItem{e.to, nd})
-			}
-		}
-	}
+	_, bestNode := m.shortest(s, a, b)
 	if bestNode < 0 {
 		return dst, false
 	}
+	g := m.nav
 	s.rev = s.rev[:0]
 	for n := bestNode; n >= 0; n = s.prev[n] {
 		s.rev = append(s.rev, Location{g.nodes[n].center, g.nodes[n].floor})
 	}
-	dst = append(dst, Location{pa, from.Floor})
+	dst = append(dst, from)
 	for i := len(s.rev) - 1; i >= 0; i-- {
 		dst = append(dst, s.rev[i])
 	}
-	return append(dst, Location{pb, to.Floor}), true
+	return append(dst, to), true
 }
 
 // Reachable reports whether any walking path connects the two locations.

@@ -78,15 +78,13 @@ func (pg Polygon) Centroid() Point {
 }
 
 // Contains reports whether p is inside the polygon or on its boundary, using
-// the even-odd ray casting rule with an explicit boundary check.
+// the even-odd ray casting rule with an explicit boundary check. The ray
+// cast runs first: it is a multiply per crossing edge, where the boundary
+// test is a distance per edge, and most points it answers are interior.
 func (pg Polygon) Contains(p Point) bool {
 	n := len(pg.Vertices)
 	if n < 3 {
 		return false
-	}
-	// Boundary counts as inside: rooms own their walls for matching purposes.
-	if pg.OnBoundary(p) {
-		return true
 	}
 	inside := false
 	for i, j := 0, n-1; i < n; j, i = i, i+1 {
@@ -98,7 +96,8 @@ func (pg Polygon) Contains(p Point) bool {
 			}
 		}
 	}
-	return inside
+	// Boundary counts as inside: rooms own their walls for matching purposes.
+	return inside || pg.OnBoundary(p)
 }
 
 // OnBoundary reports whether p lies on the polygon boundary within Eps.
