@@ -197,8 +197,7 @@ func trainBenchModel(b *testing.B, e *experiments.Env, name string) *annotation.
 	return em
 }
 
-// BenchmarkE4_Split measures the density-based splitting against the
-// fixed-window ablation (E4).
+// BenchmarkE4_Split measures the density-based splitting (E4).
 func BenchmarkE4_Split(b *testing.B) {
 	e := env(b)
 	seq := oneSequence(b, e, 2000)
@@ -207,12 +206,6 @@ func BenchmarkE4_Split(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			annotation.Split(cleaned, annotation.DefaultSplitConfig())
-		}
-	})
-	b.Run("fixed-window-ablation", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cleaned.SplitByGap(2 * time.Minute)
 		}
 	})
 }

@@ -41,7 +41,7 @@ func TestGenRunProducesArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("events.json: %v", err)
 	}
-	if len(ed.Segments()) == 0 {
+	if len(ed.TrainingSet().Segments) == 0 {
 		t.Error("no training segments generated")
 	}
 }

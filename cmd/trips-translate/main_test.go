@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -82,8 +84,12 @@ func TestTranslateRunEndToEnd(t *testing.T) {
 	}
 	raw, _ := position.LoadFile(dataPath)
 	for _, dev := range raw.Devices() {
-		seq, err := semantics.Load(filepath.Join(out, string(dev)+".json"))
+		data, err := os.ReadFile(filepath.Join(out, string(dev)+".json"))
 		if err != nil {
+			t.Fatalf("result for %s: %v", dev, err)
+		}
+		var seq semantics.Sequence
+		if err := json.Unmarshal(data, &seq); err != nil {
 			t.Fatalf("result for %s: %v", dev, err)
 		}
 		if seq.Len() == 0 {
@@ -99,8 +105,12 @@ func TestTranslateRunWithConfigFile(t *testing.T) {
 		Name: "from-file", DSM: dsmPath, Dataset: dataPath, Events: eventsPath,
 		Selector: &config.RuleConfig{Kind: "minRecords", MinCount: 10},
 	}
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfgPath := filepath.Join(dir, "task.json")
-	if err := doc.Save(cfgPath); err != nil {
+	if err := os.WriteFile(cfgPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := assembleConfig(cfgPath, "", "", "", "", "3a.*", -1, -1)

@@ -1,7 +1,8 @@
 // Command trips-vet runs the TRIPS static-analysis suite over the module:
-// the five custom analyzers from internal/lint (mapiter, zeroalloc,
-// wallclock, atomicfield, ctxvalue) plus, by default, the stock `go vet`
-// passes. It exits non-zero when any diagnostic fires, which is what makes
+// the seven custom analyzers from internal/lint (mapiter, zeroalloc,
+// allocguard, wallclock, atomicfield, ctxvalue, deadexport) plus, by
+// default, the stock `go vet` passes. deadexport reports only when the
+// patterns cover the whole module (./... from its root). It exits non-zero when any diagnostic fires, which is what makes
 // it a CI gate rather than a report.
 //
 // Usage:

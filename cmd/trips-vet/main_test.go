@@ -107,7 +107,7 @@ func TestVetListsRoster(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trips-vet -list: %v\n%s", err, out)
 	}
-	for _, name := range []string{"mapiter", "zeroalloc", "wallclock", "atomicfield", "ctxvalue"} {
+	for _, name := range []string{"mapiter", "zeroalloc", "allocguard", "wallclock", "atomicfield", "ctxvalue", "deadexport"} {
 		if !strings.Contains(string(out), name) {
 			t.Errorf("roster missing %s:\n%s", name, out)
 		}

@@ -1,6 +1,6 @@
 // Floorplan demonstrates the Space Modeler's two creation paths (paper
 // Fig. 2): semi-automatic raster tracing of a floorplan image, followed by
-// interactive refinement — tag assignment, styling, undo/redo — and DSM
+// interactive refinement — tag assignment, styling, undo — and DSM
 // compilation.
 //
 //	go run ./examples/floorplan

@@ -140,9 +140,6 @@ func New(cfg Config) *Engine {
 	}}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // deviceState is the per-device fold: where the device currently is and the
 // last region-carrying triplet for flow counting.
 type deviceState struct {
@@ -745,6 +742,8 @@ type RingBucket struct {
 // Snapshot renders every view deterministically, all under one read lock:
 // the dump is one instant of one view generation, even under live folds or a
 // concurrent Rebuild.
+//
+//trips:api bench/ is a separate module and calls it
 func (e *Engine) Snapshot() Snapshot {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

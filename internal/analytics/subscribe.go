@@ -87,6 +87,8 @@ func (s *Subscription) C() <-chan Delta { return s.ch }
 
 // Evicted reports whether the hub dropped this subscriber for not keeping
 // up (meaningful once C is closed).
+//
+//trips:api the server's SSE test observes eviction through it
 func (s *Subscription) Evicted() bool {
 	s.hub.mu.RLock()
 	defer s.hub.mu.RUnlock()

@@ -82,6 +82,8 @@ func segmentDense(recs []position.Record, split SplitConfig) bool {
 
 // Identify classifies a snippet, returning the event and the model's
 // confidence (the winning class probability).
+//
+//trips:api bench/ is a separate module and calls it
 func (m *EventModel) Identify(sn Snippet) (semantics.Event, float64) {
 	return m.identify(new(Scratch), sn)
 }
@@ -132,14 +134,6 @@ func zeroed(buf []float64, n int) []float64 {
 	}
 	return buf
 }
-
-// Events returns the events the model can identify, sorted.
-func (m *EventModel) Events() []semantics.Event {
-	return append([]semantics.Event(nil), m.labels...)
-}
-
-// ModelName reports the underlying classifier.
-func (m *EventModel) ModelName() string { return m.clf.Name() }
 
 // DisplayPolicy selects the triplet display point (paper footnote 1: "the
 // temporally middle or the spatially central positioning location according

@@ -315,10 +315,10 @@ func TestTrainEventModel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TrainEventModel: %v", err)
 	}
-	if em.ModelName() != "gaussian-nb" {
-		t.Errorf("model name = %q", em.ModelName())
+	if em.clf.Name() != "gaussian-nb" {
+		t.Errorf("model name = %q", em.clf.Name())
 	}
-	evs := em.Events()
+	evs := em.labels
 	if len(evs) != 2 || evs[0] != semantics.EventPassBy || evs[1] != semantics.EventStay {
 		t.Errorf("events = %v", evs)
 	}

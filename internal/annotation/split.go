@@ -96,6 +96,8 @@ func (cfg SplitConfig) clockWindow() time.Duration { return max(cfg.EpsTime, cfg
 
 // Split performs the density-based spatio-temporal splitting of a cleaned
 // sequence into snippets: the incremental annotator's splitter run cold.
+//
+//trips:api bench/ is a separate module and calls it
 func Split(s *position.Sequence, cfg SplitConfig) []Snippet {
 	if s.Len() == 0 {
 		return nil

@@ -41,7 +41,7 @@ func TestCleanFromSteadyStateZeroAlloc(t *testing.T) {
 	// every suffix buffer.
 	round()
 	round()
-	if a.Stable() == 0 || b.Stable() == 0 {
+	if a.stable == 0 || b.stable == 0 {
 		t.Fatal("stable prefix never advanced; the steady state under test never forms")
 	}
 

@@ -114,9 +114,6 @@ func (st *State) Repaired(i int) bool {
 	return i >= 0 && i < len(st.repaired) && st.repaired[i]
 }
 
-// Stable returns the index below which the cached cleaned values are final.
-func (st *State) Stable() int { return st.stable }
-
 // StableSince returns the index below which the last CleanFrom call left
 // the cleaned values untouched — the frozen-prefix hint for downstream
 // incremental stages: everything at or past it may have been rewritten
@@ -138,7 +135,7 @@ func (st *State) StableSince() int { return st.prevStable }
 // and keeps every call a full re-clean.
 //
 // The contract on s across calls with one State: records below the previous
-// call's Stable() index are unchanged; new records are appended or inserted
+// call's stable index are unchanged; new records are appended or inserted
 // after insertFloor. A sequence that shrank or changed under the cache is
 // detected and re-cleaned from scratch.
 func (c *Cleaner) CleanFrom(st *State, s *position.Sequence, insertFloor time.Time) (*position.Sequence, Report) {

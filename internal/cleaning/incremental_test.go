@@ -106,11 +106,11 @@ func TestCleanFromMatchesClean(t *testing.T) {
 			inc, incRep := c.CleanFrom(&cs, s, floor)
 			full, fullRep := c.Clean(s)
 			assertSameClean(t, step, inc, incRep, full, fullRep)
-			if cs.Stable() > 0 && cs.StableSince() > cs.Stable() {
-				t.Fatalf("step %d: StableSince %d > Stable %d", step, cs.StableSince(), cs.Stable())
+			if cs.stable > 0 && cs.StableSince() > cs.stable {
+				t.Fatalf("step %d: StableSince %d > Stable %d", step, cs.StableSince(), cs.stable)
 			}
 		}
-		if cs.Stable() == 0 {
+		if cs.stable == 0 {
 			t.Errorf("seed %d: stable prefix never advanced; the incremental path went untested", seed)
 		}
 	}
@@ -127,8 +127,8 @@ func TestCleanFromZeroFloor(t *testing.T) {
 		inc, incRep := c.CleanFrom(&cs, s, time.Time{})
 		full, fullRep := c.Clean(s)
 		assertSameClean(t, i, inc, incRep, full, fullRep)
-		if cs.Stable() != 0 {
-			t.Fatalf("step %d: stable = %d with a zero insert floor", i, cs.Stable())
+		if cs.stable != 0 {
+			t.Fatalf("step %d: stable = %d with a zero insert floor", i, cs.stable)
 		}
 	}
 }
@@ -152,7 +152,7 @@ func TestCleanFromReset(t *testing.T) {
 	assertSameClean(t, 0, inc, incRep, full, fullRep)
 
 	cs.Reset()
-	if cs.Stable() != 0 || cs.StableSince() != 0 {
+	if cs.stable != 0 || cs.StableSince() != 0 {
 		t.Fatal("Reset left a stable prefix")
 	}
 	inc, incRep = c.CleanFrom(&cs, trimmed, trimmed.End())
@@ -267,14 +267,14 @@ func TestCleanFromSharedWork(t *testing.T) {
 							t.Fatalf("%s noChanges %v step %d state %d: Repaired(%d) differs from the private-Work twin", tc.name, noChanges, step, i, j)
 						}
 					}
-					if states[i].Stable() != twins[i].Stable() || states[i].StableSince() != twins[i].StableSince() {
+					if states[i].stable != twins[i].stable || states[i].StableSince() != twins[i].StableSince() {
 						t.Fatalf("%s noChanges %v step %d state %d: stable prefix %d/%d, twin %d/%d", tc.name, noChanges, step, i,
-							states[i].Stable(), states[i].StableSince(), twins[i].Stable(), twins[i].StableSince())
+							states[i].stable, states[i].StableSince(), twins[i].stable, twins[i].StableSince())
 					}
 				}
 			}
 			for i := range states {
-				if states[i].Stable() == 0 {
+				if states[i].stable == 0 {
 					t.Errorf("%s noChanges %v state %d: stable prefix never advanced; the incremental path went untested", tc.name, noChanges, i)
 				}
 				if states[i].Work != &shared {

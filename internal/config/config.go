@@ -17,7 +17,6 @@ import (
 
 	"trips/internal/dsm"
 	"trips/internal/geom"
-	"trips/internal/position"
 	"trips/internal/selector"
 )
 
@@ -184,43 +183,6 @@ func (c *Config) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// SelectDataset loads the dataset named by the config and applies the
-// selection rule.
-func (c *Config) SelectDataset() (*position.Dataset, error) {
-	if c.Dataset == "" {
-		return nil, fmt.Errorf("config: no dataset path")
-	}
-	ds, err := position.LoadFile(c.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	rule, err := c.Selector.Build()
-	if err != nil {
-		return nil, err
-	}
-	return selector.Select(ds, rule), nil
-}
-
-// Write serializes the config as indented JSON.
-func (c *Config) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c)
-}
-
-// Save writes the config to a file.
-func (c *Config) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := c.Write(f); err != nil {
-		return err
-	}
-	return f.Close()
 }
 
 // Read parses and validates a config.

@@ -241,6 +241,8 @@ type ResultSink interface {
 // error. Nil sinks are skipped; with zero or one effective sink it degrades
 // to that sink (so TranslateTo's nil fast path still applies). It lets one
 // translation feed the warehouse and the analytics views in one pass.
+//
+//trips:api bench/ is a separate module and calls it
 func MultiSink(sinks ...ResultSink) ResultSink {
 	eff := make(multiSink, 0, len(sinks))
 	for _, s := range sinks {

@@ -22,9 +22,13 @@ func locateMix(b *testing.B, n int) (*dsm.Model, []dsm.Location) {
 		return geom.Pt(r.Min.X+rng.Float64()*r.Width(), r.Min.Y+rng.Float64()*r.Height())
 	}
 	var walls []*dsm.Entity
+	parts := map[dsm.FloorID][]*dsm.Entity{}
 	for _, e := range m.Entities {
 		if e.Kind == dsm.KindWall {
 			walls = append(walls, e)
+		}
+		if e.Kind.Walkable() {
+			parts[e.Floor] = append(parts[e.Floor], e)
 		}
 	}
 	floors := m.Floors()
@@ -33,8 +37,7 @@ func locateMix(b *testing.B, n int) (*dsm.Model, []dsm.Location) {
 		f := floors[rng.Intn(len(floors))]
 		switch k := rng.Intn(10); {
 		case k < 7:
-			parts := m.PartitionsOnFloor(f)
-			e := parts[rng.Intn(len(parts))]
+			e := parts[f][rng.Intn(len(parts[f]))]
 			if p := in(e.Shape.Bounds()); e.Shape.Contains(p) {
 				out = append(out, dsm.Location{P: p, Floor: f})
 			}

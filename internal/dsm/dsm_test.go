@@ -117,12 +117,6 @@ func TestAddAfterFreezePanics(t *testing.T) {
 
 func TestLookups(t *testing.T) {
 	m := newTestVenue(t)
-	if e := m.Entity("R101"); e == nil || e.Name != "Shop 101" {
-		t.Errorf("Entity lookup = %+v", e)
-	}
-	if m.Entity("missing") != nil {
-		t.Error("missing entity should be nil")
-	}
 	if r := m.RegionByTag("Nike"); r == nil || r.ID != "rg-nike" {
 		t.Errorf("RegionByTag = %+v", r)
 	}
@@ -313,17 +307,6 @@ func TestAdjacentRegions(t *testing.T) {
 		if !ok {
 			t.Errorf("adjacency not symmetric for %s", id)
 		}
-	}
-}
-
-func TestRegionDistance(t *testing.T) {
-	m := newTestVenue(t)
-	d, ok := m.RegionDistance("rg-adidas", "rg-nike")
-	if !ok || d <= 0 {
-		t.Errorf("RegionDistance = %v,%v", d, ok)
-	}
-	if _, ok := m.RegionDistance("rg-adidas", "missing"); ok {
-		t.Error("distance to missing region should fail")
 	}
 }
 

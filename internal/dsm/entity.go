@@ -72,9 +72,9 @@ func (k EntityKind) Vertical() bool {
 }
 
 // Entity is one indoor entity on one floor. All entities carry polygon
-// geometry; the Space Modeler converts drawn polylines (walls) and circles
-// (pillars) to thin or polygonized shapes on save so that the model has a
-// single geometry representation.
+// geometry; the Space Modeler converts drawn circles (pillars) to
+// polygonized shapes on save so that the model has a single geometry
+// representation.
 type Entity struct {
 	ID    EntityID     `json:"id"`
 	Kind  EntityKind   `json:"kind"`

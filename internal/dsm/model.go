@@ -211,9 +211,6 @@ func (m *Model) deriveRegionEntities() {
 // Frozen reports whether Freeze has completed.
 func (m *Model) Frozen() bool { return m.frozen }
 
-// Entity returns the entity with the given ID, or nil.
-func (m *Model) Entity(id EntityID) *Entity { return m.byID[id] }
-
 // Region returns the region with the given ID, or nil.
 func (m *Model) Region(id RegionID) *SemanticRegion { return m.regByID[id] }
 
@@ -238,8 +235,8 @@ func (m *Model) HasFloor(f FloorID) bool { _, ok := m.floors[f]; return ok }
 // nil when the point lies in a wall, an obstacle or outside the building.
 // When several partitions overlap (e.g. a staircase inside a hallway) the
 // smallest-area one wins, matching the most specific entity.
-// It iterates grid candidates in place rather than through QueryPoint,
-// which allocates; Locate runs for every record the Cleaner speed-checks.
+// It iterates the grid's point candidates in place, without allocating;
+// Locate runs for every record the Cleaner speed-checks.
 //
 //trips:zeroalloc
 func (m *Model) Locate(p geom.Point, f FloorID) *Entity {
@@ -373,27 +370,10 @@ func (m *Model) RegionByIdx(ix intern.ID) *SemanticRegion {
 	return m.regByIdx[ix]
 }
 
-// RegionIdx returns the interned index for a region id, or intern.None for
-// ids not in the model.
-func (m *Model) RegionIdx(id RegionID) intern.ID {
-	if r := m.regByID[id]; r != nil {
-		return r.idx
-	}
-	return intern.None
-}
-
 // RegionsOnFloor returns the regions on floor f in insertion order.
 func (m *Model) RegionsOnFloor(f FloorID) []*SemanticRegion {
 	if fi := m.floors[f]; fi != nil {
 		return fi.regions
-	}
-	return nil
-}
-
-// PartitionsOnFloor returns the walkable entities on floor f.
-func (m *Model) PartitionsOnFloor(f FloorID) []*Entity {
-	if fi := m.floors[f]; fi != nil {
-		return fi.partitions
 	}
 	return nil
 }

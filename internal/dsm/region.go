@@ -33,18 +33,8 @@ type SemanticRegion struct {
 	idx intern.ID
 }
 
-// Idx returns the interned dense index Freeze assigned to the region.
-// Integer comparison of indexes is equivalent to lexicographic comparison
-// of RegionIDs (with intern.None standing in for "no region").
-func (r *SemanticRegion) Idx() intern.ID { return r.idx }
-
 // Center returns the representative point of the region.
 func (r *SemanticRegion) Center() geom.Point { return r.Shape.Centroid() }
-
-// Contains reports whether the given floor location lies in the region.
-func (r *SemanticRegion) Contains(p geom.Point, f FloorID) bool {
-	return f == r.Floor && r.Shape.Contains(p)
-}
 
 // Validate checks the region invariants.
 func (r *SemanticRegion) Validate() error {

@@ -448,17 +448,6 @@ func (m *Model) buildRegionAdjacency() {
 	}
 }
 
-// RegionDistance returns the walking distance between the centers of two
-// regions, or false when unreachable. The Complementor prices candidate
-// paths with it.
-func (m *Model) RegionDistance(a, b RegionID) (float64, bool) {
-	ra, rb := m.regByID[a], m.regByID[b]
-	if ra == nil || rb == nil {
-		return 0, false
-	}
-	return m.WalkingDistance(Location{ra.Center(), ra.Floor}, Location{rb.Center(), rb.Floor})
-}
-
 // distItem is one Dijkstra frontier entry.
 type distItem struct {
 	node int

@@ -70,24 +70,6 @@ func NewEditor() *Editor {
 // DefinePattern adds or replaces a pattern.
 func (e *Editor) DefinePattern(p Pattern) { e.patterns[p.Event] = p }
 
-// RemovePattern deletes a pattern and its labeled segments.
-func (e *Editor) RemovePattern(ev semantics.Event) {
-	delete(e.patterns, ev)
-	kept := e.segments[:0]
-	for _, s := range e.segments {
-		if s.Event != ev {
-			kept = append(kept, s)
-		}
-	}
-	e.segments = kept
-}
-
-// Pattern returns the pattern for the event and whether it exists.
-func (e *Editor) Pattern(ev semantics.Event) (Pattern, bool) {
-	p, ok := e.patterns[ev]
-	return p, ok
-}
-
 // Patterns returns all patterns sorted by event name.
 func (e *Editor) Patterns() []Pattern {
 	out := make([]Pattern, 0, len(e.patterns))
@@ -103,6 +85,8 @@ func (e *Editor) Patterns() []Pattern {
 // the event's pattern — the editor action of selecting a segment on the map
 // view. It rejects unknown events, empty ranges and segments that violate
 // the pattern's duration hints.
+//
+//trips:api README's quickstart shows it; the editor's interactive labeling step
 func (e *Editor) Designate(ev semantics.Event, s *position.Sequence, from, to int) error {
 	p, ok := e.patterns[ev]
 	if !ok {
@@ -137,9 +121,6 @@ func (e *Editor) AddSegment(seg LabeledSegment) error {
 	e.segments = append(e.segments, seg)
 	return nil
 }
-
-// Segments returns all labeled segments.
-func (e *Editor) Segments() []LabeledSegment { return e.segments }
 
 // TrainingSet groups the labeled segments per event, the shape the
 // identification model trains on.

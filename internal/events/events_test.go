@@ -23,10 +23,10 @@ func seq(dev string, n int, period time.Duration) *position.Sequence {
 
 func TestBuiltinPatterns(t *testing.T) {
 	e := NewEditor()
-	if _, ok := e.Pattern(semantics.EventStay); !ok {
+	if _, ok := e.patterns[semantics.EventStay]; !ok {
 		t.Error("stay pattern missing")
 	}
-	if _, ok := e.Pattern(semantics.EventPassBy); !ok {
+	if _, ok := e.patterns[semantics.EventPassBy]; !ok {
 		t.Error("pass-by pattern missing")
 	}
 	ps := e.Patterns()
@@ -39,22 +39,11 @@ func TestBuiltinPatterns(t *testing.T) {
 	}
 }
 
-func TestDefineAndRemovePattern(t *testing.T) {
+func TestDefinePattern(t *testing.T) {
 	e := NewEditor()
 	e.DefinePattern(Pattern{Event: "queue", Description: "waiting in line"})
-	if _, ok := e.Pattern("queue"); !ok {
+	if _, ok := e.patterns["queue"]; !ok {
 		t.Fatal("custom pattern not stored")
-	}
-	s := seq("d", 10, time.Minute)
-	if err := e.Designate("queue", s, 0, 5); err != nil {
-		t.Fatalf("Designate: %v", err)
-	}
-	e.RemovePattern("queue")
-	if _, ok := e.Pattern("queue"); ok {
-		t.Error("pattern not removed")
-	}
-	if len(e.Segments()) != 0 {
-		t.Error("segments of removed pattern not dropped")
 	}
 }
 
@@ -86,7 +75,7 @@ func TestDesignateValidation(t *testing.T) {
 	if err := e.Designate(semantics.EventStay, s, 0, 5); err != nil {
 		t.Fatalf("valid stay rejected: %v", err)
 	}
-	seg := e.Segments()[0]
+	seg := e.segments[0]
 	s.Records[0].P = geom.Pt(99, 99)
 	if seg.Records[0].P.Eq(geom.Pt(99, 99)) {
 		t.Error("segment aliases source sequence")
@@ -157,11 +146,11 @@ func TestEditorPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if _, ok := e2.Pattern("queue"); !ok {
+	if _, ok := e2.patterns["queue"]; !ok {
 		t.Error("custom pattern lost")
 	}
-	if len(e2.Segments()) != 2 {
-		t.Errorf("segments after reload = %d", len(e2.Segments()))
+	if len(e2.segments) != 2 {
+		t.Errorf("segments after reload = %d", len(e2.segments))
 	}
 	if _, err := Read(bytes.NewBufferString("{oops")); err == nil {
 		t.Error("garbage accepted")
@@ -180,8 +169,8 @@ func TestEditorSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if len(e2.Segments()) != 1 {
-		t.Errorf("segments = %d", len(e2.Segments()))
+	if len(e2.segments) != 1 {
+		t.Errorf("segments = %d", len(e2.segments))
 	}
 	if _, err := Load(t.TempDir() + "/nope.json"); err == nil {
 		t.Error("missing file accepted")

@@ -137,7 +137,6 @@ func dashes(widths []int) []string {
 	return out
 }
 
-func f1(v float64) string      { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string      { return fmt.Sprintf("%.2f", v) }
 func pc(v float64) string      { return fmt.Sprintf("%.1f%%", 100*v) }
 func d(v time.Duration) string { return v.Round(time.Microsecond).String() }

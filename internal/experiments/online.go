@@ -25,6 +25,8 @@ func (g *lcg) next() float64 {
 // where per-flush recompute cost over the tail dominates: bench/'s
 // longtail-saturate workload feeds it at multi-thousand-record tails, to
 // verify flush cost tracks the new suffix, not the tail.
+//
+//trips:api bench/ is a separate module and calls it
 func LongSessionRecords(env *Env, dev position.DeviceID, n int) []position.Record {
 	const period = 5 * time.Second
 	regs := simul.ShopRegions(env.Model)

@@ -9,21 +9,16 @@ import (
 
 // BuildOptions control DSM compilation.
 type BuildOptions struct {
-	// WallWidth thickens polyline walls into polygons (default 0.3 m).
-	WallWidth float64
 	// CircleSegments polygonizes circles (default 16).
 	CircleSegments int
 }
 
 // Build compiles one or more floor canvases into a frozen DSM: shapes become
-// entities (polylines thickened, circles polygonized) and tagged shapes
+// entities (circles polygonized) and tagged shapes
 // additionally yield semantic regions ("the system reads the drawn indoor
 // entities' geometric properties and semantic tags, and computes the
 // topological relations").
 func Build(name string, opts BuildOptions, canvases ...*Canvas) (*dsm.Model, error) {
-	if opts.WallWidth <= 0 {
-		opts.WallWidth = 0.3
-	}
 	if opts.CircleSegments < 3 {
 		opts.CircleSegments = 16
 	}
@@ -55,18 +50,12 @@ func Build(name string, opts BuildOptions, canvases ...*Canvas) (*dsm.Model, err
 }
 
 func styleTags(s Shape) map[string]string {
-	if len(s.Style) == 0 && s.Layer == "" && s.Group == "" {
+	if len(s.Style) == 0 {
 		return nil
 	}
-	t := make(map[string]string, len(s.Style)+2)
+	t := make(map[string]string, len(s.Style))
 	for k, v := range s.Style {
 		t["style."+k] = v
-	}
-	if s.Layer != "" {
-		t["layer"] = s.Layer
-	}
-	if s.Group != "" {
-		t["group"] = s.Group
 	}
 	return t
 }
@@ -77,50 +66,7 @@ func shapePolygon(s Shape, opts BuildOptions) (geom.Polygon, error) {
 		return s.Polygon, nil
 	case ShapeCircle:
 		return geom.Circ(s.Center, s.Radius).ToPolygon(opts.CircleSegments), nil
-	case ShapePolyline:
-		return thicken(s.Points, opts.WallWidth)
 	default:
 		return geom.Polygon{}, fmt.Errorf("floorplan: unknown shape kind %q", s.Kind)
 	}
-}
-
-// thicken converts a polyline into a closed polygon of the given width by
-// offsetting perpendicular to each leg — adequate for wall bands, which are
-// mostly axis-aligned runs.
-func thicken(pl geom.Polyline, width float64) (geom.Polygon, error) {
-	pts := pl.Points
-	if len(pts) < 2 {
-		return geom.Polygon{}, fmt.Errorf("floorplan: cannot thicken %d-point polyline", len(pts))
-	}
-	h := width / 2
-	var left, right []geom.Point
-	for i := range pts {
-		var dir geom.Point
-		switch {
-		case i == 0:
-			dir = pts[1].Sub(pts[0])
-		case i == len(pts)-1:
-			dir = pts[i].Sub(pts[i-1])
-		default:
-			dir = pts[i+1].Sub(pts[i-1])
-		}
-		n := dir.Norm()
-		if n <= geom.Eps {
-			dir = geom.Pt(1, 0)
-			n = 1
-		}
-		normal := geom.Pt(-dir.Y/n, dir.X/n)
-		left = append(left, pts[i].Add(normal.Scale(h)))
-		right = append(right, pts[i].Sub(normal.Scale(h)))
-	}
-	ring := make([]geom.Point, 0, 2*len(pts))
-	ring = append(ring, left...)
-	for i := len(right) - 1; i >= 0; i-- {
-		ring = append(ring, right[i])
-	}
-	pg := geom.Polygon{Vertices: ring}
-	if err := pg.Validate(); err != nil {
-		return geom.Polygon{}, fmt.Errorf("floorplan: thicken: %w", err)
-	}
-	return pg, nil
 }

@@ -6,9 +6,10 @@
 // floorplan image, (2) trace it by drawing and combining geometric elements
 // (polygons, polylines, circles) with editing conveniences (undo/redo,
 // auto-adjust snapping, move/resize, layer and group control), (3) attach
-// semantic tags to the drawn entities. This package provides the same
-// operations as a programmatic API: a Canvas records draw/edit operations
-// with full undo/redo, and Build compiles the canvas into a frozen DSM.
+// semantic tags to the drawn entities. This package offers that flow as a
+// programmatic API, limited to what the tracer and the examples use: a
+// Canvas records polygon and circle draws, styles and tags with undo, and
+// Build compiles the canvas into a frozen DSM.
 package floorplan
 
 import (
@@ -23,28 +24,23 @@ type ShapeKind string
 
 // Shape kinds.
 const (
-	ShapePolygon  ShapeKind = "polygon"
-	ShapePolyline ShapeKind = "polyline"
-	ShapeCircle   ShapeKind = "circle"
+	ShapePolygon ShapeKind = "polygon"
+	ShapeCircle  ShapeKind = "circle"
 )
 
 // Shape is one drawn element on the canvas.
 type Shape struct {
-	ID    int       `json:"id"`
-	Kind  ShapeKind `json:"kind"`
-	Layer string    `json:"layer,omitempty"`
-	Group string    `json:"group,omitempty"`
+	ID   int       `json:"id"`
+	Kind ShapeKind `json:"kind"`
 
 	// Entity classification and naming for DSM compilation.
 	EntityKind dsm.EntityKind `json:"entityKind"`
 	Name       string         `json:"name,omitempty"`
 
-	// Geometry: Polygon for polygons, Points for polylines, Center/Radius
-	// for circles.
-	Polygon geom.Polygon  `json:"polygon,omitempty"`
-	Points  geom.Polyline `json:"points,omitempty"`
-	Center  geom.Point    `json:"center,omitempty"`
-	Radius  float64       `json:"radius,omitempty"`
+	// Geometry: Polygon for polygons, Center/Radius for circles.
+	Polygon geom.Polygon `json:"polygon,omitempty"`
+	Center  geom.Point   `json:"center,omitempty"`
+	Radius  float64      `json:"radius,omitempty"`
 
 	// SemanticTag and Category create a semantic region over the shape
 	// when set (step 3 of the flow).
@@ -65,7 +61,6 @@ type Canvas struct {
 	shapes []Shape
 	nextID int
 	undo   []snapshot
-	redo   []snapshot
 }
 
 // snapshot is a full-state memento. Shape counts on a floorplan are small
@@ -83,7 +78,6 @@ func NewCanvas(floor dsm.FloorID) *Canvas {
 
 func (c *Canvas) save() {
 	c.undo = append(c.undo, snapshot{append([]Shape(nil), c.shapes...), c.nextID})
-	c.redo = nil
 }
 
 // Undo reverts the last mutating operation; it reports whether anything was
@@ -92,21 +86,8 @@ func (c *Canvas) Undo() bool {
 	if len(c.undo) == 0 {
 		return false
 	}
-	c.redo = append(c.redo, snapshot{c.shapes, c.nextID})
 	last := c.undo[len(c.undo)-1]
 	c.undo = c.undo[:len(c.undo)-1]
-	c.shapes, c.nextID = last.shapes, last.nextID
-	return true
-}
-
-// Redo reapplies the last undone operation.
-func (c *Canvas) Redo() bool {
-	if len(c.redo) == 0 {
-		return false
-	}
-	c.undo = append(c.undo, snapshot{c.shapes, c.nextID})
-	last := c.redo[len(c.redo)-1]
-	c.redo = c.redo[:len(c.redo)-1]
 	c.shapes, c.nextID = last.shapes, last.nextID
 	return true
 }
@@ -125,9 +106,6 @@ func (c *Canvas) snap(p geom.Point) geom.Point {
 	}
 	for _, s := range c.shapes {
 		for _, v := range s.Polygon.Vertices {
-			consider(v)
-		}
-		for _, v := range s.Points.Points {
 			consider(v)
 		}
 	}
@@ -159,25 +137,6 @@ func (c *Canvas) DrawRect(kind dsm.EntityKind, name string, a, b geom.Point) (in
 	return c.DrawPolygon(kind, name, r.Vertices()...)
 }
 
-// DrawPolyline adds a polyline (walls are commonly traced as lines and
-// thickened at compile time). Width applies at DSM compilation.
-func (c *Canvas) DrawPolyline(kind dsm.EntityKind, name string, pts ...geom.Point) (int, error) {
-	if len(pts) < 2 {
-		return 0, fmt.Errorf("floorplan: polyline needs ≥2 points")
-	}
-	snapped := make([]geom.Point, len(pts))
-	for i, p := range pts {
-		snapped[i] = c.snap(p)
-	}
-	c.save()
-	id := c.allocID()
-	c.shapes = append(c.shapes, Shape{
-		ID: id, Kind: ShapePolyline, EntityKind: kind, Name: name,
-		Points: geom.Polyline{Points: snapped},
-	})
-	return id, nil
-}
-
 // DrawCircle adds a circular entity (pillar, kiosk).
 func (c *Canvas) DrawCircle(kind dsm.EntityKind, name string, center geom.Point, radius float64) (int, error) {
 	if radius <= 0 {
@@ -207,90 +166,8 @@ func (c *Canvas) shapeIndex(id int) int {
 	return -1
 }
 
-// Shape returns a copy of the shape with the given ID.
-func (c *Canvas) Shape(id int) (Shape, bool) {
-	if i := c.shapeIndex(id); i >= 0 {
-		return c.shapes[i], true
-	}
-	return Shape{}, false
-}
-
 // Shapes returns a copy of all shapes in draw order.
 func (c *Canvas) Shapes() []Shape { return append([]Shape(nil), c.shapes...) }
-
-// Delete removes a shape.
-func (c *Canvas) Delete(id int) error {
-	i := c.shapeIndex(id)
-	if i < 0 {
-		return fmt.Errorf("floorplan: no shape %d", id)
-	}
-	c.save()
-	c.shapes = append(c.shapes[:i], c.shapes[i+1:]...)
-	return nil
-}
-
-// Move translates a shape by d (the free-transformation edit mode).
-func (c *Canvas) Move(id int, d geom.Point) error {
-	i := c.shapeIndex(id)
-	if i < 0 {
-		return fmt.Errorf("floorplan: no shape %d", id)
-	}
-	c.save()
-	s := &c.shapes[i]
-	s.Polygon = s.Polygon.Translate(d)
-	moved := make([]geom.Point, len(s.Points.Points))
-	for j, p := range s.Points.Points {
-		moved[j] = p.Add(d)
-	}
-	s.Points = geom.Polyline{Points: moved}
-	s.Center = s.Center.Add(d)
-	return nil
-}
-
-// Resize scales a shape about its centroid by factor k (resizing edit mode).
-func (c *Canvas) Resize(id int, k float64) error {
-	if k <= 0 {
-		return fmt.Errorf("floorplan: non-positive scale %v", k)
-	}
-	i := c.shapeIndex(id)
-	if i < 0 {
-		return fmt.Errorf("floorplan: no shape %d", id)
-	}
-	c.save()
-	s := &c.shapes[i]
-	scaleAbout := func(p, about geom.Point) geom.Point {
-		return about.Add(p.Sub(about).Scale(k))
-	}
-	switch s.Kind {
-	case ShapePolygon:
-		ctr := s.Polygon.Centroid()
-		vs := make([]geom.Point, len(s.Polygon.Vertices))
-		for j, v := range s.Polygon.Vertices {
-			vs[j] = scaleAbout(v, ctr)
-		}
-		s.Polygon = geom.Polygon{Vertices: vs}
-	case ShapePolyline:
-		ctr := geom.Centroid(s.Points.Points)
-		vs := make([]geom.Point, len(s.Points.Points))
-		for j, v := range s.Points.Points {
-			vs[j] = scaleAbout(v, ctr)
-		}
-		s.Points = geom.Polyline{Points: vs}
-	case ShapeCircle:
-		s.Radius *= k
-	}
-	return nil
-}
-
-// SetLayer assigns the shape to a display layer.
-func (c *Canvas) SetLayer(id int, layer string) error {
-	return c.update(id, func(s *Shape) { s.Layer = layer })
-}
-
-// SetGroup assigns the shape to a group (group control).
-func (c *Canvas) SetGroup(id int, group string) error {
-	return c.update(id, func(s *Shape) { s.Group = group })
-}
 
 // SetStyle attaches a display style key/value.
 func (c *Canvas) SetStyle(id int, key, value string) error {
@@ -319,22 +196,4 @@ func (c *Canvas) update(id int, f func(*Shape)) error {
 	c.save()
 	f(&c.shapes[i])
 	return nil
-}
-
-// MoveGroup translates every shape of a group together.
-func (c *Canvas) MoveGroup(group string, d geom.Point) {
-	c.save()
-	for i := range c.shapes {
-		if c.shapes[i].Group != group {
-			continue
-		}
-		s := &c.shapes[i]
-		s.Polygon = s.Polygon.Translate(d)
-		moved := make([]geom.Point, len(s.Points.Points))
-		for j, p := range s.Points.Points {
-			moved[j] = p.Add(d)
-		}
-		s.Points = geom.Polyline{Points: moved}
-		s.Center = s.Center.Add(d)
-	}
 }

@@ -9,7 +9,7 @@ import (
 	"trips/internal/geom"
 )
 
-func TestDrawAndUndoRedo(t *testing.T) {
+func TestDrawAndUndo(t *testing.T) {
 	c := NewCanvas(1)
 	id1, err := c.DrawRect(dsm.KindHallway, "hall", geom.Pt(0, 0), geom.Pt(40, 10))
 	if err != nil {
@@ -31,19 +31,8 @@ func TestDrawAndUndoRedo(t *testing.T) {
 	if len(c.Shapes()) != 1 {
 		t.Errorf("after undo: %d shapes", len(c.Shapes()))
 	}
-	if !c.Redo() {
-		t.Fatal("Redo failed")
-	}
-	if len(c.Shapes()) != 2 {
-		t.Errorf("after redo: %d shapes", len(c.Shapes()))
-	}
-	// Redo stack clears on a new draw.
-	c.Undo()
 	if _, err := c.DrawCircle(dsm.KindObstacle, "pillar", geom.Pt(20, 5), 1); err != nil {
 		t.Fatal(err)
-	}
-	if c.Redo() {
-		t.Error("Redo should be empty after a new operation")
 	}
 	// Undo on an empty stack returns false eventually.
 	for c.Undo() {
@@ -58,9 +47,6 @@ func TestDrawValidation(t *testing.T) {
 	if _, err := c.DrawPolygon(dsm.KindRoom, "bad", geom.Pt(0, 0), geom.Pt(1, 1)); err == nil {
 		t.Error("degenerate polygon accepted")
 	}
-	if _, err := c.DrawPolyline(dsm.KindWall, "bad", geom.Pt(0, 0)); err == nil {
-		t.Error("single-point polyline accepted")
-	}
 	if _, err := c.DrawCircle(dsm.KindObstacle, "bad", geom.Pt(0, 0), 0); err == nil {
 		t.Error("zero-radius circle accepted")
 	}
@@ -72,69 +58,27 @@ func TestSnapAutoAdjust(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A new polygon with a vertex within snap radius of (10, 10) snaps.
-	id, err := c.DrawPolygon(dsm.KindRoom, "room",
-		geom.Pt(10.2, 9.9), geom.Pt(20, 10), geom.Pt(20, 20), geom.Pt(10, 20))
-	if err != nil {
+	if _, err := c.DrawPolygon(dsm.KindRoom, "room",
+		geom.Pt(10.2, 9.9), geom.Pt(20, 10), geom.Pt(20, 20), geom.Pt(10, 20)); err != nil {
 		t.Fatal(err)
 	}
-	s, _ := c.Shape(id)
+	s := c.Shapes()[1]
 	if !s.Polygon.Vertices[0].Eq(geom.Pt(10, 10)) {
 		t.Errorf("vertex not snapped: %v", s.Polygon.Vertices[0])
 	}
 	// Snapping off.
 	c.SnapRadius = 0
-	id2, _ := c.DrawPolygon(dsm.KindRoom, "room2",
+	c.DrawPolygon(dsm.KindRoom, "room2",
 		geom.Pt(10.2, 9.9), geom.Pt(30, 10), geom.Pt(30, 20))
-	s2, _ := c.Shape(id2)
+	s2 := c.Shapes()[2]
 	if s2.Polygon.Vertices[0].Eq(geom.Pt(10, 10)) {
 		t.Error("vertex snapped with radius 0")
 	}
 }
 
-func TestMoveResizeDelete(t *testing.T) {
-	c := NewCanvas(1)
-	id, _ := c.DrawRect(dsm.KindRoom, "room", geom.Pt(0, 0), geom.Pt(10, 10))
-	if err := c.Move(id, geom.Pt(5, 5)); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := c.Shape(id)
-	if !s.Polygon.Centroid().Eq(geom.Pt(10, 10)) {
-		t.Errorf("moved centroid = %v", s.Polygon.Centroid())
-	}
-	if err := c.Resize(id, 2); err != nil {
-		t.Fatal(err)
-	}
-	s, _ = c.Shape(id)
-	if got := s.Polygon.Area(); got < 399 || got > 401 {
-		t.Errorf("resized area = %v, want 400", got)
-	}
-	// Centroid preserved by resize.
-	if !s.Polygon.Centroid().Eq(geom.Pt(10, 10)) {
-		t.Errorf("resize moved centroid to %v", s.Polygon.Centroid())
-	}
-	if err := c.Resize(id, 0); err == nil {
-		t.Error("zero scale accepted")
-	}
-	if err := c.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Delete(id); err == nil {
-		t.Error("double delete accepted")
-	}
-	if err := c.Move(999, geom.Pt(1, 1)); err == nil {
-		t.Error("moving missing shape accepted")
-	}
-}
-
-func TestLayerGroupStyleTag(t *testing.T) {
+func TestStyleTag(t *testing.T) {
 	c := NewCanvas(1)
 	id, _ := c.DrawRect(dsm.KindRoom, "shop", geom.Pt(0, 0), geom.Pt(10, 10))
-	if err := c.SetLayer(id, "structure"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetGroup(id, "west-wing"); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.SetStyle(id, "fill", "#ffcc00"); err != nil {
 		t.Fatal(err)
 	}
@@ -144,34 +88,9 @@ func TestLayerGroupStyleTag(t *testing.T) {
 	if err := c.AssignTag(id, "", "shop"); err == nil {
 		t.Error("empty tag accepted")
 	}
-	s, _ := c.Shape(id)
-	if s.Layer != "structure" || s.Group != "west-wing" || s.Style["fill"] != "#ffcc00" || s.SemanticTag != "Adidas" {
+	s := c.Shapes()[0]
+	if s.Style["fill"] != "#ffcc00" || s.SemanticTag != "Adidas" {
 		t.Errorf("attributes = %+v", s)
-	}
-}
-
-func TestMoveGroup(t *testing.T) {
-	c := NewCanvas(1)
-	a, _ := c.DrawRect(dsm.KindRoom, "a", geom.Pt(0, 0), geom.Pt(5, 5))
-	b, _ := c.DrawRect(dsm.KindRoom, "b", geom.Pt(10, 0), geom.Pt(15, 5))
-	c.SetGroup(a, "g")
-	c.SetGroup(b, "g")
-	other, _ := c.DrawRect(dsm.KindRoom, "other", geom.Pt(20, 0), geom.Pt(25, 5))
-	c.MoveGroup("g", geom.Pt(0, 100))
-	sa, _ := c.Shape(a)
-	sb, _ := c.Shape(b)
-	so, _ := c.Shape(other)
-	if sa.Polygon.Centroid().Y < 100 || sb.Polygon.Centroid().Y < 100 {
-		t.Error("group members not moved")
-	}
-	if so.Polygon.Centroid().Y > 50 {
-		t.Error("non-member moved")
-	}
-	// Group move is one undoable operation.
-	c.Undo()
-	sa, _ = c.Shape(a)
-	if sa.Polygon.Centroid().Y > 50 {
-		t.Error("undo did not revert group move")
 	}
 }
 
@@ -189,7 +108,7 @@ func buildTestCanvas(t *testing.T) *Canvas {
 	mustDraw(c.DrawRect(dsm.KindHallway, "hall", geom.Pt(0, 0), geom.Pt(20, 8)))
 	s1 := mustDraw(c.DrawRect(dsm.KindRoom, "shop-1", geom.Pt(0, 8.4), geom.Pt(10, 16)))
 	s2 := mustDraw(c.DrawRect(dsm.KindRoom, "shop-2", geom.Pt(10, 8.4), geom.Pt(20, 16)))
-	mustDraw(c.DrawPolyline(dsm.KindWall, "wall", geom.Pt(0, 8.2), geom.Pt(20, 8.2)))
+	mustDraw(c.DrawRect(dsm.KindWall, "wall", geom.Pt(0, 8.05), geom.Pt(20, 8.35)))
 	mustDraw(c.DrawRect(dsm.KindDoor, "d1", geom.Pt(4, 8), geom.Pt(6, 8.4)))
 	mustDraw(c.DrawRect(dsm.KindDoor, "d2", geom.Pt(14, 8), geom.Pt(16, 8.4)))
 	mustDraw(c.DrawCircle(dsm.KindObstacle, "pillar", geom.Pt(10, 4), 0.5))
@@ -228,7 +147,7 @@ func TestBuildDSM(t *testing.T) {
 	if d <= 10 {
 		t.Errorf("walking distance %v should exceed euclidean 10 (wall between)", d)
 	}
-	// Style/layer metadata lands in entity tags.
+	// The circle is polygonized into an obstacle entity.
 	found := false
 	for _, e := range m.Entities {
 		if e.Kind == dsm.KindObstacle && e.Shape.Area() > 0.5 {
@@ -237,32 +156,6 @@ func TestBuildDSM(t *testing.T) {
 	}
 	if !found {
 		t.Error("polygonized circle obstacle missing")
-	}
-}
-
-func TestBuildThickensWalls(t *testing.T) {
-	c := NewCanvas(1)
-	if _, err := c.DrawRect(dsm.KindHallway, "hall", geom.Pt(0, 0), geom.Pt(20, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.DrawPolyline(dsm.KindWall, "wall", geom.Pt(0, 4), geom.Pt(20, 4)); err != nil {
-		t.Fatal(err)
-	}
-	m, err := Build("v", BuildOptions{WallWidth: 0.5}, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wall *dsm.Entity
-	for _, e := range m.Entities {
-		if e.Kind == dsm.KindWall {
-			wall = e
-		}
-	}
-	if wall == nil {
-		t.Fatal("wall entity missing")
-	}
-	if a := wall.Shape.Area(); a < 9 || a > 11 {
-		t.Errorf("thickened wall area = %v, want ≈10", a)
 	}
 }
 

@@ -12,31 +12,6 @@ type Circle struct {
 // Circ is shorthand for Circle{c, r}.
 func Circ(c Point, r float64) Circle { return Circle{Center: c, Radius: r} }
 
-// Area returns the disk area.
-func (c Circle) Area() float64 { return math.Pi * c.Radius * c.Radius }
-
-// Contains reports whether p lies inside or on the circle.
-func (c Circle) Contains(p Point) bool {
-	return c.Center.Dist(p) <= c.Radius+Eps
-}
-
-// DistToPoint returns the distance from p to the disk: zero when inside.
-func (c Circle) DistToPoint(p Point) float64 {
-	d := c.Center.Dist(p) - c.Radius
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// Bounds returns the bounding rectangle of the circle.
-func (c Circle) Bounds() Rect {
-	return Rect{
-		Min: Point{c.Center.X - c.Radius, c.Center.Y - c.Radius},
-		Max: Point{c.Center.X + c.Radius, c.Center.Y + c.Radius},
-	}
-}
-
 // ToPolygon approximates the circle by a regular n-gon (n >= 3). The Space
 // Modeler converts drawn circles to polygons when saving the DSM so that all
 // entities share one geometry representation.
@@ -53,11 +28,6 @@ func (c Circle) ToPolygon(n int) Polygon {
 		})
 	}
 	return Polygon{Vertices: pts}
-}
-
-// IntersectsCircle reports whether the two disks overlap or touch.
-func (c Circle) IntersectsCircle(d Circle) bool {
-	return c.Center.Dist(d.Center) <= c.Radius+d.Radius+Eps
 }
 
 // MinEnclosingCircle returns a small circle covering all pts. It uses the

@@ -5,29 +5,6 @@ import (
 	"testing"
 )
 
-func TestCircleBasics(t *testing.T) {
-	c := Circ(Pt(0, 0), 2)
-	if !almost(c.Area(), 4*math.Pi) {
-		t.Errorf("area = %v", c.Area())
-	}
-	if !c.Contains(Pt(1, 1)) || !c.Contains(Pt(2, 0)) {
-		t.Error("Contains failed for interior/boundary")
-	}
-	if c.Contains(Pt(2.1, 0)) {
-		t.Error("Contains accepted exterior point")
-	}
-	if d := c.DistToPoint(Pt(5, 0)); !almost(d, 3) {
-		t.Errorf("dist = %v", d)
-	}
-	if d := c.DistToPoint(Pt(1, 0)); d != 0 {
-		t.Errorf("interior dist = %v", d)
-	}
-	b := c.Bounds()
-	if !b.Min.Eq(Pt(-2, -2)) || !b.Max.Eq(Pt(2, 2)) {
-		t.Errorf("bounds = %v", b)
-	}
-}
-
 func TestCircleToPolygon(t *testing.T) {
 	c := Circ(Pt(3, 3), 1)
 	pg := c.ToPolygon(64)
@@ -35,8 +12,8 @@ func TestCircleToPolygon(t *testing.T) {
 		t.Fatalf("vertices = %d", len(pg.Vertices))
 	}
 	// Polygon area approaches pi*r^2 from below.
-	if a := pg.Area(); a > c.Area() || a < 0.98*c.Area() {
-		t.Errorf("polygon area = %v vs circle %v", a, c.Area())
+	if a, disk := pg.Area(), math.Pi*c.Radius*c.Radius; a > disk || a < 0.98*disk {
+		t.Errorf("polygon area = %v vs circle %v", a, disk)
 	}
 	if !pg.Contains(Pt(3, 3)) {
 		t.Error("polygonized circle should contain its center")
@@ -47,19 +24,6 @@ func TestCircleToPolygon(t *testing.T) {
 	}
 }
 
-func TestCircleIntersectsCircle(t *testing.T) {
-	a := Circ(Pt(0, 0), 2)
-	if !a.IntersectsCircle(Circ(Pt(3, 0), 1.5)) {
-		t.Error("overlapping circles should intersect")
-	}
-	if !a.IntersectsCircle(Circ(Pt(3, 0), 1)) {
-		t.Error("touching circles should intersect")
-	}
-	if a.IntersectsCircle(Circ(Pt(10, 0), 1)) {
-		t.Error("distant circles should not intersect")
-	}
-}
-
 func TestMinEnclosingCircle(t *testing.T) {
 	if c := MinEnclosingCircle(nil); c.Radius != 0 {
 		t.Errorf("empty MEC = %v", c)
@@ -67,7 +31,7 @@ func TestMinEnclosingCircle(t *testing.T) {
 	pts := []Point{Pt(0, 0), Pt(4, 0), Pt(2, 3), Pt(2, 1)}
 	c := MinEnclosingCircle(pts)
 	for _, p := range pts {
-		if !c.Contains(p) {
+		if c.Center.Dist(p) > c.Radius+Eps {
 			t.Errorf("MEC does not contain %v (c=%v)", p, c)
 		}
 	}
@@ -75,25 +39,6 @@ func TestMinEnclosingCircle(t *testing.T) {
 	// allow 15% slack.
 	if c.Radius > 2.17*1.15 {
 		t.Errorf("MEC radius %v too loose", c.Radius)
-	}
-}
-
-func TestGridIndexQueryPoint(t *testing.T) {
-	g := NewGridIndex(2)
-	g.Insert(0, NewRect(Pt(0, 0), Pt(4, 4)))
-	g.Insert(1, NewRect(Pt(3, 3), Pt(8, 8)))
-	g.Insert(2, NewRect(Pt(20, 20), Pt(22, 22)))
-
-	ids := g.QueryPoint(Pt(1, 1))
-	if len(ids) != 1 || ids[0] != 0 {
-		t.Errorf("QueryPoint(1,1) = %v", ids)
-	}
-	ids = g.QueryPoint(Pt(3.5, 3.5))
-	if len(ids) != 2 {
-		t.Errorf("QueryPoint overlap = %v", ids)
-	}
-	if ids := g.QueryPoint(Pt(-5, -5)); len(ids) != 0 {
-		t.Errorf("QueryPoint outside = %v", ids)
 	}
 }
 
@@ -117,15 +62,12 @@ func TestGridIndexQueryRect(t *testing.T) {
 	if ids := g.QueryRect(EmptyRect()); ids != nil {
 		t.Error("QueryRect(empty) should be nil")
 	}
-	if g.Len() != 10 {
-		t.Errorf("Len = %d", g.Len())
-	}
 }
 
 func TestGridIndexZeroCellSize(t *testing.T) {
 	g := NewGridIndex(0) // falls back to 1m cells
 	g.Insert(0, NewRect(Pt(0, 0), Pt(1, 1)))
-	if ids := g.QueryPoint(Pt(0.5, 0.5)); len(ids) != 1 {
+	if ids := g.QueryRect(NewRect(Pt(0.5, 0.5), Pt(0.5, 0.5))); len(ids) != 1 {
 		t.Errorf("fallback cell size broken: %v", ids)
 	}
 }

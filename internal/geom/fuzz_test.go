@@ -1,6 +1,9 @@
 package geom
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // containsBoundaryFirst is Contains as it was first written: the boundary
 // test, then the even-odd ray cast. Contains now casts the ray first and
@@ -28,6 +31,26 @@ func containsBoundaryFirst(pg Polygon, p Point) bool {
 	return inside
 }
 
+// distTwoPass is DistToPoint as it was first written: Contains, then a
+// second pass over the edges. DistToPoint now answers both from one pass,
+// taking an edge within Eps as the boundary; the values must be identical.
+func distTwoPass(pg Polygon, p Point) float64 {
+	if pg.Contains(p) {
+		return 0
+	}
+	d := math.Inf(1)
+	n := len(pg.Vertices)
+	if n < 2 {
+		return d
+	}
+	for i := 0; i < n; i++ {
+		if v := Seg(pg.Vertices[i], pg.Vertices[(i+1)%n]).DistToPoint(p); v < d {
+			d = v
+		}
+	}
+	return d
+}
+
 // fuzzPolygon decodes a polygon from byte pairs, each a signed vertex
 // coordinate in half-metre steps, so fuzzed shapes (convex, concave or
 // self-crossing) keep edges on a lattice that fuzzed points can land on.
@@ -50,11 +73,12 @@ func fuzzVerts(pg Polygon) []byte {
 }
 
 // FuzzPolygonContains: the ray-cast-first Contains equals the
-// boundary-first reference on every polygon and point. The seeds sit where
+// boundary-first reference, and the one-pass DistToPoint the two-pass one,
+// on every polygon and point. The seeds sit where
 // the two tests meet: vertices, edge midpoints, points Eps either side of
 // an edge, and the concave L's notch.
 func FuzzPolygonContains(f *testing.F) {
-	tri := Poly(Pt(0, 0), Pt(5, 0), Pt(1, 3))
+	tri := poly(Pt(0, 0), Pt(5, 0), Pt(1, 3))
 	for _, pg := range []Polygon{unitSquare(), lShape(), tri} {
 		verts := fuzzVerts(pg)
 		for i, v := range pg.Vertices {
@@ -77,6 +101,9 @@ func FuzzPolygonContains(f *testing.F) {
 		pg, p := fuzzPolygon(verts), Pt(x, y)
 		if got, want := pg.Contains(p), containsBoundaryFirst(pg, p); got != want {
 			t.Fatalf("Contains(%v) = %v, boundary-first reference %v, polygon %v", p, got, want, pg.Vertices)
+		}
+		if got, want := pg.DistToPoint(p), distTwoPass(pg, p); got != want {
+			t.Fatalf("DistToPoint(%v) = %v, two-pass reference %v, polygon %v", p, got, want, pg.Vertices)
 		}
 	})
 }

@@ -45,17 +45,6 @@ func (g *GridIndex) Insert(id int, bounds Rect) int {
 	return id
 }
 
-// QueryPoint returns the ids of all items whose bounds contain p.
-func (g *GridIndex) QueryPoint(p Point) []int {
-	var out []int
-	for _, id := range g.cells[g.key(p)] {
-		if g.boxes[id].Contains(p) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // QueryRect returns the ids of all items whose bounds intersect r,
 // deduplicated, in unspecified order.
 func (g *GridIndex) QueryRect(r Rect) []int {
@@ -78,19 +67,17 @@ func (g *GridIndex) QueryRect(r Rect) []int {
 	return out
 }
 
-// Len returns the number of indexed items.
-func (g *GridIndex) Len() int { return len(g.boxes) }
-
 // Allocation-free query surface ------------------------------------------
 //
-// QueryPoint and QueryRect allocate their result slices, which made them
-// the single largest object source on the online hot path (every cleaning
-// speed check walks Locate → QueryPoint). The methods below expose the same
-// candidates without allocating: callers range over an index-owned cell
+// QueryRect allocates its result slice, as the point query Locate once
+// walked did: the single largest object source on the online hot path,
+// since every cleaning speed check locates. The methods below expose the
+// same candidates without allocating: callers range over an index-owned cell
 // slice (point queries) or drive a value-type iterator (rect queries).
 
 // PointCandidates returns the ids whose covering cells include p — a
-// superset of QueryPoint(p); callers filter with Bounds(id).Contains(p).
+// superset of the items containing p; callers filter with
+// Bounds(id).Contains(p).
 // The returned slice is owned by the index: read-only, valid until the next
 // Insert. It never allocates.
 //

@@ -4,7 +4,7 @@
 // (meters). The kernel supplies the primitives the Digital Space Model and
 // the translation framework need: points, segments, polylines, polygons and
 // circles, together with distance computations, point-in-polygon tests,
-// intersection tests, simplification and a uniform grid index.
+// intersection tests and a uniform grid index.
 //
 // All types use float64 coordinates. Predicates use an epsilon of Eps to
 // absorb floating-point noise; the scale of indoor coordinates (tens to a few
@@ -66,15 +66,6 @@ func (p Point) Eq(q Point) bool {
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
 }
-
-// Rotate returns p rotated by theta radians about the origin.
-func (p Point) Rotate(theta float64) Point {
-	s, c := math.Sincos(theta)
-	return Point{p.X*c - p.Y*s, p.X*s + p.Y*c}
-}
-
-// Angle returns the angle of the vector p in radians, in (-pi, pi].
-func (p Point) Angle() float64 { return math.Atan2(p.Y, p.X) }
 
 // String formats the point with centimeter precision.
 func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }

@@ -55,13 +55,6 @@ func TestLerp(t *testing.T) {
 	}
 }
 
-func TestRotate(t *testing.T) {
-	got := Pt(1, 0).Rotate(math.Pi / 2)
-	if !got.Eq(Pt(0, 1)) {
-		t.Errorf("Rotate 90 = %v", got)
-	}
-}
-
 func TestCentroid(t *testing.T) {
 	if got := Centroid(nil); got != (Point{}) {
 		t.Errorf("empty centroid = %v", got)

@@ -11,9 +11,6 @@ type Polygon struct {
 	Vertices []Point `json:"vertices"`
 }
 
-// Poly builds a polygon from the given vertices.
-func Poly(pts ...Point) Polygon { return Polygon{Vertices: pts} }
-
 // ErrDegeneratePolygon is returned by Validate for polygons with fewer than
 // three vertices or (near-)zero area.
 var ErrDegeneratePolygon = errors.New("geom: degenerate polygon")
@@ -45,19 +42,6 @@ func (pg Polygon) SignedArea() float64 {
 // Area returns the absolute polygon area.
 func (pg Polygon) Area() float64 { return math.Abs(pg.SignedArea()) }
 
-// Perimeter returns the total boundary length.
-func (pg Polygon) Perimeter() float64 {
-	n := len(pg.Vertices)
-	if n < 2 {
-		return 0
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		s += pg.Vertices[i].Dist(pg.Vertices[(i+1)%n])
-	}
-	return s
-}
-
 // Centroid returns the area centroid of the polygon. For degenerate polygons
 // it falls back to the vertex mean.
 func (pg Polygon) Centroid() Point {
@@ -82,22 +66,30 @@ func (pg Polygon) Centroid() Point {
 // cast runs first: it is a multiply per crossing edge, where the boundary
 // test is a distance per edge, and most points it answers are interior.
 func (pg Polygon) Contains(p Point) bool {
-	n := len(pg.Vertices)
-	if n < 3 {
+	if len(pg.Vertices) < 3 {
 		return false
 	}
-	inside := false
-	for i, j := 0, n-1; i < n; j, i = i, i+1 {
-		vi, vj := pg.Vertices[i], pg.Vertices[j]
-		if (vi.Y > p.Y) != (vj.Y > p.Y) {
-			x := vj.X + (p.Y-vj.Y)/(vi.Y-vj.Y)*(vi.X-vj.X)
-			if p.X < x {
-				inside = !inside
-			}
-		}
-	}
 	// Boundary counts as inside: rooms own their walls for matching purposes.
-	return inside || pg.OnBoundary(p)
+	return pg.rayInside(p) || pg.OnBoundary(p)
+}
+
+// rayInside is the even-odd ray cast alone, without the boundary check.
+// It is written to fit the compiler's inlining budget: Contains runs for
+// every Locate, and a call here costs Locate about a tenth.
+//
+//trips:zeroalloc
+func (pg Polygon) rayInside(p Point) bool {
+	vs := pg.Vertices
+	inside := false
+	j := len(vs) - 1
+	for i, vi := range vs {
+		vj := vs[j]
+		if (vi.Y > p.Y) != (vj.Y > p.Y) && p.X < vj.X+(p.Y-vj.Y)/(vi.Y-vj.Y)*(vi.X-vj.X) {
+			inside = !inside
+		}
+		j = i
+	}
+	return inside
 }
 
 // OnBoundary reports whether p lies on the polygon boundary within Eps.
@@ -129,16 +121,16 @@ func (pg Polygon) Bounds() Rect { return BoundsOf(pg.Vertices) }
 
 // DistToPoint returns the distance from p to the polygon: zero when p is
 // inside or on the boundary, otherwise the distance to the nearest edge.
-// It iterates the edges in place rather than materializing Edges(): the
+// It is Contains and the edge distances in one pass over the edges: the
 // cleaning hot path calls it for every snap candidate.
 //
 //trips:zeroalloc
 func (pg Polygon) DistToPoint(p Point) float64 {
-	if pg.Contains(p) {
+	n := len(pg.Vertices)
+	if n >= 3 && pg.rayInside(p) {
 		return 0
 	}
 	d := math.Inf(1)
-	n := len(pg.Vertices)
 	if n < 2 {
 		return d
 	}
@@ -147,6 +139,10 @@ func (pg Polygon) DistToPoint(p Point) float64 {
 		if v := e.DistToPoint(p); v < d {
 			d = v
 		}
+	}
+	// An edge within Eps is exactly OnBoundary, which Contains counts in.
+	if n >= 3 && d <= Eps {
+		return 0
 	}
 	return d
 }
@@ -169,95 +165,4 @@ func (pg Polygon) ClosestBoundaryPoint(p Point) Point {
 		}
 	}
 	return best
-}
-
-// IntersectsSegment reports whether s crosses or touches the polygon
-// boundary, or lies entirely inside it.
-func (pg Polygon) IntersectsSegment(s Segment) bool {
-	n := len(pg.Vertices)
-	for i := 0; i < n && n >= 2; i++ {
-		if Seg(pg.Vertices[i], pg.Vertices[(i+1)%n]).Intersects(s) {
-			return true
-		}
-	}
-	return pg.Contains(s.A) // fully interior segment
-}
-
-// IsConvex reports whether the polygon is convex (collinear runs allowed).
-func (pg Polygon) IsConvex() bool {
-	n := len(pg.Vertices)
-	if n < 4 {
-		return n == 3
-	}
-	sign := 0
-	for i := 0; i < n; i++ {
-		o := Orientation(pg.Vertices[i], pg.Vertices[(i+1)%n], pg.Vertices[(i+2)%n])
-		if o == 0 {
-			continue
-		}
-		if sign == 0 {
-			sign = o
-		} else if o != sign {
-			return false
-		}
-	}
-	return true
-}
-
-// Translate returns a copy of the polygon shifted by d.
-func (pg Polygon) Translate(d Point) Polygon {
-	out := Polygon{Vertices: make([]Point, len(pg.Vertices))}
-	for i, v := range pg.Vertices {
-		out.Vertices[i] = v.Add(d)
-	}
-	return out
-}
-
-// SamplePoints returns n points approximately evenly spread inside the
-// polygon by scanning its bounding box on a grid and keeping interior points.
-// It is used for display-point selection and interpolation candidates. If the
-// polygon is degenerate the centroid is repeated.
-func (pg Polygon) SamplePoints(n int) []Point {
-	if n <= 0 {
-		return nil
-	}
-	b := pg.Bounds()
-	if b.IsEmpty() || b.Area() <= Eps {
-		out := make([]Point, n)
-		c := pg.Centroid()
-		for i := range out {
-			out[i] = c
-		}
-		return out
-	}
-	// Grid resolution chosen so the box yields roughly 4n candidates.
-	side := math.Sqrt(b.Area() / float64(4*n))
-	if side <= Eps {
-		side = 0.1
-	}
-	var out []Point
-	for y := b.Min.Y + side/2; y < b.Max.Y; y += side {
-		for x := b.Min.X + side/2; x < b.Max.X; x += side {
-			p := Pt(x, y)
-			if pg.Contains(p) {
-				out = append(out, p)
-			}
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, pg.Centroid())
-	}
-	for len(out) < n {
-		out = append(out, out[len(out)%len(out)])
-	}
-	// Down-sample evenly when over-full.
-	if len(out) > n {
-		step := float64(len(out)) / float64(n)
-		sel := make([]Point, 0, n)
-		for i := 0; i < n; i++ {
-			sel = append(sel, out[int(float64(i)*step)])
-		}
-		out = sel
-	}
-	return out
 }

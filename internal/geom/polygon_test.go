@@ -6,7 +6,10 @@ import (
 	"testing/quick"
 )
 
-func unitSquare() Polygon { return Poly(Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4)) }
+// poly builds a polygon from the given vertices.
+func poly(pts ...Point) Polygon { return Polygon{Vertices: pts} }
+
+func unitSquare() Polygon { return poly(Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4)) }
 
 // lShape is a concave polygon:
 //
@@ -16,7 +19,7 @@ func unitSquare() Polygon { return Poly(Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4)) 
 //	  │               │
 //	(0,0)──────────(4,0)
 func lShape() Polygon {
-	return Poly(Pt(0, 0), Pt(4, 0), Pt(4, 2), Pt(2, 2), Pt(2, 4), Pt(0, 4))
+	return poly(Pt(0, 0), Pt(4, 0), Pt(4, 2), Pt(2, 2), Pt(2, 4), Pt(0, 4))
 }
 
 func TestPolygonArea(t *testing.T) {
@@ -27,7 +30,7 @@ func TestPolygonArea(t *testing.T) {
 		t.Errorf("L area = %v", a)
 	}
 	// Winding direction must not affect the absolute area.
-	rev := Poly(Pt(0, 4), Pt(4, 4), Pt(4, 0), Pt(0, 0))
+	rev := poly(Pt(0, 4), Pt(4, 4), Pt(4, 0), Pt(0, 0))
 	if a := rev.Area(); !almost(a, 16) {
 		t.Errorf("cw square area = %v", a)
 	}
@@ -40,17 +43,11 @@ func TestPolygonValidate(t *testing.T) {
 	if err := unitSquare().Validate(); err != nil {
 		t.Errorf("valid polygon rejected: %v", err)
 	}
-	if err := Poly(Pt(0, 0), Pt(1, 1)).Validate(); err == nil {
+	if err := poly(Pt(0, 0), Pt(1, 1)).Validate(); err == nil {
 		t.Error("two-vertex polygon accepted")
 	}
-	if err := Poly(Pt(0, 0), Pt(1, 0), Pt(2, 0)).Validate(); err == nil {
+	if err := poly(Pt(0, 0), Pt(1, 0), Pt(2, 0)).Validate(); err == nil {
 		t.Error("zero-area polygon accepted")
-	}
-}
-
-func TestPolygonPerimeter(t *testing.T) {
-	if p := unitSquare().Perimeter(); !almost(p, 16) {
-		t.Errorf("perimeter = %v", p)
 	}
 }
 
@@ -116,39 +113,6 @@ func TestPolygonClosestBoundaryPoint(t *testing.T) {
 	}
 }
 
-func TestPolygonIntersectsSegment(t *testing.T) {
-	sq := unitSquare()
-	if !sq.IntersectsSegment(Seg(Pt(-2, 2), Pt(6, 2))) {
-		t.Error("crossing segment not detected")
-	}
-	if !sq.IntersectsSegment(Seg(Pt(1, 1), Pt(3, 3))) {
-		t.Error("interior segment not detected")
-	}
-	if sq.IntersectsSegment(Seg(Pt(5, 5), Pt(6, 6))) {
-		t.Error("exterior segment falsely detected")
-	}
-}
-
-func TestPolygonIsConvex(t *testing.T) {
-	if !unitSquare().IsConvex() {
-		t.Error("square should be convex")
-	}
-	if lShape().IsConvex() {
-		t.Error("L should not be convex")
-	}
-}
-
-func TestPolygonTranslate(t *testing.T) {
-	got := unitSquare().Translate(Pt(10, -1))
-	if !got.Vertices[0].Eq(Pt(10, -1)) || !got.Vertices[2].Eq(Pt(14, 3)) {
-		t.Errorf("Translate = %v", got.Vertices)
-	}
-	// Area invariant under translation.
-	if !almost(got.Area(), 16) {
-		t.Errorf("translated area = %v", got.Area())
-	}
-}
-
 func TestPolygonEdges(t *testing.T) {
 	edges := unitSquare().Edges()
 	if len(edges) != 4 {
@@ -156,22 +120,6 @@ func TestPolygonEdges(t *testing.T) {
 	}
 	if !edges[3].B.Eq(Pt(0, 0)) {
 		t.Error("polygon edges should close the ring")
-	}
-}
-
-func TestPolygonSamplePoints(t *testing.T) {
-	sq := unitSquare()
-	pts := sq.SamplePoints(10)
-	if len(pts) != 10 {
-		t.Fatalf("SamplePoints len = %d", len(pts))
-	}
-	for _, p := range pts {
-		if !sq.Contains(p) {
-			t.Errorf("sample %v outside polygon", p)
-		}
-	}
-	if got := sq.SamplePoints(0); got != nil {
-		t.Error("SamplePoints(0) should be nil")
 	}
 }
 

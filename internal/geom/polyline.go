@@ -1,135 +1,9 @@
 package geom
 
-import "math"
-
 // Polyline is an open chain of points, used for walls and for movement
 // traces.
 type Polyline struct {
 	Points []Point `json:"points"`
-}
-
-// Line builds a polyline from the given points.
-func Line(pts ...Point) Polyline { return Polyline{Points: pts} }
-
-// Length returns the total chain length.
-func (pl Polyline) Length() float64 {
-	var s float64
-	for i := 1; i < len(pl.Points); i++ {
-		s += pl.Points[i-1].Dist(pl.Points[i])
-	}
-	return s
-}
-
-// Segments returns the consecutive segments of the chain.
-func (pl Polyline) Segments() []Segment {
-	if len(pl.Points) < 2 {
-		return nil
-	}
-	segs := make([]Segment, 0, len(pl.Points)-1)
-	for i := 1; i < len(pl.Points); i++ {
-		segs = append(segs, Seg(pl.Points[i-1], pl.Points[i]))
-	}
-	return segs
-}
-
-// Bounds returns the bounding rectangle of the chain.
-func (pl Polyline) Bounds() Rect { return BoundsOf(pl.Points) }
-
-// DistToPoint returns the minimum distance from p to the chain; +Inf for an
-// empty chain and point distance for a single-point chain.
-func (pl Polyline) DistToPoint(p Point) float64 {
-	switch len(pl.Points) {
-	case 0:
-		return math.Inf(1)
-	case 1:
-		return p.Dist(pl.Points[0])
-	}
-	d := math.Inf(1)
-	for _, s := range pl.Segments() {
-		if v := s.DistToPoint(p); v < d {
-			d = v
-		}
-	}
-	return d
-}
-
-// PointAt returns the point at arc-length distance d from the start of the
-// chain, clamped to the chain ends.
-func (pl Polyline) PointAt(d float64) Point {
-	if len(pl.Points) == 0 {
-		return Point{}
-	}
-	if d <= 0 {
-		return pl.Points[0]
-	}
-	for i := 1; i < len(pl.Points); i++ {
-		l := pl.Points[i-1].Dist(pl.Points[i])
-		if d <= l {
-			if l <= Eps {
-				return pl.Points[i]
-			}
-			return pl.Points[i-1].Lerp(pl.Points[i], d/l)
-		}
-		d -= l
-	}
-	return pl.Points[len(pl.Points)-1]
-}
-
-// Resample returns the chain resampled to n points spaced evenly by
-// arc length (endpoints included). n < 2 returns a copy of the endpoints
-// available.
-func (pl Polyline) Resample(n int) Polyline {
-	if n <= 0 || len(pl.Points) == 0 {
-		return Polyline{}
-	}
-	if n == 1 {
-		return Line(pl.Points[0])
-	}
-	total := pl.Length()
-	out := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, pl.PointAt(total*float64(i)/float64(n-1)))
-	}
-	return Polyline{Points: out}
-}
-
-// Simplify returns the chain simplified with the Douglas-Peucker algorithm
-// using the given distance tolerance. Endpoints are always kept.
-func (pl Polyline) Simplify(tol float64) Polyline {
-	n := len(pl.Points)
-	if n < 3 || tol <= 0 {
-		cp := make([]Point, n)
-		copy(cp, pl.Points)
-		return Polyline{Points: cp}
-	}
-	keep := make([]bool, n)
-	keep[0], keep[n-1] = true, true
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		s := Seg(pl.Points[lo], pl.Points[hi])
-		maxD, maxI := -1.0, -1
-		for i := lo + 1; i < hi; i++ {
-			if d := s.DistToPoint(pl.Points[i]); d > maxD {
-				maxD, maxI = d, i
-			}
-		}
-		if maxD > tol {
-			keep[maxI] = true
-			rec(lo, maxI)
-			rec(maxI, hi)
-		}
-	}
-	rec(0, n-1)
-	out := make([]Point, 0, n)
-	for i, k := range keep {
-		if k {
-			out = append(out, pl.Points[i])
-		}
-	}
-	return Polyline{Points: out}
 }
 
 // TurnCount returns the number of direction changes along the chain whose

@@ -3,146 +3,15 @@ package geom
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
-func TestPolylineLength(t *testing.T) {
-	pl := Line(Pt(0, 0), Pt(3, 4), Pt(3, 10))
-	if l := pl.Length(); !almost(l, 11) {
-		t.Errorf("Length = %v, want 11", l)
-	}
-	if l := Line(Pt(1, 1)).Length(); l != 0 {
-		t.Errorf("single-point length = %v", l)
-	}
-	if l := (Polyline{}).Length(); l != 0 {
-		t.Errorf("empty length = %v", l)
-	}
-}
-
-func TestPolylineSegments(t *testing.T) {
-	if s := Line(Pt(0, 0)).Segments(); s != nil {
-		t.Error("single point should have no segments")
-	}
-	s := Line(Pt(0, 0), Pt(1, 0), Pt(1, 1)).Segments()
-	if len(s) != 2 {
-		t.Fatalf("segments = %d", len(s))
-	}
-}
-
-func TestPolylineDistToPoint(t *testing.T) {
-	pl := Line(Pt(0, 0), Pt(10, 0))
-	if d := pl.DistToPoint(Pt(5, 2)); !almost(d, 2) {
-		t.Errorf("dist = %v", d)
-	}
-	if d := (Polyline{}).DistToPoint(Pt(0, 0)); !math.IsInf(d, 1) {
-		t.Errorf("empty dist = %v", d)
-	}
-	if d := Line(Pt(1, 1)).DistToPoint(Pt(4, 5)); !almost(d, 5) {
-		t.Errorf("single-point dist = %v", d)
-	}
-}
-
-func TestPolylinePointAt(t *testing.T) {
-	pl := Line(Pt(0, 0), Pt(10, 0), Pt(10, 10))
-	cases := []struct {
-		d    float64
-		want Point
-	}{
-		{-1, Pt(0, 0)},
-		{0, Pt(0, 0)},
-		{5, Pt(5, 0)},
-		{10, Pt(10, 0)},
-		{15, Pt(10, 5)},
-		{20, Pt(10, 10)},
-		{99, Pt(10, 10)},
-	}
-	for _, c := range cases {
-		if got := pl.PointAt(c.d); !got.Eq(c.want) {
-			t.Errorf("PointAt(%v) = %v, want %v", c.d, got, c.want)
-		}
-	}
-}
-
-func TestPolylineResample(t *testing.T) {
-	pl := Line(Pt(0, 0), Pt(10, 0))
-	rs := pl.Resample(5)
-	if len(rs.Points) != 5 {
-		t.Fatalf("resample len = %d", len(rs.Points))
-	}
-	if !rs.Points[0].Eq(Pt(0, 0)) || !rs.Points[4].Eq(Pt(10, 0)) {
-		t.Error("resample endpoints wrong")
-	}
-	if !rs.Points[2].Eq(Pt(5, 0)) {
-		t.Errorf("resample midpoint = %v", rs.Points[2])
-	}
-	if got := pl.Resample(0); len(got.Points) != 0 {
-		t.Error("Resample(0) should be empty")
-	}
-	if got := pl.Resample(1); len(got.Points) != 1 || !got.Points[0].Eq(Pt(0, 0)) {
-		t.Errorf("Resample(1) = %v", got.Points)
-	}
-}
-
-func TestPolylineSimplify(t *testing.T) {
-	// Nearly straight middle points collapse.
-	pl := Line(Pt(0, 0), Pt(5, 0.01), Pt(10, 0), Pt(10, 10))
-	got := pl.Simplify(0.1)
-	if len(got.Points) != 3 {
-		t.Fatalf("simplified to %d points, want 3: %v", len(got.Points), got.Points)
-	}
-	// A sharp corner survives.
-	if !got.Points[1].Eq(Pt(10, 0)) {
-		t.Errorf("corner lost: %v", got.Points)
-	}
-	// Tolerance 0 means copy.
-	cp := pl.Simplify(0)
-	if len(cp.Points) != len(pl.Points) {
-		t.Error("Simplify(0) should keep all points")
-	}
-	cp.Points[0] = Pt(99, 99)
-	if pl.Points[0].Eq(Pt(99, 99)) {
-		t.Error("Simplify must not alias the input slice")
-	}
-}
-
 func TestPolylineTurnCount(t *testing.T) {
-	zig := Line(Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(2, 1), Pt(2, 2))
+	zig := Polyline{Points: []Point{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(2, 1), Pt(2, 2)}}
 	if c := zig.TurnCount(math.Pi / 4); c != 3 {
 		t.Errorf("TurnCount = %d, want 3", c)
 	}
-	straight := Line(Pt(0, 0), Pt(1, 0), Pt(2, 0), Pt(3, 0))
+	straight := Polyline{Points: []Point{Pt(0, 0), Pt(1, 0), Pt(2, 0), Pt(3, 0)}}
 	if c := straight.TurnCount(math.Pi / 4); c != 0 {
 		t.Errorf("straight TurnCount = %d", c)
-	}
-}
-
-func TestPolylinePropertySimplifyShorter(t *testing.T) {
-	// Simplification never increases point count and never exceeds original
-	// length.
-	f := func(seed uint32) bool {
-		pts := make([]Point, 0, 12)
-		s := seed
-		for i := 0; i < 12; i++ {
-			s = s*1664525 + 1013904223
-			pts = append(pts, Pt(float64(s%100), float64((s>>8)%100)))
-		}
-		pl := Polyline{Points: pts}
-		sm := pl.Simplify(2.0)
-		return len(sm.Points) <= len(pl.Points) && sm.Length() <= pl.Length()+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPolylinePropertyPointAtOnChain(t *testing.T) {
-	pl := Line(Pt(0, 0), Pt(10, 0), Pt(10, 10), Pt(0, 10))
-	f := func(d float64) bool {
-		d = math.Mod(math.Abs(clampF(d)), 35)
-		p := pl.PointAt(d)
-		return pl.DistToPoint(p) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -43,9 +43,6 @@ func (r Rect) Height() float64 {
 	return r.Max.Y - r.Min.Y
 }
 
-// Area returns the rectangle area.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
 // Center returns the rectangle center point.
 func (r Rect) Center() Point { return Midpoint(r.Min, r.Max) }
 
@@ -53,14 +50,6 @@ func (r Rect) Center() Point { return Midpoint(r.Min, r.Max) }
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X-Eps && p.X <= r.Max.X+Eps &&
 		p.Y >= r.Min.Y-Eps && p.Y <= r.Max.Y+Eps
-}
-
-// ContainsRect reports whether s lies entirely within r.
-func (r Rect) ContainsRect(s Rect) bool {
-	if s.IsEmpty() {
-		return true
-	}
-	return r.Contains(s.Min) && r.Contains(s.Max)
 }
 
 // Intersects reports whether r and s share any point.

@@ -11,12 +11,6 @@ type Segment struct {
 // Seg is shorthand for Segment{a, b}.
 func Seg(a, b Point) Segment { return Segment{A: a, B: b} }
 
-// Length returns the segment length.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
-// Midpoint returns the segment midpoint.
-func (s Segment) Midpoint() Point { return Midpoint(s.A, s.B) }
-
 // ClosestPoint returns the point on s closest to p, and the parameter
 // t in [0,1] such that the point equals A.Lerp(B, t).
 func (s Segment) ClosestPoint(p Point) (Point, float64) {
@@ -69,25 +63,6 @@ func (s Segment) Intersects(t Segment) bool {
 	return false
 }
 
-// Intersection returns the single proper intersection point of s and t if the
-// segments cross at exactly one point that is not a collinear overlap. The
-// boolean is false for parallel, collinear or disjoint segments.
-func (s Segment) Intersection(t Segment) (Point, bool) {
-	r := s.B.Sub(s.A)
-	d := t.B.Sub(t.A)
-	denom := r.Cross(d)
-	if math.Abs(denom) <= Eps {
-		return Point{}, false
-	}
-	diff := t.A.Sub(s.A)
-	u := diff.Cross(d) / denom
-	v := diff.Cross(r) / denom
-	if u < -Eps || u > 1+Eps || v < -Eps || v > 1+Eps {
-		return Point{}, false
-	}
-	return s.A.Lerp(s.B, u), true
-}
-
 // DistToSegment returns the minimum distance between the two segments;
 // zero when they intersect.
 func (s Segment) DistToSegment(t Segment) float64 {
@@ -105,12 +80,4 @@ func (s Segment) DistToSegment(t Segment) float64 {
 		d = v
 	}
 	return d
-}
-
-// Bounds returns the axis-aligned bounding rectangle of the segment.
-func (s Segment) Bounds() Rect {
-	return Rect{
-		Min: Point{math.Min(s.A.X, s.B.X), math.Min(s.A.Y, s.B.Y)},
-		Max: Point{math.Max(s.A.X, s.B.X), math.Max(s.A.Y, s.B.Y)},
-	}
 }

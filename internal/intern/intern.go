@@ -88,17 +88,6 @@ func (t *Table) Canonical(s string) string {
 	return t.String(t.Intern(s))
 }
 
-// Lookup returns the id for s without assigning one. The second result is
-// false when s has never been interned. It never allocates.
-//
-//trips:zeroalloc
-func (t *Table) Lookup(s string) (ID, bool) {
-	t.mu.RLock()
-	id, ok := t.ids[s]
-	t.mu.RUnlock()
-	return id, ok
-}
-
 // String returns the original string for id, sharing its backing bytes; it
 // never allocates. It returns "" for None and panics on other out-of-range
 // ids, which always indicate an id from a different table.
@@ -112,12 +101,4 @@ func (t *Table) String(id ID) string {
 	s := t.strs[id]
 	t.mu.RUnlock()
 	return s
-}
-
-// Len returns the number of interned strings; valid ids are [0, Len).
-func (t *Table) Len() int {
-	t.mu.RLock()
-	n := len(t.strs)
-	t.mu.RUnlock()
-	return n
 }

@@ -8,11 +8,8 @@ import (
 
 func TestTableBasics(t *testing.T) {
 	var tab Table
-	if n := tab.Len(); n != 0 {
-		t.Fatalf("zero table Len = %d, want 0", n)
-	}
-	if _, ok := tab.Lookup("a"); ok {
-		t.Fatal("Lookup on empty table reported a hit")
+	if n := len(tab.strs); n != 0 {
+		t.Fatalf("zero table holds %d strings, want 0", n)
 	}
 	// Ids assign densely in intern order.
 	for i, s := range []string{"a", "b", "c"} {
@@ -24,8 +21,8 @@ func TestTableBasics(t *testing.T) {
 	if id := tab.Intern("b"); id != 1 {
 		t.Fatalf("re-Intern(b) = %d, want 1", id)
 	}
-	if tab.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", tab.Len())
+	if len(tab.strs) != 3 {
+		t.Fatalf("table holds %d strings, want 3", len(tab.strs))
 	}
 	// Round trips.
 	for i, want := range []string{"a", "b", "c"} {
@@ -35,9 +32,6 @@ func TestTableBasics(t *testing.T) {
 	}
 	if got := tab.String(None); got != "" {
 		t.Fatalf("String(None) = %q, want empty", got)
-	}
-	if id, ok := tab.Lookup("c"); !ok || id != 2 {
-		t.Fatalf("Lookup(c) = %d, %v", id, ok)
 	}
 }
 
@@ -92,32 +86,30 @@ func TestConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if tab.Len() != keys {
-		t.Fatalf("Len = %d, want %d", tab.Len(), keys)
+	if len(tab.strs) != keys {
+		t.Fatalf("table holds %d strings, want %d", len(tab.strs), keys)
 	}
 	seen := map[ID]bool{}
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		id, ok := tab.Lookup(k)
+		id, ok := tab.ids[k]
 		if !ok || id < 0 || int(id) >= keys || seen[id] {
-			t.Fatalf("Lookup(%q) = %d, %v (dup or out of range)", k, id, ok)
+			t.Fatalf("ids[%q] = %d, %v (dup or out of range)", k, id, ok)
 		}
 		seen[id] = true
 	}
 }
 
 // TestHitPathZeroAlloc guards the interning contract the hot paths build
-// on: once a symbol is in the table, Lookup, String, and Canonical are
+// on: once a symbol is in the table, String and Canonical are
 // read-lock-only and allocation-free.
 //
-//trips:guards Table.Lookup
 //trips:guards Table.String
 //trips:guards Table.Canonical
 func TestHitPathZeroAlloc(t *testing.T) {
 	var tab Table
 	id := tab.Intern("AA:BB:CC:DD:EE:FF")
 	if avg := testing.AllocsPerRun(1000, func() {
-		tab.Lookup("AA:BB:CC:DD:EE:FF")
 		tab.String(id)
 		tab.Canonical("AA:BB:CC:DD:EE:FF")
 	}); avg != 0 {

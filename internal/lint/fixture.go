@@ -21,9 +21,16 @@ import (
 // declares that each quoted regexp must match a diagnostic reported on that
 // line, and that no diagnostic may appear on a line without a matching
 // expectation. Backquoted strings are accepted too.
+//
+//trips:api test support: every analyzer's fixture test calls it
 func RunFixture(t *testing.T, analyzers []*Analyzer, validateDirectives bool, patterns ...string) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", "trips")
+	runFixtureIn(t, filepath.Join("testdata", "src", "trips"), analyzers, validateDirectives, patterns...)
+}
+
+// runFixtureIn is RunFixture over the fixture module rooted at dir.
+func runFixtureIn(t *testing.T, dir string, analyzers []*Analyzer, validateDirectives bool, patterns ...string) {
+	t.Helper()
 	prog, err := Load(dir, patterns...)
 	if err != nil {
 		t.Fatalf("loading fixtures %v: %v", patterns, err)

@@ -14,7 +14,7 @@
 //
 // # Directives
 //
-// Four comment directives thread justification through the source:
+// Five comment directives thread justification through the source:
 //
 //	//trips:commutative <reason>   — on (or directly above) a range-over-map
 //	                                 statement in a determinism-critical
@@ -32,6 +32,10 @@
 //	//trips:allow <analyzer>: <reason> — site-level suppression for the other
 //	                                 analyzers (wallclock, atomicfield,
 //	                                 ctxvalue).
+//	//trips:api <reason>           — in a function's doc comment: keeps an
+//	                                 exported function that nothing in the
+//	                                 module calls (deadexport); consumed
+//	                                 only while it has no caller.
 //
 // A reason is mandatory where the syntax shows one; a directive that no
 // analyzer consumed (stale justification, typo'd name, wrong line) is itself
@@ -69,6 +73,7 @@ func Analyzers() []*Analyzer {
 		NewWallClock(),
 		NewAtomicField(),
 		NewCtxValue(),
+		NewDeadExport(),
 	}
 }
 
@@ -95,6 +100,7 @@ type Pass struct {
 	Pkg      *Package
 	report   func(Diagnostic)
 	dirs     *directiveIndex
+	whole    bool // the batch holds every package of the module (Program.Whole)
 }
 
 // Files returns the package's parsed syntax trees.
@@ -140,16 +146,26 @@ func (p *Pass) SiteDirective(n ast.Node, name string) (reason string, ok bool) {
 // FuncMarked reports whether the function's doc comment carries the given
 // marker directive (e.g. "zeroalloc"), consuming it.
 func (p *Pass) FuncMarked(fd *ast.FuncDecl, name string) bool {
-	if fd.Doc == nil {
+	d := p.funcDirective(fd, name)
+	if d == nil {
 		return false
+	}
+	d.used = true
+	return true
+}
+
+// funcDirective finds the named directive in fd's doc comment without
+// consuming it.
+func (p *Pass) funcDirective(fd *ast.FuncDecl, name string) *directive {
+	if fd.Doc == nil {
+		return nil
 	}
 	for _, c := range fd.Doc.List {
 		if d := p.dirs.byPos[c.Pos()]; d != nil && d.name == name {
-			d.used = true
-			return true
+			return d
 		}
 	}
-	return false
+	return nil
 }
 
 // Run executes the analyzers over the packages and returns the diagnostics
@@ -168,7 +184,7 @@ func Run(prog *Program, analyzers []*Analyzer, validateDirectives bool) ([]Diagn
 	}
 	for _, an := range analyzers {
 		for i, pkg := range prog.Pkgs {
-			pass := &Pass{Analyzer: an, Fset: prog.Fset, Pkg: pkg, report: report, dirs: indexes[i]}
+			pass := &Pass{Analyzer: an, Fset: prog.Fset, Pkg: pkg, report: report, dirs: indexes[i], whole: prog.Whole}
 			if err := an.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", an.Name, pkg.PkgPath, err)
 			}
@@ -196,11 +212,12 @@ const (
 	dirCommutative = "commutative"
 	dirZeroAlloc   = "zeroalloc"
 	dirAllow       = "allow"
+	dirAPI         = "api"
 )
 
 // directive is one parsed //trips:NAME comment.
 type directive struct {
-	name string // "commutative", "zeroalloc", "allow", or an unknown name
+	name string // "commutative", "zeroalloc", "allow", "api", or an unknown name
 	arg  string // everything after the name, trimmed
 	// allowFor / allowReason split an allow's "analyzer: reason" argument.
 	allowFor    string
@@ -303,6 +320,12 @@ func (idx *directiveIndex) validate(report func(Diagnostic)) {
 			}
 		case dirZeroAlloc:
 			// no argument
+		case dirAPI:
+			if d.arg == "" {
+				report(Diagnostic{Pos: d.pos, Analyzer: "directive",
+					Message: "//trips:api needs a reason: //trips:api <why the function stays without a caller in the module>"})
+				continue
+			}
 		case dirGuards:
 			// The loader only sees non-test sources, so any guards
 			// directive reaching this index is misplaced: it belongs in a

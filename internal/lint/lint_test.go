@@ -66,7 +66,7 @@ func TestDirectiveValidation(t *testing.T) {
 // these names.
 func TestAnalyzerNames(t *testing.T) {
 	got := strings.Join(AnalyzerNames(), ",")
-	want := "mapiter,zeroalloc,allocguard,wallclock,atomicfield,ctxvalue"
+	want := "mapiter,zeroalloc,allocguard,wallclock,atomicfield,ctxvalue,deadexport"
 	if got != want {
 		t.Fatalf("AnalyzerNames() = %s, want %s", got, want)
 	}

@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 )
 
 // Package is one loaded, type-checked package under analysis.
@@ -31,6 +32,11 @@ type Package struct {
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
+	// Whole is true when the patterns matched every package of the module
+	// (./... from the module root, or <module>/...). Whole-program checks
+	// that reason about the absence of callers, like deadexport, only mean
+	// something then.
+	Whole bool
 }
 
 // listedPackage is the subset of `go list -json` output the loader reads.
@@ -41,7 +47,11 @@ type listedPackage struct {
 	Export     string
 	DepOnly    bool
 	Standard   bool
-	Error      *struct{ Err string }
+	Module     *struct {
+		Path, Dir string
+		Main      bool
+	}
+	Error *struct{ Err string }
 }
 
 // Load lists the packages matching patterns under dir (a module directory),
@@ -53,7 +63,7 @@ type listedPackage struct {
 // the whole batch (the atomicfield analyzer relies on this).
 func Load(dir string, patterns ...string) (*Program, error) {
 	args := append([]string{"list", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Standard,Error"}, patterns...)
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Standard,Module,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	// Pure-Go builds only: cgo variants would need a C toolchain and make
@@ -86,7 +96,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		}
 	}
 
-	prog := &Program{Fset: token.NewFileSet()}
+	prog := &Program{Fset: token.NewFileSet(), Whole: coversModule(dir, patterns, listed)}
 	imp := &hybridImporter{
 		checked: map[string]*types.Package{},
 		gc: importer.ForCompiler(prog.Fset, "gc", func(path string) (io.ReadCloser, error) {
@@ -116,6 +126,42 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		prog.Pkgs = append(prog.Pkgs, pkg)
 	}
 	return prog, nil
+}
+
+// coversModule reports whether one of the patterns names every package of
+// the main module the matched packages belong to.
+func coversModule(dir string, patterns []string, listed []*listedPackage) bool {
+	var mod *listedPackage
+	for _, lp := range listed {
+		if !lp.DepOnly && lp.Module != nil && lp.Module.Main {
+			mod = lp
+			break
+		}
+	}
+	if mod == nil {
+		return false
+	}
+	root, err := filepath.EvalSymlinks(mod.Module.Dir)
+	if err != nil {
+		return false
+	}
+	for _, p := range patterns {
+		if p == mod.Module.Path+"/..." {
+			return true
+		}
+		base, ok := strings.CutSuffix(p, "/...")
+		if !ok || !(base == "." || strings.HasPrefix(base, "./") || strings.HasPrefix(base, "../")) {
+			continue
+		}
+		abs, err := filepath.Abs(filepath.Join(dir, base))
+		if err != nil {
+			continue
+		}
+		if abs, err = filepath.EvalSymlinks(abs); err == nil && abs == root {
+			return true
+		}
+	}
+	return false
 }
 
 // checkPackage parses and type-checks one listed package from source.

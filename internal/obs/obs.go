@@ -1,6 +1,6 @@
 // Package obs is the observability core of TRIPS: dependency-free metric
-// primitives (atomic counters, gauges, and fixed-bucket latency histograms
-// with quantile snapshots), a registry that renders them in the Prometheus
+// primitives (atomic counters and fixed-bucket latency histograms with
+// quantile snapshots, plus func-backed gauges), a registry that renders them in the Prometheus
 // text exposition format, and HTTP plumbing (metrics handler, health
 // handlers, an access-log middleware) for trips-server.
 //
@@ -9,9 +9,8 @@
 // The hot paths this package instruments — the online engine's ingest
 // route, per-flush stage timings, warehouse segment writes, analytics
 // folds — are allocation-guarded (see online's TestIngestRouteZeroAlloc),
-// so every write-side operation (Counter.Add, Gauge.Set,
-// Histogram.Observe) is a handful of atomic instructions and never
-// allocates. Aggregation cost is paid at scrape time instead: rendering
+// so every write-side operation (Counter.Add, Histogram.Observe) is a
+// handful of atomic instructions and never allocates. Aggregation cost is paid at scrape time instead: rendering
 // walks the registered series under a read lock and cumulates histogram
 // buckets on the fly.
 //
@@ -28,7 +27,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -68,29 +66,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a float64 metric that can go up and down. The zero value is
-// ready to use; methods are nil-safe.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-//
-//trips:zeroalloc
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the current value (0 for a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // DefLatencyBounds is the default histogram layout for operation
@@ -181,6 +156,8 @@ func (h *Histogram) ObserveSince(start time.Time) {
 }
 
 // Count returns the number of observations.
+//
+//trips:api tests in other packages read observation counts through it
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
@@ -201,6 +178,8 @@ func (h *Histogram) Sum() time.Duration {
 // observed maximum. The estimate is taken over a point-in-time bucket
 // snapshot, so it is consistent under concurrent Observe calls up to the
 // usual histogram quantization error.
+//
+//trips:api bench/ is a separate module and calls it
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h == nil {
 		return 0
@@ -269,7 +248,6 @@ func (k metricKind) String() string {
 type series struct {
 	labels string // rendered `k1="v1",k2="v2"` body, "" for unlabeled
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	cf     func() int64   // counter func
 	gf     func() float64 // gauge func
@@ -389,13 +367,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 // fields elsewhere (engine stats) and must not be double-maintained.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...string) {
 	r.register(name, help, kindCounter, &series{labels: renderLabels(labels), cf: fn})
-}
-
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	g := new(Gauge)
-	r.register(name, help, kindGauge, &series{labels: renderLabels(labels), g: g})
-	return g
 }
 
 // GaugeFunc registers a gauge read through fn at render time.

@@ -13,20 +13,19 @@ import (
 	"trips/internal/obs/trace"
 )
 
-func testRegistry(t *testing.T) (*Registry, *Counter, *Gauge, *Histogram) {
+func testRegistry(t *testing.T) (*Registry, *Counter, *Histogram) {
 	t.Helper()
 	r := NewRegistry()
 	c := r.Counter("test_ops_total", "Operations.", "kind", "write")
-	g := r.Gauge("test_depth", "Queue depth.")
 	h := r.Histogram("test_op_seconds", "Operation latency.", nil)
-	return r, c, g, h
+	return r, c, h
 }
 
 // TestPrometheusTextFormat renders a populated registry and checks the
 // output through the strict parser: every sample typed, labels
 // well-formed, values parseable, histogram series complete.
 func TestPrometheusTextFormat(t *testing.T) {
-	r, c, g, h := testRegistry(t)
+	r, c, h := testRegistry(t)
 	r.CounterFunc("test_derived_total", "Bridged counter.", func() int64 { return 42 })
 	r.GaugeFunc("test_watermark_seconds", "Bridged gauge.", func() float64 { return 1483264800.5 })
 	r.Counter("test_ops_total", "Operations.", "kind", "read")
@@ -34,7 +33,6 @@ func TestPrometheusTextFormat(t *testing.T) {
 	r.Histogram("test_stage_seconds", "Stage latency.", nil, "stage", "annotate")
 
 	c.Add(7)
-	g.Set(3.5)
 	for _, d := range []time.Duration{time.Microsecond, time.Millisecond, 40 * time.Millisecond, 3 * time.Second, time.Hour} {
 		h.Observe(d)
 	}
@@ -51,7 +49,6 @@ func TestPrometheusTextFormat(t *testing.T) {
 	for key, want := range map[string]float64{
 		`test_ops_total{kind="write"}`:      7,
 		`test_ops_total{kind="read"}`:       0,
-		"test_depth":                        3.5,
 		"test_derived_total":                42,
 		"test_watermark_seconds":            1483264800.5,
 		"test_op_seconds_count":             5,
@@ -119,14 +116,12 @@ func TestHistogramQuantilesMonotone(t *testing.T) {
 //
 //trips:guards Counter.Inc
 //trips:guards Counter.Add
-//trips:guards Gauge.Set
 //trips:guards Histogram.Observe
 func TestWriteSideZeroAlloc(t *testing.T) {
-	_, c, g, h := testRegistry(t)
+	_, c, h := testRegistry(t)
 	if avg := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
-		g.Set(4.2)
 		h.Observe(87 * time.Millisecond)
 	}); avg != 0 {
 		t.Errorf("write side allocates %.1f times per op, want 0", avg)
@@ -134,16 +129,14 @@ func TestWriteSideZeroAlloc(t *testing.T) {
 	// Nil metrics are free too — disabled instrumentation must cost only
 	// the nil checks.
 	var nc *Counter
-	var ng *Gauge
 	var nh *Histogram
 	if avg := testing.AllocsPerRun(1000, func() {
 		nc.Inc()
-		ng.Set(1)
 		nh.Observe(time.Second)
 	}); avg != 0 {
 		t.Errorf("nil metrics allocate %.1f times per op, want 0", avg)
 	}
-	if nc.Value() != 0 || ng.Value() != 0 || nh.Count() != 0 || nh.Quantile(0.5) != 0 {
+	if nc.Value() != 0 || nh.Count() != 0 || nh.Quantile(0.5) != 0 {
 		t.Error("nil metric reads are not zero")
 	}
 }
@@ -152,7 +145,7 @@ func TestWriteSideZeroAlloc(t *testing.T) {
 // goroutines while scraping; run under -race this is the concurrency
 // proof, and the final render must still parse.
 func TestConcurrentObserveAndScrape(t *testing.T) {
-	r, c, g, h := testRegistry(t)
+	r, c, h := testRegistry(t)
 	r.GaugeFunc("test_fn", "fn", func() float64 { return float64(c.Value()) })
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -168,7 +161,6 @@ func TestConcurrentObserveAndScrape(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				g.Set(rng.Float64())
 				h.Observe(time.Duration(rng.Int63n(int64(time.Second))))
 			}
 		}(int64(i))
@@ -210,7 +202,7 @@ func TestRegistryPanics(t *testing.T) {
 	}
 	r := NewRegistry()
 	r.Counter("dup_total", "d")
-	expectPanic("kind mismatch", func() { r.Gauge("dup_total", "d") })
+	expectPanic("kind mismatch", func() { r.GaugeFunc("dup_total", "d", func() float64 { return 0 }) })
 	expectPanic("duplicate series", func() { r.Counter("dup_total", "d") })
 	expectPanic("bad name", func() { r.Counter("bad name", "d") })
 	expectPanic("odd labels", func() { r.Counter("odd_total", "d", "k") })
@@ -277,7 +269,7 @@ func TestMiddlewareAndHealth(t *testing.T) {
 
 // TestMetricsHandler scrapes the registry over HTTP.
 func TestMetricsHandler(t *testing.T) {
-	r, c, _, _ := testRegistry(t)
+	r, c, _ := testRegistry(t)
 	c.Add(5)
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))

@@ -34,8 +34,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(bw, f.name, s.labels, "", float64(s.c.Value()))
 			case s.cf != nil:
 				writeSample(bw, f.name, s.labels, "", float64(s.cf()))
-			case s.g != nil:
-				writeSample(bw, f.name, s.labels, "", s.g.Value())
 			case s.gf != nil:
 				writeSample(bw, f.name, s.labels, "", s.gf())
 			case s.h != nil:

@@ -285,11 +285,6 @@ func (t *Tracer) Start(parent Ctx, name string) SpanRec {
 	return sr
 }
 
-// Active reports whether the span will record.
-//
-//trips:zeroalloc
-func (sr *SpanRec) Active() bool { return sr.t != nil }
-
 // Ctx returns the context for child spans of this one, preserving the
 // forced pin.
 //

@@ -74,7 +74,7 @@ func TestSamplingRates(t *testing.T) {
 	}
 	// A span started from an unsampled context must be inert.
 	sp := tr.Start(tr.Sample(), "noop")
-	if sp.Active() {
+	if sp.t != nil {
 		t.Fatal("span active under unsampled context")
 	}
 	sp.End()

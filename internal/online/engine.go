@@ -128,6 +128,8 @@ func NewEngine(pl Pipeline, cfg Config) (*Engine, error) {
 
 // Horizon returns the seal horizon derived from the annotator's
 // configuration.
+//
+//trips:api bench/ is a separate module and calls it
 func (e *Engine) Horizon() time.Duration { return e.horizon }
 
 // shardOf routes a device to its shard by FNV-1a over the ID bytes,
@@ -160,6 +162,7 @@ func (e *Engine) send(em Emission) {
 // inbox is full (backpressure rather than drops).
 //
 //trips:zeroalloc
+//trips:api bench/ is a separate module and calls it
 func (e *Engine) Ingest(r position.Record) error {
 	return e.route(r, trace.Ctx{}, true)
 }

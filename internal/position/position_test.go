@@ -27,23 +27,6 @@ func TestRecordString(t *testing.T) {
 	}
 }
 
-func TestRecordSpeedTo(t *testing.T) {
-	a := rec("d", 0, 0, 1, 0)
-	b := rec("d", 3, 4, 1, 5*time.Second)
-	if v := a.SpeedTo(b); !almost(v, 1) {
-		t.Errorf("speed = %v, want 1", v)
-	}
-	// Zero time delta, distinct points: infinite speed.
-	c := rec("d", 10, 0, 1, 0)
-	if v := a.SpeedTo(c); !math.IsInf(v, 1) {
-		t.Errorf("speed over zero dt = %v", v)
-	}
-	// Identical record: zero speed.
-	if v := a.SpeedTo(a); v != 0 {
-		t.Errorf("self speed = %v", v)
-	}
-}
-
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestSequenceAppendKeepsOrder(t *testing.T) {
@@ -75,22 +58,8 @@ func TestSequenceStats(t *testing.T) {
 	if s.Duration() != 40*time.Second {
 		t.Errorf("duration = %v", s.Duration())
 	}
-	if d := s.TravelDistance(); !almost(d, 5) {
-		t.Errorf("travel distance = %v, want 5 (floor change free)", d)
-	}
 	if mp := s.MeanPeriod(); mp != 20*time.Second {
 		t.Errorf("mean period = %v", mp)
-	}
-	if g := s.MaxGap(); g != 30*time.Second {
-		t.Errorf("max gap = %v", g)
-	}
-	fl := s.Floors()
-	if len(fl) != 2 || fl[0] != 1 || fl[1] != 2 {
-		t.Errorf("floors = %v", fl)
-	}
-	b := s.Bounds()
-	if !b.Min.Eq(geom.Pt(0, 0)) || !b.Max.Eq(geom.Pt(3, 4)) {
-		t.Errorf("bounds = %v", b)
 	}
 }
 
@@ -105,26 +74,6 @@ func TestSequenceTimeWindow(t *testing.T) {
 	}
 	if w.Records[0].P.X != 2 || w.Records[2].P.X != 4 {
 		t.Errorf("window contents wrong: %v", w.Records)
-	}
-}
-
-func TestSequenceSplitByGap(t *testing.T) {
-	s := NewSequence("d")
-	offsets := []time.Duration{0, 5 * time.Second, 10 * time.Second,
-		5 * time.Minute, 5*time.Minute + 8*time.Second,
-		20 * time.Minute}
-	for i, off := range offsets {
-		s.Append(rec("d", float64(i), 0, 1, off))
-	}
-	runs := s.SplitByGap(time.Minute)
-	if len(runs) != 3 {
-		t.Fatalf("runs = %d, want 3", len(runs))
-	}
-	if runs[0].Len() != 3 || runs[1].Len() != 2 || runs[2].Len() != 1 {
-		t.Errorf("run lengths = %d %d %d", runs[0].Len(), runs[1].Len(), runs[2].Len())
-	}
-	if (&Sequence{}).SplitByGap(time.Minute) != nil {
-		t.Error("empty split should be nil")
 	}
 }
 
@@ -301,24 +250,6 @@ func TestSequencePropertyAppendSorted(t *testing.T) {
 			}
 		}
 		return s.Len() == len(offsets)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSplitByGapPropertyPreservesRecords(t *testing.T) {
-	f := func(offsets []uint16) bool {
-		s := NewSequence("p")
-		for i, off := range offsets {
-			s.Append(rec("p", float64(i), 0, 1, time.Duration(off)*time.Second))
-		}
-		runs := s.SplitByGap(30 * time.Second)
-		total := 0
-		for _, r := range runs {
-			total += r.Len()
-		}
-		return total == s.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

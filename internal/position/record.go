@@ -9,7 +9,6 @@ package position
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"trips/internal/dsm"
@@ -38,20 +37,4 @@ func (r Record) Location() dsm.Location { return dsm.Location{P: r.P, Floor: r.F
 func (r Record) String() string {
 	return fmt.Sprintf("%s, (%.1f, %.1f, %s), %s",
 		r.Device, r.P.X, r.P.Y, r.Floor, r.At.Format("3:04:05pm"))
-}
-
-// SpeedTo returns the speed in m/s required to move straight from r to next,
-// using Euclidean distance (the cleaning layer substitutes the indoor
-// walking distance for the numerator). It returns +Inf for non-positive
-// time deltas between distinct points and 0 for identical records.
-func (r Record) SpeedTo(next Record) float64 {
-	d := r.P.Dist(next.P)
-	dt := next.At.Sub(r.At).Seconds()
-	if dt <= 0 {
-		if d == 0 && r.Floor == next.Floor {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return d / dt
 }

@@ -3,9 +3,6 @@ package position
 import (
 	"sort"
 	"time"
-
-	"trips/internal/dsm"
-	"trips/internal/geom"
 )
 
 // Sequence is the time-ordered positioning records of one device. The zero
@@ -58,52 +55,6 @@ func (s *Sequence) End() time.Time {
 // Duration returns End minus Start.
 func (s *Sequence) Duration() time.Duration { return s.End().Sub(s.Start()) }
 
-// Bounds returns the planar bounding box over all records.
-func (s *Sequence) Bounds() geom.Rect {
-	b := geom.EmptyRect()
-	for _, r := range s.Records {
-		b = b.ExtendPoint(r.P)
-	}
-	return b
-}
-
-// Floors returns the distinct floors visited, ascending.
-func (s *Sequence) Floors() []dsm.FloorID {
-	seen := make(map[dsm.FloorID]bool)
-	for _, r := range s.Records {
-		seen[r.Floor] = true
-	}
-	out := make([]dsm.FloorID, 0, len(seen))
-	//trips:commutative key collection; iteration order is erased by the sort below
-	for f := range seen {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Path returns the record locations as a polyline, ignoring floors.
-func (s *Sequence) Path() geom.Polyline {
-	pts := make([]geom.Point, len(s.Records))
-	for i, r := range s.Records {
-		pts[i] = r.P
-	}
-	return geom.Polyline{Points: pts}
-}
-
-// TravelDistance returns the summed Euclidean distance between consecutive
-// same-floor records. Floor changes contribute nothing (the vertical move is
-// priced by the DSM, not by raw coordinates).
-func (s *Sequence) TravelDistance() float64 {
-	var d float64
-	for i := 1; i < len(s.Records); i++ {
-		if s.Records[i-1].Floor == s.Records[i].Floor {
-			d += s.Records[i-1].P.Dist(s.Records[i].P)
-		}
-	}
-	return d
-}
-
 // MeanPeriod returns the average sampling period, or zero for fewer than two
 // records. The Data Selector's frequency rule uses it.
 func (s *Sequence) MeanPeriod() time.Duration {
@@ -111,17 +62,6 @@ func (s *Sequence) MeanPeriod() time.Duration {
 		return 0
 	}
 	return s.Duration() / time.Duration(len(s.Records)-1)
-}
-
-// MaxGap returns the largest time gap between consecutive records.
-func (s *Sequence) MaxGap() time.Duration {
-	var g time.Duration
-	for i := 1; i < len(s.Records); i++ {
-		if d := s.Records[i].At.Sub(s.Records[i-1].At); d > g {
-			g = d
-		}
-	}
-	return g
 }
 
 // Slice returns a shallow sub-sequence covering records [i, j).
@@ -137,34 +77,9 @@ func (s *Sequence) TimeWindow(from, to time.Time) *Sequence {
 	return s.Slice(lo, hi)
 }
 
-// SplitByGap cuts the sequence wherever consecutive records are more than
-// maxGap apart and returns the resulting runs. Runs share the underlying
-// array.
-func (s *Sequence) SplitByGap(maxGap time.Duration) []*Sequence {
-	if s.Empty() {
-		return nil
-	}
-	var out []*Sequence
-	start := 0
-	for i := 1; i < len(s.Records); i++ {
-		if s.Records[i].At.Sub(s.Records[i-1].At) > maxGap {
-			out = append(out, s.Slice(start, i))
-			start = i
-		}
-	}
-	return append(out, s.Slice(start, len(s.Records)))
-}
-
 // Clone returns a deep copy of the sequence.
 func (s *Sequence) Clone() *Sequence {
 	cp := &Sequence{Device: s.Device, Records: make([]Record, len(s.Records))}
 	copy(cp.Records, s.Records)
 	return cp
-}
-
-// Sort re-sorts the records by time; readers call it after bulk loads.
-func (s *Sequence) Sort() {
-	sort.SliceStable(s.Records, func(i, j int) bool {
-		return s.Records[i].At.Before(s.Records[j].At)
-	})
 }

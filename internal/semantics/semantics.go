@@ -138,30 +138,6 @@ func (s *Sequence) At(when time.Time) *Triplet {
 	return nil
 }
 
-// Gaps returns the index pairs (i, i+1) of consecutive triplets separated by
-// more than maxGap, the discontinuities the Complementing layer fills.
-func (s *Sequence) Gaps(maxGap time.Duration) [][2]int {
-	var out [][2]int
-	for i := 1; i < len(s.Triplets); i++ {
-		if s.Triplets[i].From.Sub(s.Triplets[i-1].To) > maxGap {
-			out = append(out, [2]int{i - 1, i})
-		}
-	}
-	return out
-}
-
-// Observed returns the triplets that were annotated from data (not
-// inferred).
-func (s *Sequence) Observed() []Triplet {
-	out := make([]Triplet, 0, len(s.Triplets))
-	for _, t := range s.Triplets {
-		if !t.Inferred {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // String renders the sequence the way Table 1 does, one triplet per line
 // under the device header.
 func (s *Sequence) String() string {
@@ -224,18 +200,4 @@ func (s *Sequence) Save(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Load reads a sequence from a JSON file.
-func Load(path string) (*Sequence, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var s Sequence
-	if err := json.NewDecoder(f).Decode(&s); err != nil {
-		return nil, fmt.Errorf("semantics: decode %s: %w", path, err)
-	}
-	return &s, nil
 }

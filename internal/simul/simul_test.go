@@ -174,7 +174,10 @@ func TestSimulateVisitCrossFloor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SimulateVisit: %v", err)
 	}
-	floors := truth.Records.Floors()
+	floors := map[dsm.FloorID]bool{}
+	for _, r := range truth.Records.Records {
+		floors[r.Floor] = true
+	}
 	if len(floors) < 2 {
 		t.Errorf("cross-floor truth visits floors %v", floors)
 	}

@@ -36,6 +36,8 @@ func Open(dir string) (*Store, error) {
 }
 
 // Root returns the store directory.
+//
+//trips:api bench/ is a separate module and calls it
 func (s *Store) Root() string { return s.root }
 
 // validName guards collection and key names: path separators and dot-dot
@@ -109,29 +111,6 @@ func (s *Store) Get(collection, key string, v interface{}) error {
 	return nil
 }
 
-// Exists reports whether collection/key is present.
-func (s *Store) Exists(collection, key string) bool {
-	p, err := s.path(collection, key)
-	if err != nil {
-		return false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, err = os.Stat(p)
-	return err == nil
-}
-
-// Delete removes collection/key; deleting a missing document is an error.
-func (s *Store) Delete(collection, key string) error {
-	p, err := s.path(collection, key)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return os.Remove(p)
-}
-
 // List returns the keys of a collection, sorted. A missing collection lists
 // empty.
 func (s *Store) List(collection string) ([]string, error) {
@@ -157,22 +136,4 @@ func (s *Store) List(collection string) ([]string, error) {
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// Collections returns the existing collection names, sorted.
-func (s *Store) Collections() ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	entries, err := os.ReadDir(s.root)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() {
-			out = append(out, e.Name())
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }

@@ -46,24 +46,7 @@ func TestGetMissing(t *testing.T) {
 	}
 }
 
-func TestExistsAndDelete(t *testing.T) {
-	s, _ := Open(t.TempDir())
-	s.Put("events", "patterns", doc{Name: "p"})
-	if !s.Exists("events", "patterns") {
-		t.Error("Exists false for present doc")
-	}
-	if err := s.Delete("events", "patterns"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if s.Exists("events", "patterns") {
-		t.Error("Exists true after delete")
-	}
-	if err := s.Delete("events", "patterns"); err == nil {
-		t.Error("double delete accepted")
-	}
-}
-
-func TestListAndCollections(t *testing.T) {
+func TestList(t *testing.T) {
 	s, _ := Open(t.TempDir())
 	s.Put("tasks", "b", doc{})
 	s.Put("tasks", "a", doc{})
@@ -78,13 +61,6 @@ func TestListAndCollections(t *testing.T) {
 	// Missing collection lists empty.
 	if keys, err := s.List("nothing"); err != nil || keys != nil {
 		t.Errorf("missing collection = %v, %v", keys, err)
-	}
-	cols, err := s.Collections()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != 2 || cols[0] != "dsm" || cols[1] != "tasks" {
-		t.Errorf("collections = %v", cols)
 	}
 }
 

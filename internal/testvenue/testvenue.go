@@ -57,6 +57,8 @@ func TwoFloor() (*dsm.Model, error) {
 }
 
 // MustTwoFloor panics on error; for test setup.
+//
+//trips:api test support: package tests build their venue with it
 func MustTwoFloor() *dsm.Model {
 	m, err := TwoFloor()
 	if err != nil {

@@ -161,6 +161,8 @@ func New(opts Options) (*Warehouse, error) {
 // is counted and dropped. Inserting into a closed warehouse returns
 // ErrClosed. Disk writes (one per full batch) happen outside the
 // warehouse lock, so queries never wait on I/O.
+//
+//trips:api bench/ is a separate module and calls it
 func (w *Warehouse) Insert(t Trip) error {
 	_, err := w.file(t)
 	return err
@@ -391,6 +393,8 @@ func (w *Warehouse) Flush() error {
 // Snapshot is Flush: the segment log is the warehouse's complete durable
 // state, so there is nothing else to write. The name stays only because
 // bench/serve.go calls it; ROADMAP item 1(e) removes it.
+//
+//trips:api bench/ is a separate module and calls it
 func (w *Warehouse) Snapshot() error { return w.Flush() }
 
 // Close flushes pending writes and marks the warehouse closed. Further
@@ -467,18 +471,5 @@ func (w *Warehouse) Devices() []position.DeviceID {
 		out = append(out, dev)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Regions returns the distinct region IDs with at least one trip, sorted.
-func (w *Warehouse) Regions() []string {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	out := make([]string, 0, len(w.byID))
-	//trips:commutative key collection; iteration order is erased by the sort below
-	for id := range w.byID {
-		out = append(out, id)
-	}
-	sort.Strings(out)
 	return out
 }

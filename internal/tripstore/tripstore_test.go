@@ -124,8 +124,8 @@ func TestInsertDedupeAndStats(t *testing.T) {
 	if got := w.Devices(); !reflect.DeepEqual(got, []position.DeviceID{"a", "b"}) {
 		t.Errorf("devices = %v", got)
 	}
-	if got := w.Regions(); !reflect.DeepEqual(got, []string{"id-hall", "id-nike"}) {
-		t.Errorf("regions = %v", got)
+	if len(w.byID) != 2 || w.byID["id-hall"] == nil || w.byID["id-nike"] == nil {
+		t.Errorf("regions = %v", w.byID)
 	}
 }
 

@@ -132,9 +132,6 @@ func (v *View) Sources() []SourceKind {
 	return out
 }
 
-// Entries returns the entries of one source (visible or not).
-func (v *View) Entries(kind SourceKind) []Entry { return v.sources[kind] }
-
 // SwitchFloor changes the displayed floor ("allows a switch between
 // different floors"); unknown floors are rejected.
 func (v *View) SwitchFloor(f dsm.FloorID) error {
@@ -147,109 +144,3 @@ func (v *View) SwitchFloor(f dsm.FloorID) error {
 
 // Floor returns the displayed floor.
 func (v *View) Floor() dsm.FloorID { return v.floor }
-
-// VisibleAt returns the entries of visible sources on the current floor
-// whose range intersects [from, to) — what the map view draws when the user
-// selects a timeline span.
-func (v *View) VisibleAt(from, to time.Time) []Entry {
-	var out []Entry
-	for _, kind := range v.Sources() {
-		if !v.visible[kind] {
-			continue
-		}
-		for _, e := range v.sources[kind] {
-			if e.Floor == v.floor && e.Covers(from, to) {
-				out = append(out, e)
-			}
-		}
-	}
-	return out
-}
-
-// Navigator returns the semantics entries in time order — "we use the
-// mobility semantics as the primary navigator as it is the most concise".
-func (v *View) Navigator() []Entry {
-	nav := append([]Entry(nil), v.sources[SourceSemantics]...)
-	sort.SliceStable(nav, func(i, j int) bool { return nav[i].From.Before(nav[j].From) })
-	return nav
-}
-
-// SelectNavigator emulates clicking the i-th semantics entry on the
-// timeline: the view switches to that entry's floor and returns all
-// relevant entries covered by its time range.
-func (v *View) SelectNavigator(i int) ([]Entry, error) {
-	nav := v.Navigator()
-	if i < 0 || i >= len(nav) {
-		return nil, fmt.Errorf("viewer: navigator index %d of %d", i, len(nav))
-	}
-	sel := nav[i]
-	if err := v.SwitchFloor(sel.Floor); err != nil {
-		return nil, err
-	}
-	// The temporal annotation is inclusive of its end instant: a record
-	// timestamped exactly at To belongs to the selection.
-	return v.VisibleAt(sel.From, sel.To.Add(time.Nanosecond)), nil
-}
-
-// Frame is one step of the animated, semantics-enriched movement playback
-// ("one can slide the timeline to play an animated ... movement").
-type Frame struct {
-	At      time.Time
-	Entries []Entry
-	// Current is the semantics entry active at the frame time, if any.
-	Current *Entry
-}
-
-// Animate produces playback frames between the earliest and latest visible
-// entries at the given step, each frame holding a sliding window of the
-// trailing `window` duration.
-func (v *View) Animate(step, window time.Duration) []Frame {
-	if step <= 0 {
-		step = 5 * time.Second
-	}
-	if window <= 0 {
-		window = 30 * time.Second
-	}
-	var lo, hi time.Time
-	for _, kind := range v.Sources() {
-		for _, e := range v.sources[kind] {
-			if lo.IsZero() || e.From.Before(lo) {
-				lo = e.From
-			}
-			if hi.IsZero() || e.To.After(hi) {
-				hi = e.To
-			}
-		}
-	}
-	if lo.IsZero() {
-		return nil
-	}
-	nav := v.Navigator()
-	var frames []Frame
-	for t := lo; !t.After(hi); t = t.Add(step) {
-		f := Frame{At: t, Entries: v.VisibleAt(t.Add(-window), t.Add(time.Nanosecond))}
-		for i := range nav {
-			if !t.Before(nav[i].From) && t.Before(nav[i].To) {
-				f.Current = &nav[i]
-				break
-			}
-		}
-		frames = append(frames, f)
-	}
-	return frames
-}
-
-// Tooltip describes what the map shows at a location — the "necessary
-// tooltips" of the Indoor Map Visualizer.
-func (v *View) Tooltip(p geom.Point) string {
-	if r := v.Model.RegionAt(p, v.floor); r != nil {
-		return fmt.Sprintf("%s (%s)", r.Tag, r.Category)
-	}
-	if e := v.Model.Locate(p, v.floor); e != nil {
-		if e.Name != "" {
-			return e.Name
-		}
-		return string(e.ID)
-	}
-	return ""
-}

@@ -90,12 +90,6 @@ func TestViewVisibilityToggle(t *testing.T) {
 	if on := v.Toggle(SourceRaw); on {
 		t.Error("toggle should hide")
 	}
-	got := v.VisibleAt(t0, t0.Add(time.Hour))
-	for _, e := range got {
-		if e.Source == SourceRaw {
-			t.Error("hidden source rendered")
-		}
-	}
 	v.Toggle(SourceRaw)
 	if !v.Visible(SourceRaw) {
 		t.Error("toggle should show again")
@@ -110,91 +104,8 @@ func TestViewFloorSwitch(t *testing.T) {
 	if err := v.SwitchFloor(2); err != nil {
 		t.Fatalf("SwitchFloor: %v", err)
 	}
-	// No floor-1 entries visible on floor 2.
-	if got := v.VisibleAt(t0, t0.Add(time.Hour)); len(got) != 0 {
-		t.Errorf("floor 2 shows %d floor-1 entries", len(got))
-	}
 	if err := v.SwitchFloor(42); err == nil {
 		t.Error("unknown floor accepted")
-	}
-}
-
-func TestVisibleAtWindow(t *testing.T) {
-	v := newTestView(t)
-	got := v.VisibleAt(t0, t0.Add(30*time.Second))
-	// Raw records at 0,10,20 s plus the first semantics bar.
-	var raws, sems int
-	for _, e := range got {
-		switch e.Source {
-		case SourceRaw:
-			raws++
-		case SourceSemantics:
-			sems++
-		}
-	}
-	if raws != 3 {
-		t.Errorf("raw entries in window = %d, want 3", raws)
-	}
-	if sems != 1 {
-		t.Errorf("semantics entries in window = %d, want 1", sems)
-	}
-}
-
-func TestNavigatorSelection(t *testing.T) {
-	v := newTestView(t)
-	nav := v.Navigator()
-	if len(nav) != 2 {
-		t.Fatalf("navigator = %d", len(nav))
-	}
-	// Clicking the first semantics entry selects its covered records.
-	got, err := v.SelectNavigator(0)
-	if err != nil {
-		t.Fatalf("SelectNavigator: %v", err)
-	}
-	raws := 0
-	for _, e := range got {
-		if e.Source == SourceRaw {
-			raws++
-		}
-	}
-	// Records at 0..90 s inclusive = 10 records.
-	if raws != 10 {
-		t.Errorf("selected %d raw records, want 10", raws)
-	}
-	if _, err := v.SelectNavigator(9); err == nil {
-		t.Error("out-of-range selection accepted")
-	}
-}
-
-func TestAnimate(t *testing.T) {
-	v := newTestView(t)
-	frames := v.Animate(30*time.Second, 30*time.Second)
-	if len(frames) < 5 {
-		t.Fatalf("frames = %d", len(frames))
-	}
-	// A frame inside the first stay has Current set to it.
-	found := false
-	for _, f := range frames {
-		if f.Current != nil && strings.Contains(f.Current.Label, "Adidas") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no frame carries the active semantics entry")
-	}
-	// Empty view yields no frames.
-	if got := NewView(testvenue.MustTwoFloor()).Animate(time.Second, time.Second); got != nil {
-		t.Error("empty view animated")
-	}
-}
-
-func TestTooltip(t *testing.T) {
-	v := newTestView(t)
-	if tip := v.Tooltip(geom.Pt(5, 15)); !strings.Contains(tip, "Adidas") {
-		t.Errorf("tooltip = %q", tip)
-	}
-	if tip := v.Tooltip(geom.Pt(-5, -5)); tip != "" {
-		t.Errorf("outside tooltip = %q", tip)
 	}
 }
 
