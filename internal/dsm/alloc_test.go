@@ -38,6 +38,30 @@ func TestWalkingDistanceSnappedZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSnapZeroAlloc guards the snap the Cleaner runs for every record it
+// speed-checks: placing an interior, an in-wall, an off-plan and a far
+// off-plan point in walkable space allocates nothing.
+//
+//trips:guards Model.SnapToWalkable
+//trips:guards Model.Snap
+func TestSnapZeroAlloc(t *testing.T) {
+	m := newTestVenue(t)
+	locs := []Location{{geom.Pt(5, 15), 1}, {geom.Pt(8, 10.2), 1}, {geom.Pt(-3, 25), 1}, {geom.Pt(-60, 90), 2}}
+	snap := func() {
+		for _, l := range locs {
+			if _, e, ok := m.SnapToWalkable(l.P, l.Floor); !ok || e == nil {
+				t.Fatalf("SnapToWalkable(%v) found no partition", l)
+			}
+			if m.Snap(l).Part == nil {
+				t.Fatalf("Snap(%v) found no partition", l)
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(200, snap); avg != 0 {
+		t.Errorf("SnapToWalkable allocates %.2f times per round, want 0", avg)
+	}
+}
+
 // TestWalkingPathPricesDistance: the one Dijkstra serves both queries, so
 // wherever the distance is defined the path exists, starts and ends at the
 // endpoints' snaps, and its legs (planar, plus the storey cost of a shaft

@@ -1,6 +1,7 @@
 package dsm_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,11 +10,12 @@ import (
 	"trips/internal/simul"
 )
 
-// locateMix returns n seeded locations on the 3-floor, 6-shop mall: seven in
-// ten inside a walkable partition, two in a wall, one off the floor plan —
-// the mix positioning noise hands the Cleaner, which snaps every record.
-func locateMix(b *testing.B, n int) (*dsm.Model, []dsm.Location) {
-	m, err := simul.BuildMall(simul.MallSpec{Floors: 3, ShopsPerFloor: 6})
+// locateMix returns n seeded locations on a 3-floor mall with the given
+// shops per floor: seven in ten inside a walkable partition, two in a wall,
+// one off the floor plan — the mix positioning noise hands the Cleaner,
+// which snaps every record.
+func locateMix(b *testing.B, shops, n int) (*dsm.Model, []dsm.Location) {
+	m, err := simul.BuildMall(simul.MallSpec{Floors: 3, ShopsPerFloor: shops})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,25 +57,31 @@ func locateMix(b *testing.B, n int) (*dsm.Model, []dsm.Location) {
 // BenchmarkLocate times locating a record, the Cleaning layer's hot spot:
 // Locate alone (the grid candidates and their point-in-polygon tests), and
 // SnapToWalkable, which adds the nearest-partition search for points
-// outside walkable space.
+// outside walkable space. It runs on two venues: 6 shops a floor (10
+// walkable partitions, the size every workload uses) and 100 (104), where
+// the search's one pass over the floor's partitions costs the most.
 func BenchmarkLocate(b *testing.B) {
-	m, locs := locateMix(b, 1024)
-	b.Run("locate", func(b *testing.B) {
-		b.ReportAllocs()
-		i := 0
-		for b.Loop() {
-			l := locs[i%len(locs)]
-			m.Locate(l.P, l.Floor)
-			i++
-		}
-	})
-	b.Run("snap", func(b *testing.B) {
-		b.ReportAllocs()
-		i := 0
-		for b.Loop() {
-			l := locs[i%len(locs)]
-			m.SnapToWalkable(l.P, l.Floor)
-			i++
-		}
-	})
+	for _, shops := range []int{6, 100} {
+		m, locs := locateMix(b, shops, 1024)
+		b.Run(fmt.Sprintf("shops=%d", shops), func(b *testing.B) {
+			b.Run("locate", func(b *testing.B) {
+				b.ReportAllocs()
+				i := 0
+				for b.Loop() {
+					l := locs[i%len(locs)]
+					m.Locate(l.P, l.Floor)
+					i++
+				}
+			})
+			b.Run("snap", func(b *testing.B) {
+				b.ReportAllocs()
+				i := 0
+				for b.Loop() {
+					l := locs[i%len(locs)]
+					m.SnapToWalkable(l.P, l.Floor)
+					i++
+				}
+			})
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -264,6 +265,17 @@ func (m *Model) Locate(p geom.Point, f FloorID) *Entity {
 // together with the partition that contains it. If p is already walkable it
 // is returned unchanged. The boolean is false when the floor has no
 // partitions at all.
+//
+// Otherwise one pass over the floor's partitions finds the least
+// DistToPoint, the first in floor order on a tie, and clamps p inside that
+// partition. A partition whose bounding box is farther than the best
+// distance so far, by a margin (Eps per metre of coordinate scale) that
+// rounding cannot cross, goes unmeasured. The pass is linear in the floor's
+// partitions: it beats a grid walk on the venues the workloads run (10 to 12
+// a floor) and for off-plan points at any size, matches one for in-wall
+// points at 100 shops a floor, and at 300 costs about twice as much there.
+//
+//trips:zeroalloc
 func (m *Model) SnapToWalkable(p geom.Point, f FloorID) (geom.Point, *Entity, bool) {
 	if e := m.Locate(p, f); e != nil {
 		return p, e, true
@@ -272,35 +284,21 @@ func (m *Model) SnapToWalkable(p geom.Point, f FloorID) (geom.Point, *Entity, bo
 	if fi == nil || len(fi.partitions) == 0 {
 		return p, nil, false
 	}
-	// Search outward with growing query boxes before falling back to a
-	// full scan, so the common near-miss case stays cheap.
-	for _, radius := range snapRadii {
-		var best *Entity
-		bestD := radius
-		it := fi.partGrid.QueryRectIter(geom.NewRect(p, p).Expand(radius))
-		for i, ok := it.Next(); ok; i, ok = it.Next() {
-			e := fi.partitions[i]
-			if d := e.Shape.DistToPoint(p); d < bestD {
-				best, bestD = e, d
-			}
-		}
-		if best != nil {
-			return clampInside(best.Shape, p), best, true
-		}
-	}
+	scale := 1 + math.Abs(p.X) + math.Abs(p.Y)
 	var best *Entity
-	bestD := 0.0
-	for _, e := range fi.partitions {
+	bestD, limit2 := 0.0, math.Inf(1)
+	for i, e := range fi.partitions {
+		if fi.partGrid.Bounds(i).Dist2(p) > limit2 {
+			continue
+		}
 		if d := e.Shape.DistToPoint(p); best == nil || d < bestD {
 			best, bestD = e, d
+			limit := d + geom.Eps*(scale+d)
+			limit2 = limit * limit
 		}
 	}
 	return clampInside(best.Shape, p), best, true
 }
-
-// snapRadii are the growing query-box radii SnapToWalkable tries before a
-// full scan (hoisted so the hot path does not re-allocate the literal).
-var snapRadii = [3]float64{2, 8, 32}
 
 // clampInside returns the boundary point of pg nearest to p, nudged slightly
 // inward so that subsequent Contains checks succeed.

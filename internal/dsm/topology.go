@@ -17,7 +17,6 @@ import (
 // floors link vertically at a cost derived from the floor height.
 
 type navNode struct {
-	entity *Entity
 	center geom.Point
 	floor  FloorID
 }
@@ -56,7 +55,7 @@ func (m *Model) buildNavGraph() error {
 		switch {
 		case e.Kind == KindDoor:
 			idx := len(g.nodes)
-			g.nodes = append(g.nodes, navNode{e, e.Center(), e.Floor})
+			g.nodes = append(g.nodes, navNode{e.Center(), e.Floor})
 			parts := m.doorPartitions(e)
 			if len(parts) == 0 {
 				return fmt.Errorf("dsm: door %s connects no walkable partition", e.ID)
@@ -66,7 +65,7 @@ func (m *Model) buildNavGraph() error {
 			}
 		case e.Kind.Vertical():
 			idx := len(g.nodes)
-			g.nodes = append(g.nodes, navNode{e, e.Center(), e.Floor})
+			g.nodes = append(g.nodes, navNode{e.Center(), e.Floor})
 			// A shaft is itself walkable, so it belongs to its own
 			// partition, and to any partition it touches (entry landing).
 			g.byPartition[e.ID] = append(g.byPartition[e.ID], idx)
@@ -162,9 +161,8 @@ func (m *Model) touchingPartitions(e *Entity) []*Entity {
 	}
 	var out []*Entity
 	query := e.Shape.Bounds().Expand(doorTouchSlack)
-	for _, i := range fi.partGrid.QueryRect(query) {
-		p := fi.partitions[i]
-		if p.ID == e.ID {
+	for i, p := range fi.partitions {
+		if p.ID == e.ID || !fi.partGrid.Bounds(i).Intersects(query) {
 			continue
 		}
 		if polygonsTouch(e.Shape, p.Shape, doorTouchSlack) {
@@ -214,6 +212,8 @@ type Snapped struct {
 // Snap places a location in walkable space: SnapToWalkable in the form the
 // snapped walking queries take. Callers that pair one location with many
 // others snap it once and reuse the result.
+//
+//trips:zeroalloc
 func (m *Model) Snap(l Location) Snapped {
 	p, e, _ := m.SnapToWalkable(l.P, l.Floor)
 	return Snapped{p, e}
@@ -320,24 +320,18 @@ func targetTail(g *navGraph, targets []int, pb geom.Point, node int) (float64, b
 // the snapped endpoints, or nil when unreachable. The Cleaner interpolates
 // repaired locations along this path.
 func (m *Model) WalkingPath(from, to Location) []Location {
-	out, ok := m.AppendWalkingPath(nil, from, to)
+	out, ok := m.AppendWalkingPathSnapped(nil, m.Snap(from), m.Snap(to))
 	if !ok {
 		return nil
 	}
 	return out
 }
 
-// AppendWalkingPath appends a minimum walking path to dst and reports
-// whether one exists; on false, dst is returned unchanged. It is
-// WalkingPath for callers that reuse a path buffer across calls.
-func (m *Model) AppendWalkingPath(dst []Location, from, to Location) ([]Location, bool) {
-	return m.AppendWalkingPathSnapped(dst, m.Snap(from), m.Snap(to))
-}
-
-// AppendWalkingPathSnapped is AppendWalkingPath between endpoints already
-// snapped, for the Cleaner's interpolation, which reuses its anchors' snaps
-// and its path buffer: aside from growing dst, a call is allocation-free at
-// steady state.
+// AppendWalkingPathSnapped appends to dst a minimum walking path between
+// endpoints already snapped and reports whether one exists; on false, dst
+// is returned unchanged. The Cleaner's interpolation reuses its anchors'
+// snaps and its path buffer: aside from growing dst, a call is
+// allocation-free at steady state.
 func (m *Model) AppendWalkingPathSnapped(dst []Location, a, b Snapped) ([]Location, bool) {
 	if a.Part == nil || b.Part == nil {
 		return dst, false

@@ -42,32 +42,64 @@ func TestMinEnclosingCircle(t *testing.T) {
 	}
 }
 
-func TestGridIndexQueryRect(t *testing.T) {
+// candidates returns the ids PointCandidates offers for p that Bounds
+// confirms, as Locate filters them.
+func candidates(g *GridIndex, p Point) []int {
+	var out []int
+	for _, id := range g.PointCandidates(p) {
+		if g.Bounds(id).Contains(p) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+func TestGridIndexPointCandidates(t *testing.T) {
 	g := NewGridIndex(2)
 	for i := 0; i < 10; i++ {
 		x := float64(i * 5)
 		g.Insert(i, NewRect(Pt(x, 0), Pt(x+2, 2)))
 	}
-	ids := g.QueryRect(NewRect(Pt(4, 0), Pt(13, 2)))
-	// Items 1 (5..7), 2 (10..12) intersect; item 0 (0..2) does not reach 4.
-	want := map[int]bool{1: true, 2: true}
-	if len(ids) != len(want) {
-		t.Fatalf("QueryRect = %v", ids)
+	// Item 1 spans 5..7; 6 lies in no other box, 3.5 in none at all.
+	if ids := candidates(g, Pt(6, 1)); len(ids) != 1 || ids[0] != 1 {
+		t.Errorf("candidates(6,1) = %v, want [1]", ids)
 	}
-	for _, id := range ids {
-		if !want[id] {
-			t.Errorf("unexpected id %d", id)
+	if ids := candidates(g, Pt(3.5, 1)); len(ids) != 0 {
+		t.Errorf("candidates(3.5,1) = %v, want none", ids)
+	}
+	if b := g.Bounds(2); b != NewRect(Pt(10, 0), Pt(12, 2)) {
+		t.Errorf("Bounds(2) = %v", b)
+	}
+	// Item 3's box (15..17) spans cells 7 and 8: both offer it.
+	for _, p := range []Point{Pt(15.5, 1), Pt(16.5, 1)} {
+		if ids := candidates(g, p); len(ids) != 1 || ids[0] != 3 {
+			t.Errorf("candidates(%v) = %v, want [3]", p, ids)
 		}
-	}
-	if ids := g.QueryRect(EmptyRect()); ids != nil {
-		t.Error("QueryRect(empty) should be nil")
 	}
 }
 
 func TestGridIndexZeroCellSize(t *testing.T) {
 	g := NewGridIndex(0) // falls back to 1m cells
 	g.Insert(0, NewRect(Pt(0, 0), Pt(1, 1)))
-	if ids := g.QueryRect(NewRect(Pt(0.5, 0.5), Pt(0.5, 0.5))); len(ids) != 1 {
+	if ids := candidates(g, Pt(0.5, 0.5)); len(ids) != 1 {
 		t.Errorf("fallback cell size broken: %v", ids)
+	}
+}
+
+func TestRectDist2(t *testing.T) {
+	r := NewRect(Pt(0, 0), Pt(4, 2))
+	for _, c := range []struct {
+		p    Point
+		want float64
+	}{
+		{Pt(1, 1), 0}, {Pt(4, 2), 0}, {Pt(-3, 1), 9}, {Pt(2, 5), 9},
+		{Pt(7, 6), 9 + 16}, {Pt(-1, -1), 2},
+	} {
+		if got := r.Dist2(c.p); got != c.want {
+			t.Errorf("Dist2(%v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+	if got := EmptyRect().Dist2(Pt(0, 0)); !math.IsInf(got, 1) {
+		t.Errorf("empty Dist2 = %v, want +Inf", got)
 	}
 }

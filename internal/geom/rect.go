@@ -61,6 +61,26 @@ func (r Rect) Intersects(s Rect) bool {
 		r.Min.Y <= s.Max.Y+Eps && s.Min.Y <= r.Max.Y+Eps
 }
 
+// Dist2 returns the squared distance from p to r: zero when r contains p
+// (without Contains' Eps margin), +Inf when r is empty. A shape is never
+// nearer than its bounding box, so nearest-shape searches prune with it.
+//
+//trips:zeroalloc
+func (r Rect) Dist2(p Point) float64 {
+	var dx, dy float64
+	if p.X < r.Min.X {
+		dx = r.Min.X - p.X
+	} else if p.X > r.Max.X {
+		dx = p.X - r.Max.X
+	}
+	if p.Y < r.Min.Y {
+		dy = r.Min.Y - p.Y
+	} else if p.Y > r.Max.Y {
+		dy = p.Y - r.Max.Y
+	}
+	return dx*dx + dy*dy
+}
+
 // Union returns the smallest rectangle containing both r and s.
 func (r Rect) Union(s Rect) Rect {
 	if r.IsEmpty() {
